@@ -138,21 +138,15 @@ def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> 
     )
 
 
-def apply_channel(channel: DDChannel, wf: Waveform, delay_quantum: float | None = None) -> Waveform:
+def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     """Pass a waveform through the channel on its own sampling grid.
 
     Each path multiplies the input by its Doppler tone (evaluated on the
     absolute input time axis), shifts by the delay rounded to an integer
     number of input samples, and scales by the gain.  The output grid starts
-    at the input t0 and extends to cover the largest quantized delay.  An
-    explicit delay_quantum (defaults to the sample interval) makes the
-    quantization grid reproducible across callers.
+    at the input t0 and extends to cover the largest quantized delay.
     """
     dt = 1.0 / wf.sample_rate
-    if delay_quantum is None:
-        delay_quantum = dt
-    if abs(delay_quantum - dt) > 1e-9 * dt:
-        raise ValueError("delay quantum must match the waveform sample interval")
     shifts = [int(round(p.delay / dt)) for p in channel.paths]
     n_out = len(wf.samples) + max(shifts)
     out = np.zeros(n_out, dtype=np.complex128)

@@ -116,16 +116,17 @@ def _run(args) -> int:
         grid, predictions = run_ortho_experiment(ec)
         if args.out:
             grid.write_csv(args.out)
-        n = grid.cfg.N
-        hot = int(np.count_nonzero(grid.entries / grid.cfg.T > 0.05) - n)
-        print(f"pairs_above_threshold = {hot}")
+        ratio = grid.entries / grid.cfg.T
+        above = ratio > 0.05
+        print(f"pairs_above_threshold = {int(np.count_nonzero(above) - grid.cfg.N)}")
         if predictions is None:
             print("predictor = unavailable (non-integer fold count)")
         else:
-            agree = np.array_equal(
-                predictions, grid.entries / grid.cfg.T > 0.05
-            )
+            # the predictor decides |I| > 0, so compare it with the grid's support
+            agree = np.array_equal(predictions, ratio > 1e-6)
             print(f"predictor_agrees = {agree}")
+            below = int(np.count_nonzero(np.triu(predictions & ~above, 1)))
+            print(f"aliased_below_threshold = {below}")
         return 0
     if args.command == "iorel":
         report = run_iorel_check(ec)

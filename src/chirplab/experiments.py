@@ -1,7 +1,9 @@
 """Experiment drivers: NMSE sweeps, PSD, orthogonality grids, complexity.
 
 Every driver is deterministic given the configuration and master seed; the
-per-trial random streams are derived as default_rng([seed, point, trial]).
+per-trial random streams are derived as default_rng([seed, trial]).  The
+sweep point is left out on purpose: every point of a sweep sees the same
+channel and symbol draws (common random numbers), which smooths the curves.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ class ExperimentConfig:
             vals = list(self.sweep_values)
             if not vals or any(b < a for a, b in zip(vals[:-1], vals[1:])):
                 raise ValueError("sweep_values must be non-empty and ordered")
+            if self.sweep == "span":
+                for v in vals:
+                    if not (float(v).is_integer() and v >= 2 and v % 2 == 0):
+                        raise ValueError(
+                            f"sweep_values: span sweep values must be even integers >= 2, got {v}"
+                        )
 
     @property
     def T(self) -> float:

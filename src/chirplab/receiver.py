@@ -7,11 +7,15 @@ output obeys an exact linear tap relation
 
     y[k'] = sum_l h[k', l] x[k' - l],
 
-with taps built from the pulse cross-ambiguity function.  Folding the taps
-through the chirp-periodic prefix yields the N x N effective matrix H, and
-conjugating by the transform pair yields the chirp-domain matrix H_u that an
-equalizer would see.  A plain cyclic-shift baseline model (ideal pulses,
-delays on the symbol grid) is provided for comparison.
+with taps built from the pulse cross-ambiguity function.  The model only
+reads the L lags of the ambiguity function that the retained window needs,
+for all paths at once, and predicts a frame by applying the banded taps to
+the prefix-extended frame, which costs O(N L) and never forms an N x N
+matrix.  Folding the taps through the chirp-periodic prefix yields the dense
+N x N effective matrix H, and conjugating by the transform pair yields the
+chirp-domain matrix H_u that an equalizer would see; those matrices are
+built only where a matrix is the result.  A plain cyclic-shift baseline
+model (ideal pulses, delays on the symbol grid) is provided for comparison.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from .channel import DDChannel
@@ -62,18 +67,22 @@ def cross_ambiguity(filt: SrrcFilter, tau: float, nu: float) -> complex:
     s_int = int(round(s))
     if abs(s - s_int) > 1e-6:
         raise ValueError("tau must be a multiple of the fine-grid step Ts/O")
-    table = _ambiguity_table(filt, nu)
-    m = len(filt.taps)
-    if abs(s_int) >= m:
-        return 0.0
-    return complex(table[s_int + m - 1])
+    return complex(_ambiguity_at_lags(filt, np.array([[s_int]]), np.array([nu]))[0, 0])
 
 
-def _ambiguity_table(filt: SrrcFilter, nu: float) -> np.ndarray:
-    """A(s * dt, nu) for every integer lag s = -(M-1) .. M-1, as one array."""
+def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """A(lags[p, l] * dt, nus[p]) for a (P, L) array of integer fine-grid lags.
+
+    A[p, l] = dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u}; lags with
+    |lag| >= M (the tap count) have no overlap and give exactly 0.
+    """
     a = filt.taps
-    b = np.conj(a) * np.exp(2j * np.pi * nu * filt.time_grid())
-    return fftconvolve(a, b[::-1]) * filt.dt
+    m = len(a)
+    b = np.conj(a) * np.exp(2j * np.pi * np.multiply.outer(nus, filt.time_grid()))
+    # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
+    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
+    shifted = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)]
+    return np.einsum("plu,pu->pl", shifted, b) * filt.dt
 
 
 @dataclass
@@ -128,10 +137,7 @@ def full_taps(channel: DDChannel, filt: SrrcFilter) -> int:
     With this window the tap relation reproduces the waveform chain to
     floating-point accuracy; used for exactness checks.
     """
-    dt = filt.dt
-    s = [int(round(p.delay / dt)) for p in channel.paths]
-    spread = int(np.ceil((max(s) - min(s)) / filt.O))
-    return spread + 2 * filt.q + 1
+    return required_taps(channel, filt) + filt.q
 
 
 def effective_taps(
@@ -146,30 +152,35 @@ def effective_taps(
     The expansion is h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p +
     (k' - D) Ts)) A(tau1 - tau_p + (l - D) Ts, nu_p) with every delay
     quantized to the fine grid, so it reproduces the discrete simulation
-    chain to floating-point accuracy when the same filter is used.
+    chain to floating-point accuracy when the same filter is used.  Only the
+    L lags the window reads are evaluated, as one (P, L) ambiguity array,
+    and h is the (N, P) @ (P, L) product of the gain-weighted Doppler phases
+    with it.
     """
     dt = filt.dt
     shifts = np.array([int(round(p.delay / dt)) for p in channel.paths])
+    gains = np.array([p.gain for p in channel.paths], dtype=np.complex128)
+    nus = np.array([p.doppler for p in channel.paths], dtype=float)
     s1 = shifts.min()
     tau1 = s1 * dt
-    k = np.arange(n_out)
-    ell = np.arange(n_taps)
-    h = np.zeros((n_out, n_taps), dtype=np.complex128)
-    m = len(filt.taps)
-    for p, sp in zip(channel.paths, shifts):
-        table = _ambiguity_table(filt, p.doppler)
-        lags = (s1 - sp) + (ell - lead) * filt.O
-        amb = np.zeros(n_taps, dtype=np.complex128)
-        inside = np.abs(lags) < m
-        amb[inside] = table[lags[inside] + m - 1]
-        phase = np.exp(2j * np.pi * p.doppler * (tau1 - sp * dt + (k - lead) * filt.Ts))
-        h += p.gain * np.outer(phase, amb)
-    return EffectiveTaps(h=h, lead=lead, tau1=tau1, Ts=filt.Ts)
+    lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * filt.O
+    amb = _ambiguity_at_lags(filt, lags, nus)
+    t = (tau1 - shifts * dt)[None, :] + ((np.arange(n_out) - lead) * filt.Ts)[:, None]
+    phase = gains * np.exp(2j * np.pi * nus * t)
+    return EffectiveTaps(h=phase @ amb, lead=lead, tau1=tau1, Ts=filt.Ts)
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
     """Phase relating prefix sample x[k] (k < 0) to x[N + k]."""
     return np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
+
+
+def _check_fold(cfg: ChirpConfig, taps: EffectiveTaps) -> None:
+    """The taps must give one row per frame sample and fit in one frame."""
+    if taps.n_out != cfg.N:
+        raise ValueError(f"taps have {taps.n_out} output rows, expected N = {cfg.N}")
+    if taps.n_taps > cfg.N:
+        raise ValueError("tap length exceeds the frame length, cannot fold")
 
 
 def fold_cpp_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
@@ -179,11 +190,8 @@ def fold_cpp_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
     samples are rewritten via the chirp-periodic extension, so the prefix
     must be at least n_taps - 1 samples long for the relation to be exact.
     """
+    _check_fold(cfg, taps)
     n = cfg.N
-    if taps.n_out != n:
-        raise ValueError(f"taps have {taps.n_out} output rows, expected N = {n}")
-    if taps.n_taps > n:
-        raise ValueError("tap length exceeds the frame length, cannot fold")
     h_mat = np.zeros((n, n), dtype=np.complex128)
     for l in range(taps.n_taps):
         k = np.arange(n)
@@ -227,9 +235,20 @@ def chirp_domain_from_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
 
 
 def predict_output(cfg: ChirpConfig, taps: EffectiveTaps, symbols: np.ndarray) -> np.ndarray:
-    """Model-predicted chirp-domain output for one frame of symbols."""
-    h_mat = fold_cpp_taps(cfg, taps)
-    return demodulate(cfg, h_mat @ modulate(cfg, symbols))
+    """Model-predicted chirp-domain output for one frame of symbols.
+
+    Applies the banded taps, y[k'] = sum_l h[k', l] x[k' - l], directly to
+    the frame extended by its L - 1 chirp-periodic prefix samples (built
+    here with ``cpp_wrap_phase``), then demodulates.  This is O(N L) and
+    equals demodulate(fold_cpp_taps(cfg, taps) @ modulate(cfg, symbols)).
+    """
+    _check_fold(cfg, taps)
+    x = modulate(cfg, symbols)
+    k = np.arange(1 - taps.n_taps, 0)
+    x_cpp = np.concatenate([x[cfg.N + k] * cpp_wrap_phase(cfg, k), x])
+    # window row k' holds x[k' - L + 1 .. k'], so tap l pairs with column L - 1 - l
+    window = sliding_window_view(x_cpp, taps.n_taps)
+    return demodulate(cfg, np.einsum("kl,kl->k", taps.h[:, ::-1], window))
 
 
 def build_baseline(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:

@@ -191,6 +191,50 @@ def test_cli_ortho_reports_prediction(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "n,n_prime,abs_I_over_T"
 
 
+def test_cli_ortho_predictor_agrees_at_c16(tmp_path, capsys):
+    # N = 32, C = 16 with the default c2 = 1 / (3 N)
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 32\nc1_num = 16\nc1_den = 2N\n")
+    assert cli.main(["ortho", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "predictor_agrees = True" in lines
+    assert "aliased_below_threshold = 0" in lines
+
+
+def test_cli_ortho_compares_predictor_with_grid_support(monkeypatch, capsys):
+    """A pair with 0 < |I| <= 0.05 T is aliased: it agrees with the exact
+    predictor and is counted once as aliased below the threshold."""
+    from chirplab.aliasing import OrthogonalityMatrix
+
+    cfg = ExperimentConfig(n=4).chirp_config()
+    entries = np.eye(4) * cfg.T
+    entries[0, 2] = entries[2, 0] = 0.01 * cfg.T
+    predictions = entries > 0
+    grid = OrthogonalityMatrix(entries=entries, cfg=cfg, method="stub")
+    monkeypatch.setattr(cli, "run_ortho_experiment", lambda ec: (grid, predictions))
+    assert cli.main(["ortho"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "pairs_above_threshold = 0",
+        "predictor_agrees = True",
+        "aliased_below_threshold = 1",
+    ]
+
+
+def test_span_sweep_rejects_non_integer_and_odd_values(tmp_path, capsys):
+    with pytest.raises(ValueError, match=r"sweep_values.*6\.5"):
+        config_from_dict({"sweep": "span", "sweep_values": "6, 6.5, 8"})
+    for bad in (7.25, 7, 0):
+        with pytest.raises(ValueError, match=f"sweep_values.*{bad}"):
+            ExperimentConfig(sweep="span", sweep_values=(bad, 8))
+    assert ExperimentConfig(sweep="span", sweep_values=(6.0, 8.0)).sweep_points() == [6, 8]
+    path = tmp_path / "span.cfg"
+    path.write_text("n = 64\nsweep = span\nsweep_values = 6, 6.5\n")
+    assert cli.main(["nmse", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "sweep_values" in err and "6.5" in err
+
+
 def test_cli_complexity(capsys):
     assert cli.main(["complexity", "--n", "1024", "--n-od", "32"]) == 0
     captured = capsys.readouterr()

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from chirplab import (
     ChirpConfig,
@@ -19,7 +22,9 @@ from chirplab import (
     full_lead,
     full_taps,
     matched_filter,
+    demodulate,
     modulate,
+    predict_output,
     required_taps,
     sample_base_rate,
     shape,
@@ -36,6 +41,34 @@ def _cfg(n, t=None):
 
 def _filt(cfg, beta=0.2, q=12, o=16):
     return design_srrc(beta, q, o, cfg.dt)
+
+
+def _ambiguity_table(filt, nu):
+    """Oracle: A(s * dt, nu) for every integer lag s = -(M-1) .. M-1 at once."""
+    a = filt.taps
+    b = np.conj(a) * np.exp(2j * np.pi * nu * filt.time_grid())
+    return fftconvolve(a, b[::-1]) * filt.dt
+
+
+def _taps_from_tables(channel, filt, n_out, lead, n_taps):
+    """Oracle taps: per path, gather the window lags from the full table."""
+    dt = filt.dt
+    shifts = [int(round(p.delay / dt)) for p in channel.paths]
+    s1 = min(shifts)
+    tau1 = s1 * dt
+    k = np.arange(n_out)
+    ell = np.arange(n_taps)
+    m = len(filt.taps)
+    h = np.zeros((n_out, n_taps), dtype=np.complex128)
+    for p, sp in zip(channel.paths, shifts):
+        table = _ambiguity_table(filt, p.doppler)
+        lags = (s1 - sp) + (ell - lead) * filt.O
+        amb = np.zeros(n_taps, dtype=np.complex128)
+        inside = np.abs(lags) < m
+        amb[inside] = table[lags[inside] + m - 1]
+        phase = np.exp(2j * np.pi * p.doppler * (tau1 - sp * dt + (k - lead) * filt.Ts))
+        h += p.gain * np.outer(phase, amb)
+    return h
 
 
 def test_cross_ambiguity_origin_is_unit_energy():
@@ -138,6 +171,77 @@ def test_effective_taps_matches_impulse_probe():
     mask = np.abs(oracle) > 1e-4
     rel = np.abs(taps.h[mask] - oracle[mask]) / np.abs(oracle[mask])
     assert np.max(rel) < 1e-3
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 64),
+    tap_frac=st.floats(0.0, 1.0),
+    c1=st.floats(-2.0, 2.0, allow_nan=False),
+    c2=st.floats(-2.0, 2.0, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(half_n=1, tap_frac=0.0, c1=0.1, c2=0.0, seed=0)  # N = 2, L = 1: no prefix
+@example(half_n=8, tap_frac=1.0, c1=1.0 / 64, c2=1.0 / 48, seed=1)  # L = N
+def test_banded_prediction_equals_dense_fold(half_n, tap_frac, c1, c2, seed):
+    n = 2 * half_n
+    n_taps = 1 + int(tap_frac * (n - 1))
+    cfg = ChirpConfig(N=n, T=n * 1e-6, c1=c1, c2=c2)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n_taps)) + 1j * rng.standard_normal((n, n_taps))
+    taps = EffectiveTaps(h=h, lead=0, tau1=0.0, Ts=cfg.dt)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    dense = demodulate(cfg, fold_cpp_taps(cfg, taps) @ modulate(cfg, x))
+    banded = predict_output(cfg, taps, x)
+    assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_predict_output_validates_tap_shape():
+    cfg = _cfg(8)
+    x = np.ones(8, dtype=complex)
+    with pytest.raises(ValueError, match="expected N = 8"):
+        predict_output(cfg, EffectiveTaps(np.zeros((7, 2), complex), 0, 0.0, cfg.dt), x)
+    with pytest.raises(ValueError, match="exceeds the frame length"):
+        predict_output(cfg, EffectiveTaps(np.zeros((8, 9), complex), 0, 0.0, cfg.dt), x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_q=st.integers(1, 4),
+    o=st.integers(2, 8),
+    beta=st.floats(0.05, 1.0),
+    delays=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+    extra_lead=st.integers(0, 3),
+    extra_taps=st.integers(-3, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(half_q=1, o=4, beta=0.3, delays=[0.0, 2.6], extra_lead=3, extra_taps=6, seed=2)
+def test_lag_trimmed_taps_equal_full_table_gather(
+    half_q, o, beta, delays, extra_lead, extra_taps, seed
+):
+    """Window lags inside and outside the pulse support: with the lead beyond
+    q and the window past the full support, the outer lags have |lag| >= M."""
+    cfg = _cfg(16)
+    filt = design_srrc(beta, 2 * half_q, o, cfg.dt)
+    rng = np.random.default_rng(seed)
+    ch = DDChannel(
+        [
+            DDPath(
+                complex(rng.standard_normal() + 1j * rng.standard_normal()),
+                d * cfg.dt,
+                float(rng.uniform(-5e3, 5e3)),
+            )
+            for d in sorted(delays)
+        ]
+    )
+    lead = full_lead(filt) + extra_lead
+    n_taps = max(1, full_taps(ch, filt) + extra_lead + extra_taps)
+    got = effective_taps(ch, filt, cfg.N, lead, n_taps).h
+    want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
+    # |A| <= A(0, 0) = 1 for the unit-energy pulse, so every tap is at most
+    # sum |g_p|; that is the scale of the oracle's rounding error too
+    scale = sum(abs(p.gain) for p in ch.paths)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_fold_cpp_taps_structure():
