@@ -5,6 +5,8 @@ spectral analysis, aliased-chirp orthogonality, delay-Doppler channels and
 matched-filter effective-channel models, plus a CLI experiment harness.
 """
 
+import types as _types
+
 from .transforms import (
     ChirpConfig,
     daft_matrix,
@@ -80,4 +82,9 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public classes and functions; the submodules stay reachable as attributes
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+]

@@ -20,6 +20,11 @@ Divisibility is therefore necessary for aliasing but not sufficient: the
 surviving pieces can cancel, e.g. eta = -16, +16, -16 at N = 32, C = 16 for
 the pair (8, 24).  When C >= N, |eta| < N <= C and no piece survives; when
 C < N divides N, only separations that are multiples of C can survive.
+
+The grid of all pairs (inner_product_matrix) is built independently of that
+integer-C collapse: it sums the piece integrals at the folds themselves,
+which holds for any real c1.  Gauss-Legendre quadrature between the folds
+is its test oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .transforms import ChirpConfig
 from .waveform import Waveform
@@ -119,54 +123,55 @@ class OrthogonalityMatrix:
                     )
 
 
-def _pair_inner_product(
-    cfg: ChirpConfig,
-    spec_a: AliasedChirpSpec,
-    spec_b: AliasedChirpSpec,
-    edges: np.ndarray,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-) -> complex:
-    """Boundary-aligned Gauss-Legendre quadrature of phi_hat_n phi_hat_n'^*."""
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # quadrature points per interval, shape (intervals, nodes)
-    t = mid[:, None] + half[:, None] * nodes[None, :]
-    qa = np.floor(cfg.chirp_span * t / cfg.T + spec_a.n / cfg.N)
-    qb = np.floor(cfg.chirp_span * t / cfg.T + spec_b.n / cfg.N)
-    phase = _aliased_phase_rate(cfg, spec_a.n, qa, t) - _aliased_phase_rate(
-        cfg, spec_b.n, qb, t
-    )
-    vals = np.exp(2j * np.pi * phase)
-    return complex(np.sum(half * np.sum(vals * weights[None, :], axis=1)))
+def inner_product_matrix(cfg: ChirpConfig) -> OrthogonalityMatrix:
+    """Exact matrix |I_{n,n'}| of aliased-chirp inner products over [0, T).
 
+    With s = t / T, chirp n folds at s = (k - n/N) / C for the integers k in
+    (n/N, C + n/N).  Between the merged folds of a pair n < n' the phase
+    difference is c2 (n^2 - n'^2) + eta s with the integer
+    eta = d - N (q_n - q_n'), d = n - n'.  eta starts at eta_- = d and takes
+    only one other value, eta_+ = d + N: a fold of n' switches eta_- to
+    eta_+ and a fold of n switches it back.  Collecting the piece integrals
+    (e^{j 2 pi eta hi} - e^{j 2 pi eta lo}) / (j 2 pi eta) at the folds gives,
+    with e(eta, s) = e^{j 2 pi eta s} / eta,
 
-def inner_product_matrix(cfg: ChirpConfig, oversampling: int = 32) -> OrthogonalityMatrix:
-    """Quadrature matrix |I_{n,n'}| of aliased-chirp inner products over [0, T).
+        2 pi |I| / T = | 1/eta_end - 1/d
+                         + sum over folds s of n  [e(eta_+, s) - e(eta_-, s)]
+                         - sum over folds s of n' [e(eta_+, s) - e(eta_-, s)] |
 
-    Each piecewise-smooth interval (between fold boundaries of either chirp)
-    is integrated with a Gauss-Legendre rule; the oversampling argument sets
-    the minimum node density and must be >= 32 to resolve the boundaries.
+    where eta_end is eta on the last piece.  The sum is exact for any real
+    c1: C need not be an integer, and c1 = 0 has no folds.  |I| does not
+    depend on c2.  All pairs are evaluated at once, in row blocks that bound
+    the memory.
     """
-    if oversampling < 32:
-        raise ValueError("oversampling must be >= 32 to resolve fold boundaries")
-    # node count per interval: intervals are at most T/C long and the
-    # integrand oscillates at most ~N/C cycles there; 16 nodes covers the
-    # N = 32 figures with large margin, denser for finer configurations.
-    order = max(16, int(np.ceil(2 * cfg.N / max(cfg.chirp_span, 1.0))) + 8)
-    nodes, weights = leggauss(order)
-    specs = [AliasedChirpSpec(cfg, n) for n in range(cfg.N)]
-    bounds = [s.boundaries() for s in specs]
-    entries = np.zeros((cfg.N, cfg.N))
-    for n in range(cfg.N):
-        entries[n, n] = cfg.T
-        for n2 in range(n + 1, cfg.N):
-            edges = np.unique(np.concatenate([bounds[n], bounds[n2]]))
-            val = _pair_inner_product(cfg, specs[n], specs[n2], edges, nodes, weights)
-            entries[n, n2] = entries[n2, n] = abs(val)
-    return OrthogonalityMatrix(entries, cfg, method=f"gauss-legendre-{order}")
+    big_n = cfg.N
+    c = cfg.chirp_span
+    idx = np.arange(big_n)
+    folds = np.maximum(np.ceil(c + idx / big_n) - 1, 0).astype(int)
+    k = np.arange(1, folds.max() + 1)
+    live = k[None, :] <= folds[:, None]
+    # (N, K) fold positions, padded with 0; K = 0 (an empty array) when C = 0
+    at = np.where(live, (k[None, :] - idx[:, None] / big_n) / c, 0.0)
+
+    entries = np.zeros((big_n, big_n))
+    # about 1M (pair, fold) terms per block of rows
+    rows = max(1, (1 << 20) // (big_n * max(len(k), 1)))
+    for r0 in range(0, big_n, rows):
+        a, b = np.nonzero(idx[None, :] > idx[r0 : r0 + rows, None])
+        a += r0
+        eta_minus = (a - b).astype(float)[:, None]
+        eta_plus = eta_minus + big_n
+
+        def jumps(n):
+            wave = (np.exp(2j * np.pi * eta_plus * at[n]) / eta_plus
+                    - np.exp(2j * np.pi * eta_minus * at[n]) / eta_minus)
+            return np.sum(wave * live[n], axis=1)
+
+        eta_end = eta_minus[:, 0] + big_n * (folds[b] - folds[a])
+        total = 1.0 / eta_end - 1.0 / eta_minus[:, 0] + jumps(a) - jumps(b)
+        entries[a, b] = entries[b, a] = cfg.T * np.abs(total) / (2.0 * np.pi)
+    np.fill_diagonal(entries, cfg.T)
+    return OrthogonalityMatrix(entries, cfg, method="closed-form")
 
 
 def _integer_fold_inner_product(cfg: ChirpConfig, n: int, n_prime: int, c: int) -> complex:

@@ -7,6 +7,7 @@ Extended Vehicular A power-delay profile with per-path Jakes Doppler draws.
 
 from __future__ import annotations
 
+import cmath
 import csv
 from dataclasses import dataclass, field
 
@@ -39,6 +40,9 @@ class DDPath:
     doppler: float
 
     def __post_init__(self) -> None:
+        for name in ("gain", "delay", "doppler"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"path {name} must be finite, got {getattr(self, name)}")
         if self.delay < 0:
             raise ValueError(f"path delay must be non-negative, got {self.delay}")
 

@@ -9,8 +9,9 @@ channel and symbol draws (common random numbers), which smooths the curves.
 from __future__ import annotations
 
 import csv
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,25 +35,6 @@ from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
 from .transforms import ChirpConfig, demodulate, modulate
 from .waveform import SrrcFilter, add_cpp, design_srrc, shape
 from . import aliasing
-
-CONFIG_KEYS = (
-    "n",
-    "t_us",
-    "c1_num",
-    "c1_den",
-    "c2_num",
-    "c2_den",
-    "beta",
-    "q",
-    "oversample",
-    "profile",
-    "fc_hz",
-    "speed_kmh",
-    "trials",
-    "seed",
-    "sweep",
-    "sweep_values",
-)
 
 SWEEP_KINDS = ("speed", "rolloff", "span")
 
@@ -83,6 +65,12 @@ class ExperimentConfig:
     sweep_values: tuple | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 2 or self.n % 2 != 0:
+            raise ValueError(f"n must be an even integer >= 2, got {self.n}")
+        if not (math.isfinite(self.t_us) and self.t_us > 0):
+            raise ValueError(f"t_us must be finite and positive, got {self.t_us}")
+        if self.oversample < 2:
+            raise ValueError(f"oversample must be >= 2, got {self.oversample}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.sweep not in SWEEP_KINDS:
@@ -145,6 +133,9 @@ class ExperimentConfig:
         return list(DEFAULT_SPANS)
 
 
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
 def _parse_denominator(text: str, n: int) -> float:
     """Denominator tokens are plain numbers or multiples of N such as '4N'."""
     s = str(text).strip()
@@ -158,6 +149,7 @@ def _parse_denominator(text: str, n: int) -> float:
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a flat ``key = value`` configuration file."""
     values: dict = {}
+    first_line: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -170,7 +162,13 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             val = val.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown configuration key: {key}")
+            if key in values:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate configuration key {key} "
+                    f"(first set on line {first_line[key]})"
+                )
             values[key] = val
+            first_line[key] = lineno
     if overrides:
         values.update(overrides)
     return config_from_dict(values)

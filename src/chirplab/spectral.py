@@ -4,10 +4,13 @@ The chirp prototype pulse has the Fresnel-type spectrum
 
     G(f) = int_0^T exp(j 2 pi c1 N^2 (t/T)^2) exp(-j 2 pi f t) dt,
 
-evaluated here in closed form via Fresnel integrals (the quadrature route is
-kept in the tests as an independent oracle).  The frame PSD is the shifted
-sum sigma^2/(N T) * sum_n |G(f - n/T)|^2 over the N subcarrier positions,
-and the occupied bandwidth is well approximated by (2 c1 N^2 + N - 1)/T.
+evaluated here in closed form via Fresnel integrals.  The frame PSD is the
+shifted sum sigma^2/(N T) * sum_n |G(f - n/T)|^2 over the N subcarrier
+positions.  Its terms lie on lattices of step 1/T, which frequencies with a
+common residue f T mod 1 share, so |G|^2 is evaluated once per lattice point
+and each PSD value is a window sum (see analytic_psd).  The occupied
+bandwidth is well approximated by (2 c1 N^2 + N - 1)/T.  The quadrature of
+G and the direct N F evaluation of the shifted sum are test oracles.
 """
 
 from __future__ import annotations
@@ -89,20 +92,54 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
 
     Uses the uncentered subcarrier indexing n = 0..N-1; the centered form of
     the shifted sum is identical up to the re-labeling n -> n - N/2.
+
+    Writing f T = m + r with m the integer nearest to f T, the N shifted
+    spectra of f sit on the lattice (j + r) / T at j = m - n, i.e. on the
+    window [m - N + 1, m].  Frequencies whose residues r agree to rounding
+    level share one lattice, so |G|^2 is evaluated once on the union of
+    their windows and each PSD value is a length-N window sum over that
+    flat array.  A grid commensurate with 1/T, such as the Welch grid of the PSD
+    experiment, needs about F + N evaluations instead of N F; any other grid
+    degenerates to at most N F, evaluated in blocks of about 2M points.
     """
     freqs = np.asarray(freqs, dtype=float)
-    total = np.zeros(freqs.shape, dtype=float)
-    # chunk the N shifted spectra to bound peak memory
-    block = max(1, int(4e6 / max(len(freqs), 1)))
-    shifts = np.arange(cfg.N) / cfg.T
-    for start in range(0, cfg.N, block):
-        sub = shifts[start : start + block]
-        g = prototype_spectrum(cfg, (freqs[:, None] - sub[None, :]).ravel())
-        total += np.sum(
-            np.abs(g.reshape(len(freqs), len(sub))) ** 2, axis=1
-        )
-    psd = sigma2 / (cfg.N * cfg.T) * total
-    return PsdCurve(freqs, psd, meta={"kind": "analytic", "sigma2": sigma2, "N": cfg.N})
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError("frequencies must be finite")
+    big_n = cfg.N
+    u = freqs * cfg.T
+    m = np.rint(u)
+    r = u - m
+    # residues a few ulps of f T apart differ only by the rounding of f T
+    tol = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(u), initial=0.0)))
+    _, lattice = np.unique(np.rint(r / tol), return_inverse=True)
+    # frequencies ordered by lattice, then by window end m
+    order = np.lexsort((m, lattice))
+    lat, top, fs = lattice[order], m[order], freqs[order]
+    # lattice points each frequency adds beyond the window before it
+    fresh = np.full(len(order), big_n, dtype=np.int64)
+    same = lat[1:] == lat[:-1]
+    fresh[1:][same] = np.minimum(np.diff(top), big_n)[same]
+    reach = np.cumsum(fresh)
+    total = np.zeros(len(order))
+    block = max(big_n, 1 << 21)
+    start = 0
+    while start < len(order):
+        stop = int(np.searchsorted(reach, reach[start] - big_n + block, side="right"))
+        # the first window of a block is evaluated in full
+        count = fresh[start:stop].copy()
+        count[0] = big_n
+        ends = np.cumsum(count)
+        # each point is f - n / T of the frequency that adds it, n = m - j
+        n = np.repeat(ends - 1, count) - np.arange(ends[-1])
+        points = np.repeat(fs[start:stop], count) - n / cfg.T
+        del n
+        power = np.abs(prototype_spectrum(cfg, points)) ** 2
+        del points
+        bounds = np.stack([ends - big_n, ends], axis=1).ravel()
+        total[order[start:stop]] = np.add.reduceat(np.append(power, 0.0), bounds)[::2]
+        start = stop
+    psd = sigma2 / (big_n * cfg.T) * total
+    return PsdCurve(freqs, psd, meta={"kind": "analytic", "sigma2": sigma2, "N": big_n})
 
 
 def empirical_psd(

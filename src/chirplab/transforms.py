@@ -15,6 +15,7 @@ with the dense matrices to machine precision (see tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,9 @@ class ChirpConfig:
     def __post_init__(self) -> None:
         if self.N < 2 or self.N % 2 != 0:
             raise ValueError(f"N must be a positive even integer, got {self.N}")
+        for name in ("T", "c1", "c2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.T > 0:
             raise ValueError(f"frame duration T must be positive, got {self.T}")
 

@@ -97,7 +97,9 @@ def _srrc_impulse(beta: float, t_over_ts: np.ndarray) -> np.ndarray:
         np.sin(np.pi * tr * (1 - beta)) + 4 * beta * tr * np.cos(np.pi * tr * (1 + beta))
     ) / (np.pi * tr * (1 - (4 * beta * tr) ** 2))
     h[at_zero] = 1 - beta + 4 * beta / np.pi
-    if beta > 0:
+    # pi / (4 beta) is inf for a tiny beta, and sin/cos of it warn; such a
+    # beta puts its singular point far outside the filter span
+    if np.any(at_sing):
         h[at_sing] = (beta / np.sqrt(2)) * (
             (1 + 2 / np.pi) * np.sin(np.pi / (4 * beta))
             + (1 - 2 / np.pi) * np.cos(np.pi / (4 * beta))

@@ -1,7 +1,12 @@
 """Unit tests for aliased chirps and conditional orthogonality."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from chirplab import (
     AliasedChirpSpec,
@@ -18,6 +23,40 @@ from chirplab.aliasing import _integer_fold_inner_product
 def _cfg(n, c, c2=0.0, t=1e-3):
     # c1 chosen so the fold count 2 N |c1| equals c
     return ChirpConfig(N=n, T=t, c1=c / (2.0 * n), c2=c2)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    return leggauss(order)
+
+
+def _aliased_phase(cfg, n, t):
+    """Phase in cycles of the aliased chirp n at times t, fold index included."""
+    q = np.floor(cfg.chirp_span * t / cfg.T + n / cfg.N)
+    return cfg.c2 * n**2 + cfg.c1 * (t / cfg.dt) ** 2 + n * t / cfg.T - q * t / cfg.dt
+
+
+def _quadrature_grid(cfg):
+    """Oracle: |I_{n,n'}| by Gauss-Legendre quadrature between merged folds.
+
+    The integrand keeps the c1 terms, so their cancellation is checked too.
+    Each piece gets enough nodes for the N cycles per frame that eta can
+    reach over the longest piece of the pair.
+    """
+    big_n = cfg.N
+    bounds = [AliasedChirpSpec(cfg, n).boundaries() for n in range(big_n)]
+    grid = np.eye(big_n) * cfg.T
+    for n in range(big_n):
+        for n2 in range(n + 1, big_n):
+            edges = np.unique(np.concatenate([bounds[n], bounds[n2]]))
+            half = 0.5 * np.diff(edges)[:, None]
+            order = 16 + int(np.ceil(4 * big_n * half.max() / cfg.T))
+            nodes, weights = _gauss_legendre(order)
+            t = edges[:-1, None] + half * (1.0 + nodes[None, :])
+            phase = _aliased_phase(cfg, n, t) - _aliased_phase(cfg, n2, t)
+            val = np.sum(half * np.exp(2j * np.pi * phase) * weights)
+            grid[n, n2] = grid[n2, n] = abs(val)
+    return grid
 
 
 def test_q_index_example():
@@ -165,10 +204,20 @@ def test_predictor_validation():
         predict_orthogonality(frac, 0, 1)
 
 
-def test_inner_product_matrix_oversampling_floor():
-    cfg = _cfg(16, 16)
-    with pytest.raises(ValueError):
-        inner_product_matrix(cfg, oversampling=16)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 32),
+    c1=st.floats(-0.5, 0.5, allow_nan=False),
+    c2=st.floats(-2.0, 2.0, allow_nan=False),
+)
+@example(half_n=16, c1=0.0, c2=0.3)  # no folds
+@example(half_n=16, c1=16.0 / 64, c2=0.0)  # C = 16 divides N
+@example(half_n=16, c1=-5.3 / 64, c2=0.1)  # negative c1, non-integer C
+@example(half_n=32, c1=16.25 / 128, c2=1.0 / 192)
+def test_closed_form_grid_matches_quadrature(half_n, c1, c2):
+    cfg = ChirpConfig(N=2 * half_n, T=1e-3, c1=c1, c2=c2)
+    grid = inner_product_matrix(cfg).entries
+    assert np.max(np.abs(grid - _quadrature_grid(cfg))) <= 1e-12 * cfg.T
 
 
 def test_orthogonality_matrix_csv(tmp_path):

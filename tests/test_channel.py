@@ -54,6 +54,17 @@ def test_channel_validation():
         DDChannel([DDPath(1.0, 2e-6, 0.0), DDPath(1.0, 1e-6, 0.0)])
 
 
+@pytest.mark.parametrize(
+    "gain, delay, doppler, key",
+    [(complex(np.nan, 0.0), 0.0, 0.0, "gain"), (complex(1.0, np.inf), 0.0, 0.0, "gain"),
+     (1.0, np.nan, 0.0, "delay"), (1.0, np.inf, 0.0, "delay"),
+     (1.0, 0.0, np.nan, "doppler"), (1.0, 0.0, -np.inf, "doppler")],
+)
+def test_path_rejects_non_finite_values(gain, delay, doppler, key):
+    with pytest.raises(ValueError, match=f"path {key} must be finite"):
+        DDPath(gain, delay, doppler)
+
+
 def test_channel_csv_round_trip(tmp_path):
     ch = DDChannel(
         [DDPath(0.5 - 0.25j, 0.0, 100.0), DDPath(0.1 + 0.9j, 3e-7, -55.5)]

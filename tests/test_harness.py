@@ -1,5 +1,7 @@
 """Unit tests for configuration parsing, experiment drivers and the CLI."""
 
+from types import ModuleType
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,39 @@ def test_config_validation():
         ExperimentConfig(profile="etu")
     with pytest.raises(ValueError):
         ExperimentConfig(sweep_values=(3.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 63), ("n", 0), ("t_us", float("nan")), ("t_us", float("inf")),
+     ("t_us", 0.0), ("t_us", -1.0), ("oversample", 1)],
+)
+def test_config_rejects_bad_value_naming_key(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} .*{value}"):
+        ExperimentConfig(**{key: value})
+
+
+def test_load_config_duplicate_key_names_key_and_lines(tmp_path):
+    path = _write_config(tmp_path, "n = 64\n# comment\nq = 8\nn = 128\n")
+    expected = r":4: duplicate configuration key n \(first set on line 1\)"
+    with pytest.raises(ValueError, match=expected):
+        load_config(path)
+
+
+def test_cli_invalid_config_exits_one_naming_key(tmp_path, capsys):
+    for text, key in [("n = 8\nn = 8\n", "n"), ("n = 31\n", "n"),
+                      ("t_us = inf\n", "t_us"), ("oversample = 1\n", "oversample")]:
+        path = _write_config(tmp_path, text)
+        assert cli.main(["nmse", "--config", path]) == 1
+        assert key in capsys.readouterr().err
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from chirplab import *", namespace)
+    namespace.pop("__builtins__")
+    assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
+    assert "analytic_psd" in namespace and "ExperimentConfig" in namespace
 
 
 def test_load_config_file(tmp_path):

@@ -19,6 +19,30 @@ from chirplab import (
 PAPER_CFG = ChirpConfig(N=1024, T=266.667e-6, c1=1.0 / 4096.0, c2=1.0 / 3072.0)
 
 
+def _shifted_sum_psd(cfg, sigma2, freqs):
+    """Oracle: sigma2 / (N T) * sum_n |G(f - n/T)|^2 at all N F points, chunked."""
+    total = np.zeros(len(freqs))
+    block = max(1, int(4e6 / len(freqs)))
+    shifts = np.arange(cfg.N) / cfg.T
+    for start in range(0, cfg.N, block):
+        sub = shifts[start : start + block]
+        g = prototype_spectrum(cfg, (freqs[:, None] - sub[None, :]).ravel())
+        total += np.sum(np.abs(g.reshape(len(freqs), len(sub))) ** 2, axis=1)
+    return sigma2 / (cfg.N * cfg.T) * total
+
+
+def _welch_grid(cfg, oversample, nfft):
+    """The PSD experiment's grid: commensurate with 1/T up to rounding."""
+    rate = cfg.N * oversample / cfg.T
+    return np.fft.fftshift(np.fft.fftfreq(nfft, 1.0 / rate))
+
+
+CHIRPED_CFGS = [
+    ChirpConfig(N=256, T=266.667e-6, c1=1.0 / 1024.0, c2=1.0 / 768.0),
+    ChirpConfig(N=64, T=266.667e-6, c1=-1.0 / 300.0, c2=0.1),
+]
+
+
 def test_prototype_spectrum_unchirped_dc():
     cfg = ChirpConfig(N=16, T=1e-3, c1=0.0, c2=0.0)
     val = prototype_spectrum(cfg, np.array([0.0]))[0]
@@ -66,6 +90,69 @@ def test_analytic_psd_scales_linearly_in_power():
     assert np.max(np.abs(two.psd - 2.0 * one.psd)) < 1e-12 * np.max(one.psd)
 
 
+@pytest.mark.parametrize("cfg", CHIRPED_CFGS)
+def test_analytic_psd_matches_shifted_sum_on_welch_grid(cfg):
+    # unchirped, this grid falls on the exact zeros of |G|^2 outside the band
+    freqs = _welch_grid(cfg, oversample=8, nfft=1024)
+    u = freqs * cfg.T
+    assert np.any(u != np.round(u))  # the grid carries residue jitter
+    curve = analytic_psd(cfg, 1.0, freqs)
+    oracle = _shifted_sum_psd(cfg, 1.0, freqs)
+    assert np.max(np.abs(curve.psd - oracle) / oracle) <= 1e-12
+
+
+def _counting_prototype(monkeypatch):
+    """Record the points analytic_psd passes to prototype_spectrum."""
+    from chirplab import spectral
+
+    evaluated = []
+    depth = []
+
+    def counting(cfg, points):
+        # c1 < 0 recurses through the module name once more; count the outer call
+        if not depth:
+            evaluated.append(len(points))
+        depth.append(None)
+        try:
+            return prototype_spectrum(cfg, points)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(spectral, "prototype_spectrum", counting)
+    return evaluated
+
+
+OTHER_GRIDS = {
+    # f T steps by 0.533334: no two residues of the grid coincide
+    "linspace": lambda cfg: np.linspace(-1e6, 1e6, 1001),
+    # residues 1e-9 apart are far above rounding level and must not merge
+    "near-lattice": lambda cfg: (4.0 + 1e-9) * np.arange(-200, 201) / cfg.T,
+    # one shared lattice whose windows are 3N apart: no point in the gaps
+    "sparse-lattice": lambda cfg: (3 * cfg.N * np.arange(-50, 51) + 0.25) / cfg.T,
+}
+
+
+@pytest.mark.parametrize("grid", sorted(OTHER_GRIDS))
+@pytest.mark.parametrize("cfg", CHIRPED_CFGS + [ChirpConfig(N=64, T=266.667e-6, c1=0.0)])
+def test_analytic_psd_matches_shifted_sum_on_other_grids(cfg, grid, monkeypatch):
+    freqs = OTHER_GRIDS[grid](cfg)
+    oracle = _shifted_sum_psd(cfg, 1.0, freqs)
+    evaluated = _counting_prototype(monkeypatch)
+    curve = analytic_psd(cfg, 1.0, freqs)
+    assert np.max(np.abs(curve.psd - oracle) / oracle) <= 1e-12
+    assert sum(evaluated) <= cfg.N * len(freqs)
+
+
+def test_analytic_psd_shares_one_lattice_on_welch_grid(monkeypatch):
+    cfg = CHIRPED_CFGS[0]
+    freqs = _welch_grid(cfg, oversample=8, nfft=1024)
+    evaluated = _counting_prototype(monkeypatch)
+    analytic_psd(cfg, 1.0, freqs)
+    span = np.ptp(np.round(freqs * cfg.T))
+    # one window sum per frequency over a single lattice of span + N points
+    assert sum(evaluated) <= span + cfg.N < cfg.N * len(freqs) / 50
+
+
 def test_analytic_psd_integrates_to_symbol_power():
     # integral of the PSD over all frequency equals sigma2 (frame energy
     # sigma2 * T spread over duration T)
@@ -73,6 +160,11 @@ def test_analytic_psd_integrates_to_symbol_power():
     curve = analytic_psd(PAPER_CFG, 1.0, freqs)
     total = np.trapezoid(curve.psd, freqs)
     assert abs(total - 1.0) < 0.02
+
+
+def test_analytic_psd_rejects_non_finite_frequencies():
+    with pytest.raises(ValueError, match="finite"):
+        analytic_psd(PAPER_CFG, 1.0, np.array([0.0, np.inf]))
 
 
 def test_psd_curve_validation_and_csv(tmp_path):

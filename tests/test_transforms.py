@@ -105,6 +105,15 @@ def test_invalid_config_rejected():
         ChirpConfig(N=8, T=0.0, c1=0.0, c2=0.0)
 
 
+@pytest.mark.parametrize("key", ["T", "c1", "c2"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_config_rejected_naming_field(key, value):
+    fields = dict(N=8, T=1e-3, c1=0.0, c2=0.0)
+    fields[key] = value
+    with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+        ChirpConfig(**fields)
+
+
 def test_idfnt_two_point_entries():
     mat = idfnt_matrix(2)
     k = np.arange(2)

@@ -1,5 +1,7 @@
 """Unit tests for waveform synthesis, prefixing and SRRC shaping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,13 @@ def test_design_srrc_validation():
         design_srrc(0.2, 12, 1, 1e-6)
     with pytest.raises(ValueError):
         design_srrc(0.2, 12, 16, 0.0)
+
+
+def test_design_srrc_tiny_rolloff_is_finite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filt = design_srrc(5e-324, 12, 16, 1e-6)
+    assert np.all(np.isfinite(filt.taps))
 
 
 def test_shape_impulse_reproduces_taps():
