@@ -37,11 +37,10 @@ from .spectral import (
 )
 from .aliasing import (
     AliasedChirpSpec,
-    ChirpPairing,
     OrthogonalityMatrix,
     ideal_aliased_chirp,
     inner_product_matrix,
-    predict_orthogonality,
+    predict_aliased,
     q_index,
 )
 from .channel import (
@@ -53,7 +52,6 @@ from .channel import (
     make_eva_channel,
 )
 from .receiver import (
-    EffectiveTaps,
     build_baseline,
     chirp_domain_from_taps,
     chirp_domain_matrix,

@@ -20,6 +20,9 @@ Divisibility is therefore necessary for aliasing but not sufficient: the
 surviving pieces can cancel, e.g. eta = -16, +16, -16 at N = 32, C = 16 for
 the pair (8, 24).  When C >= N, |eta| < N <= C and no piece survives; when
 C < N divides N, only separations that are multiples of C can survive.
+predict_aliased evaluates this sum for all pairs at once and marks a pair
+aliased iff |I| / T exceeds rounding level; for a non-integer C the sum does
+not collapse and it returns None.
 
 The grid of all pairs (inner_product_matrix) is built independently of that
 integer-C collapse: it sums the piece integrals at the folds themselves,
@@ -29,21 +32,13 @@ is its test oracle.
 
 from __future__ import annotations
 
-import cmath
 import csv
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .transforms import ChirpConfig
 from .waveform import Waveform
-
-
-class ChirpPairing(Enum):
-    ORTHOGONAL = "orthogonal"
-    ALIASED = "aliased"
 
 
 @dataclass(frozen=True)
@@ -174,47 +169,46 @@ def inner_product_matrix(cfg: ChirpConfig) -> OrthogonalityMatrix:
     return OrthogonalityMatrix(entries, cfg, method="closed-form")
 
 
-def _integer_fold_inner_product(cfg: ChirpConfig, n: int, n_prime: int, c: int) -> complex:
-    """Exact I_{n,n'} / T for an integer fold count c (see the module docstring).
+def _integer_fold_grid(cfg: ChirpConfig, c: int) -> np.ndarray:
+    """Exact |I_{n,n'}| / T for all pairs at an integer fold count c >= 1.
 
-    The constant pieces of eta are [b_i, b_{i+1}) / N with integer breaks
-    b in {0, N - n, N - n', N}; on a piece starting at b the fold offsets are
-    floor((b + n) / N), so the pieces are found in integer arithmetic.
+    The constant pieces of eta are [b_i, b_{i+1}) / N with the integer breaks
+    0 <= N - max(n, n') <= N - min(n, n') <= N; on a piece starting at b the
+    fold offsets are floor((b + n) / N), so the pieces are found in integer
+    arithmetic.  A piece counts iff c divides its eta (see the module
+    docstring).  An empty piece adds nothing, and eta = 0, which occurs only
+    on the diagonal, integrates to the piece length, so the diagonal is 1.
+    The factor exp(j 2 pi c2 (n^2 - n'^2)) has unit modulus and is left out.
     """
     big_n = cfg.N
-    breaks = sorted({0, big_n - n, big_n - n_prime, big_n})
-    total = 0j
+    n = np.arange(big_n)[:, None]
+    n2 = np.arange(big_n)[None, :]
+    breaks = (0, big_n - np.maximum(n, n2), big_n - np.minimum(n, n2), big_n)
+    total = np.zeros((big_n, big_n), dtype=np.complex128)
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        # eta != 0 because |n - n'| < N for distinct chirps
-        eta = (n - n_prime) - big_n * ((lo + n) // big_n - (lo + n_prime) // big_n)
-        if eta % c == 0:
-            w = 2j * math.pi * eta / c
-            total += (cmath.exp(w * hi / big_n) - cmath.exp(w * lo / big_n)) / w
-    return total * cmath.exp(2j * math.pi * cfg.c2 * (n**2 - n_prime**2))
+        eta = (n - n2) - big_n * ((lo + n) // big_n - (lo + n2) // big_n)
+        w = 2j * np.pi * eta / c
+        rise = np.exp(w * hi / big_n) - np.exp(w * lo / big_n)
+        piece = np.where(eta == 0, (hi - lo) / big_n, rise / np.where(eta == 0, 1.0, w))
+        total += np.where(eta % c == 0, piece, 0.0)
+    return np.abs(total)
 
 
-def predict_orthogonality(cfg: ChirpConfig, n: int, n_prime: int) -> ChirpPairing:
-    """Closed-form orthogonality verdict for a pair of aliased chirps.
+def predict_aliased(cfg: ChirpConfig) -> np.ndarray | None:
+    """Closed-form aliasing verdict for every pair of aliased chirps.
 
-    Evaluates the exact inner product over the (at most three) constant
-    pieces of eta on eps in [0, 1) and reports ALIASED iff |I| / T exceeds
-    rounding level (1e-9).  A piece contributes only if its eta is divisible
-    by the fold count C, which must be a positive integer for the sum over
-    fold periods to collapse; contributing pieces can still cancel.
+    Returns the (N, N) boolean matrix that is True where the exact |I| / T
+    exceeds rounding level (1e-9); the diagonal is True.  The sum over fold
+    periods collapses only for an integer fold count C = 2 N |c1|, so the
+    result is None when C is not an integer to within 1e-9.  C = 0 has no
+    folds and gives the identity; for C >= N no piece survives off the
+    diagonal, which gives the identity too.  Contributing pieces can still
+    cancel, so divisibility alone does not decide a pair.
     """
-    if n == n_prime:
-        raise ValueError("orthogonality prediction needs two distinct chirps")
-    for idx in (n, n_prime):
-        if not 0 <= idx < cfg.N:
-            raise ValueError(f"chirp index {idx} outside [0, {cfg.N})")
     c = cfg.chirp_span
     c_int = round(c)
-    if c_int <= 0 or abs(c - c_int) > 1e-9:
-        raise ValueError(
-            f"prediction requires an integer fold count C = 2N|c1|, got {c}"
-        )
-    if c_int >= cfg.N:
-        return ChirpPairing.ORTHOGONAL
-    if abs(_integer_fold_inner_product(cfg, n, n_prime, c_int)) > 1e-9:
-        return ChirpPairing.ALIASED
-    return ChirpPairing.ORTHOGONAL
+    if abs(c - c_int) > 1e-9:
+        return None
+    if c_int == 0:
+        return np.eye(cfg.N, dtype=bool)
+    return _integer_fold_grid(cfg, c_int) > 1e-9

@@ -107,12 +107,10 @@ class ChannelRealizationSpec:
     carrier_hz    carrier frequency used for the Doppler scale and the
                   per-path phase rotation exp(-j 2 pi fc tau_p)
     speed_kmh     terminal speed; Jakes Doppler spread nu_max = v fc / c0
-    normalize     scale gains so the realization has unit total power
     """
 
     carrier_hz: float
     speed_kmh: float
-    normalize: bool = True
 
     @property
     def max_doppler_hz(self) -> float:
@@ -122,14 +120,14 @@ class ChannelRealizationSpec:
 def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> DDChannel:
     """Draw one EVA channel realization.
 
-    Gains are independent complex Gaussians with the EVA tap powers, the
-    Doppler of each path is nu_max * cos(theta_p) with theta_p uniform on
-    [-pi, pi), and each gain is rotated by the carrier phase of its delay.
+    Gains are independent complex Gaussians with the EVA tap powers scaled
+    to unit total power, the Doppler of each path is nu_max * cos(theta_p)
+    with theta_p uniform on [-pi, pi), and each gain is rotated by the
+    carrier phase of its delay.
     """
     delays = np.array([d * 1e-9 for d, _ in EVA_PROFILE])
     powers = 10.0 ** (np.array([p for _, p in EVA_PROFILE]) / 10.0)
-    if spec.normalize:
-        powers = powers / powers.sum()
+    powers = powers / powers.sum()
     n_paths = len(delays)
     gains = np.sqrt(powers / 2.0) * (
         rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)

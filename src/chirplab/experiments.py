@@ -343,22 +343,13 @@ def run_psd_experiment(
 def run_ortho_experiment(ec: ExperimentConfig) -> tuple:
     """Aliased-chirp inner-product grid plus the closed-form classification.
 
-    Returns (OrthogonalityMatrix, predictions) where predictions is an N x N
-    boolean array (True = predicted aliased) or None when the fold count is
-    not an integer and only the quadrature grid is meaningful.
+    Returns (OrthogonalityMatrix, predictions) where predictions is the
+    N x N boolean array of ``aliasing.predict_aliased`` (True = predicted
+    aliased), or None when the fold count is not an integer; the grid is
+    exact for any real c1 either way.
     """
     cfg = ec.chirp_config()
-    grid = aliasing.inner_product_matrix(cfg)
-    c = cfg.chirp_span
-    if abs(c - round(c)) > 1e-9:
-        return grid, None
-    pred = np.zeros((cfg.N, cfg.N), dtype=bool)
-    for n in range(cfg.N):
-        pred[n, n] = True
-        for n2 in range(n + 1, cfg.N):
-            verdict = aliasing.predict_orthogonality(cfg, n, n2)
-            pred[n, n2] = pred[n2, n] = verdict is aliasing.ChirpPairing.ALIASED
-    return grid, pred
+    return aliasing.inner_product_matrix(cfg), aliasing.predict_aliased(cfg)
 
 
 def run_iorel_check(ec: ExperimentConfig) -> dict:

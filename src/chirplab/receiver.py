@@ -20,8 +20,6 @@ model (ideal pulses, delays on the symbol grid) is provided for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
@@ -85,29 +83,6 @@ def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> n
     return np.einsum("plu,pu->pl", shifted, b) * filt.dt
 
 
-@dataclass
-class EffectiveTaps:
-    """Time-varying causal taps of the sampled matched-filter channel.
-
-    h[k', l] multiplies x[k' - l]; ``lead`` is the sampling lead D in symbol
-    intervals (sample k' is taken at t = tau1 + (k' - D) Ts) and ``tau1`` the
-    fine-grid quantized delay of the earliest path.
-    """
-
-    h: np.ndarray
-    lead: int
-    tau1: float
-    Ts: float
-
-    @property
-    def n_out(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n_taps(self) -> int:
-        return self.h.shape[1]
-
-
 def default_lead(filt: SrrcFilter) -> int:
     """Sampling lead of half the filter span, in symbol intervals.
 
@@ -146,16 +121,18 @@ def effective_taps(
     n_out: int,
     lead: int,
     n_taps: int,
-) -> EffectiveTaps:
+) -> np.ndarray:
     """Exact taps of shape -> channel -> matched filter -> base-rate sampling.
 
-    The expansion is h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p +
-    (k' - D) Ts)) A(tau1 - tau_p + (l - D) Ts, nu_p) with every delay
-    quantized to the fine grid, so it reproduces the discrete simulation
-    chain to floating-point accuracy when the same filter is used.  Only the
-    L lags the window reads are evaluated, as one (P, L) ambiguity array,
-    and h is the (N, P) @ (P, L) product of the gain-weighted Doppler phases
-    with it.
+    Returns the (n_out, n_taps) array h, where h[k', l] multiplies x[k' - l]
+    and sample k' is taken at t = tau1 + (k' - D) Ts with D = lead and tau1
+    the fine-grid delay of the earliest path.  The expansion is
+    h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p + (k' - D) Ts))
+    A(tau1 - tau_p + (l - D) Ts, nu_p) with every delay quantized to the fine
+    grid, so it reproduces the discrete simulation chain to floating-point
+    accuracy when the same filter is used.  Only the L lags the window reads
+    are evaluated, as one (P, L) ambiguity array, and h is the (N, P) @
+    (P, L) product of the gain-weighted Doppler phases with it.
     """
     dt = filt.dt
     shifts = np.array([int(round(p.delay / dt)) for p in channel.paths])
@@ -167,7 +144,7 @@ def effective_taps(
     amb = _ambiguity_at_lags(filt, lags, nus)
     t = (tau1 - shifts * dt)[None, :] + ((np.arange(n_out) - lead) * filt.Ts)[:, None]
     phase = gains * np.exp(2j * np.pi * nus * t)
-    return EffectiveTaps(h=phase @ amb, lead=lead, tau1=tau1, Ts=filt.Ts)
+    return phase @ amb
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
@@ -175,16 +152,17 @@ def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
 
 
-def _check_fold(cfg: ChirpConfig, taps: EffectiveTaps) -> None:
+def _check_fold(cfg: ChirpConfig, taps: np.ndarray) -> None:
     """The taps must give one row per frame sample and fit in one frame."""
-    if taps.n_out != cfg.N:
-        raise ValueError(f"taps have {taps.n_out} output rows, expected N = {cfg.N}")
-    if taps.n_taps > cfg.N:
+    n_out, n_taps = taps.shape
+    if n_out != cfg.N:
+        raise ValueError(f"taps have {n_out} output rows, expected N = {cfg.N}")
+    if n_taps > cfg.N:
         raise ValueError("tap length exceeds the frame length, cannot fold")
 
 
-def fold_cpp_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
-    """Fold the causal taps through the chirp-periodic prefix into N x N H.
+def fold_cpp_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
+    """Fold the causal (N, L) taps through the chirp-periodic prefix into N x N H.
 
     Row k' of H reproduces y[k'] = sum_l h[k', l] x[k' - l] once prefix
     samples are rewritten via the chirp-periodic extension, so the prefix
@@ -193,11 +171,11 @@ def fold_cpp_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
     _check_fold(cfg, taps)
     n = cfg.N
     h_mat = np.zeros((n, n), dtype=np.complex128)
-    for l in range(taps.n_taps):
+    for l in range(taps.shape[1]):
         k = np.arange(n)
         col = np.mod(k - l, n)
         phase = np.where(k - l >= 0, 1.0, cpp_wrap_phase(cfg, k - l))
-        h_mat[k, col] += taps.h[:, l] * phase
+        h_mat[k, col] += taps[:, l] * phase
     return h_mat
 
 
@@ -206,8 +184,8 @@ def chirp_domain_matrix(cfg: ChirpConfig, h_mat: np.ndarray) -> np.ndarray:
     return daft_matrix(cfg) @ h_mat @ idaft_matrix(cfg)
 
 
-def chirp_domain_from_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
-    """Chirp-domain matrix straight from the taps, bypassing H.
+def chirp_domain_from_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
+    """Chirp-domain matrix straight from the (N, L) taps, bypassing H.
 
     Uses the closed-form entry expansion
 
@@ -219,14 +197,14 @@ def chirp_domain_from_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
     quadratic phase algebra).  Serves as an independent construction path.
     """
     n = cfg.N
-    if taps.n_out != n:
-        raise ValueError(f"taps have {taps.n_out} output rows, expected N = {n}")
+    if taps.shape[0] != n:
+        raise ValueError(f"taps have {taps.shape[0]} output rows, expected N = {n}")
     k = np.arange(n)
     s = np.zeros((n, n), dtype=np.complex128)
     nn = np.arange(n)
     d = np.mod(nn[:, None] - nn[None, :], n)
-    for l in range(taps.n_taps):
-        m_l = taps.h[:, l] * np.exp(2j * np.pi * cfg.c1 * ((k - l) ** 2 - k**2))
+    for l in range(taps.shape[1]):
+        m_l = taps[:, l] * np.exp(2j * np.pi * cfg.c1 * ((k - l) ** 2 - k**2))
         # g[d] = sum_k' m_l[k'] e^{-j 2 pi k' d / N}, indexed by d = n - n'
         g = np.fft.fft(m_l)
         s += g[d] * np.exp(-2j * np.pi * l * nn / n)[None, :]
@@ -234,8 +212,8 @@ def chirp_domain_from_taps(cfg: ChirpConfig, taps: EffectiveTaps) -> np.ndarray:
     return (np.conj(quad)[:, None] * quad[None, :]) * s / n
 
 
-def predict_output(cfg: ChirpConfig, taps: EffectiveTaps, symbols: np.ndarray) -> np.ndarray:
-    """Model-predicted chirp-domain output for one frame of symbols.
+def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Model-predicted chirp-domain output for one frame of symbols and (N, L) taps.
 
     Applies the banded taps, y[k'] = sum_l h[k', l] x[k' - l], directly to
     the frame extended by its L - 1 chirp-periodic prefix samples (built
@@ -244,11 +222,12 @@ def predict_output(cfg: ChirpConfig, taps: EffectiveTaps, symbols: np.ndarray) -
     """
     _check_fold(cfg, taps)
     x = modulate(cfg, symbols)
-    k = np.arange(1 - taps.n_taps, 0)
+    n_taps = taps.shape[1]
+    k = np.arange(1 - n_taps, 0)
     x_cpp = np.concatenate([x[cfg.N + k] * cpp_wrap_phase(cfg, k), x])
     # window row k' holds x[k' - L + 1 .. k'], so tap l pairs with column L - 1 - l
-    window = sliding_window_view(x_cpp, taps.n_taps)
-    return demodulate(cfg, np.einsum("kl,kl->k", taps.h[:, ::-1], window))
+    window = sliding_window_view(x_cpp, n_taps)
+    return demodulate(cfg, np.einsum("kl,kl->k", taps[:, ::-1], window))
 
 
 def build_baseline(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
@@ -283,34 +262,9 @@ def correlator_receive(
     Y[n] = dt * sum_i r[i] conj(s_n[i]) with s_n the pulse-shaped inverse
     transform column whose first symbol sits at t_start.  Algebraically equal
     to matched filtering, base-rate sampling at t_start and a forward
-    transform, which is the cheaper route; this direct form exists as a
-    cross-check.
+    transform, which is how it is computed; the literal correlator bank is
+    the test oracle.
     """
     y_mf = matched_filter(wf, filt)
     sampled = sample_base_rate(y_mf, t_start, cfg.N, filt.Ts)
     return demodulate(cfg, sampled)
-
-
-def correlator_receive_direct(
-    cfg: ChirpConfig,
-    wf: Waveform,
-    filt: SrrcFilter,
-    t_start: float = 0.0,
-) -> np.ndarray:
-    """Literal correlator bank; O(N^2) in waveform length, for verification."""
-    a_mat = idaft_matrix(cfg)
-    out = np.empty(cfg.N, dtype=np.complex128)
-    dt = 1.0 / wf.sample_rate
-    for n in range(cfg.N):
-        seq = a_mat[:, n]
-        up = np.zeros((cfg.N - 1) * filt.O + 1, dtype=np.complex128)
-        up[:: filt.O] = seq
-        s_n = fftconvolve(up, filt.taps)
-        s_t0 = t_start - filt.half_span * filt.Ts
-        # align the two grids
-        off = int(round((s_t0 - wf.t0) / dt))
-        lo = max(0, off)
-        hi = min(len(wf.samples), off + len(s_n))
-        seg = wf.samples[lo:hi] * np.conj(s_n[lo - off : hi - off])
-        out[n] = np.sum(seg) * dt
-    return out

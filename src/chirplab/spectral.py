@@ -65,11 +65,11 @@ def _fresnel_segment(alpha: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 
 def prototype_spectrum(cfg: ChirpConfig, freqs: np.ndarray) -> np.ndarray:
-    """Spectrum of the chirp prototype pulse on the given frequencies."""
+    """Spectrum of the chirp prototype pulse on the given frequencies.
+
+    A negative c1 conjugates the pulse, so G(f) = conj(G_{|c1|}(-f)).
+    """
     freqs = np.asarray(freqs, dtype=float)
-    if cfg.c1 < 0:
-        mirrored = ChirpConfig(cfg.N, cfg.T, -cfg.c1, cfg.c2)
-        return np.conj(prototype_spectrum(mirrored, -freqs))
     if cfg.c1 == 0:
         w = 2.0 * np.pi * freqs
         out = np.empty(freqs.shape, dtype=np.complex128)
@@ -78,13 +78,15 @@ def prototype_spectrum(cfg: ChirpConfig, freqs: np.ndarray) -> np.ndarray:
         ws = w[~small]
         out[~small] = (np.exp(-1j * ws * cfg.T) - 1.0) / (-1j * ws)
         return out
-    alpha = 2.0 * np.pi * cfg.c1 * cfg.N**2 / cfg.T**2
-    w = 2.0 * np.pi * freqs
+    mirror = cfg.c1 < 0
+    alpha = 2.0 * np.pi * abs(cfg.c1) * cfg.N**2 / cfg.T**2
+    w = 2.0 * np.pi * (-freqs if mirror else freqs)
     t_peak = w / (2.0 * alpha)
     # complete the square: exp(j alpha t^2 - j w t) = exp(-j w^2/(4 alpha)) exp(j alpha (t - t_peak)^2)
-    return np.exp(-1j * w**2 / (4.0 * alpha)) * _fresnel_segment(
+    g = np.exp(-1j * w**2 / (4.0 * alpha)) * _fresnel_segment(
         alpha, -t_peak, cfg.T - t_peak
     )
+    return np.conj(g) if mirror else g
 
 
 def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve:

@@ -11,13 +11,12 @@ from numpy.polynomial.legendre import leggauss
 from chirplab import (
     AliasedChirpSpec,
     ChirpConfig,
-    ChirpPairing,
     ideal_aliased_chirp,
     inner_product_matrix,
-    predict_orthogonality,
+    predict_aliased,
     q_index,
 )
-from chirplab.aliasing import _integer_fold_inner_product
+from chirplab.aliasing import _integer_fold_grid
 
 
 def _cfg(n, c, c2=0.0, t=1e-3):
@@ -139,11 +138,7 @@ def test_case_one_orthogonality_c_at_least_n():
         grid = inner_product_matrix(cfg).entries / cfg.T
         off = grid - np.diag(np.diag(grid))
         assert np.max(off) < 0.05
-        for n in range(cfg.N):
-            for n2 in range(n + 1, cfg.N):
-                assert (
-                    predict_orthogonality(cfg, n, n2) is ChirpPairing.ORTHOGONAL
-                )
+        assert np.array_equal(predict_aliased(cfg), np.eye(cfg.N, dtype=bool))
 
 
 def test_case_two_band_at_separation_c():
@@ -162,46 +157,61 @@ def test_case_two_band_at_separation_c():
 
 def test_closed_form_band_at_separation_c():
     cfg = _cfg(32, 16)
-    for n in range(16):
-        expected = (2.0 / np.pi) * abs(np.cos(np.pi * n / 16.0))
-        assert abs(abs(_integer_fold_inner_product(cfg, n, n + 16, 16)) - expected) < 1e-12
+    band = np.diagonal(_integer_fold_grid(cfg, 16), 16)
+    expected = (2.0 / np.pi) * np.abs(np.cos(np.pi * np.arange(16) / 16.0))
+    assert np.max(np.abs(band - expected)) < 1e-12
 
 
 def test_predictor_example_pair():
-    cfg = _cfg(32, 16)
-    assert predict_orthogonality(cfg, 20, 4) is ChirpPairing.ALIASED
-    assert predict_orthogonality(cfg, 20, 5) is ChirpPairing.ORTHOGONAL
+    pred = predict_aliased(_cfg(32, 16))
+    assert pred[20, 4]
+    assert not pred[20, 5]
 
 
 def test_predictor_cancelling_pair_is_orthogonal():
     # eta takes -16, +16, -16 on the three pieces: divisible by C = 16,
     # yet the surviving integrals cancel exactly
-    cfg = _cfg(32, 16)
-    assert predict_orthogonality(cfg, 8, 24) is ChirpPairing.ORTHOGONAL
-    assert predict_orthogonality(cfg, 24, 8) is ChirpPairing.ORTHOGONAL
+    pred = predict_aliased(_cfg(32, 16))
+    assert not pred[8, 24]
+    assert not pred[24, 8]
 
 
 @pytest.mark.parametrize("n, c", [(32, 16), (32, 8), (64, 16)])
 def test_predictor_matches_quadrature_support(n, c):
     cfg = _cfg(n, c)
     grid = inner_product_matrix(cfg).entries / cfg.T
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            aliased = predict_orthogonality(cfg, i, j) is ChirpPairing.ALIASED
-            assert aliased == bool(grid[i, j] > 1e-6), (i, j, grid[i, j])
+    assert np.array_equal(predict_aliased(cfg), grid > 1e-6)
 
 
 def test_predictor_validation():
-    cfg = _cfg(32, 16)
-    with pytest.raises(ValueError):
-        predict_orthogonality(cfg, 3, 3)
-    with pytest.raises(ValueError):
-        predict_orthogonality(cfg, -1, 3)
-    frac = ChirpConfig(N=32, T=1e-3, c1=0.3 / 64.0, c2=0.0)
-    with pytest.raises(ValueError):
-        predict_orthogonality(frac, 0, 1)
+    # the sum over fold periods collapses only for an integer fold count
+    assert predict_aliased(ChirpConfig(N=32, T=1e-3, c1=0.3 / 64.0, c2=0.0)) is None
+    # C = 0 has no folds: the chirps are exactly orthogonal
+    pred = predict_aliased(ChirpConfig(N=32, T=1e-3, c1=0.0, c2=0.2))
+    assert np.array_equal(pred, np.eye(32, dtype=bool))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 32),
+    c_frac=st.floats(0.0, 1.0),
+    negative=st.booleans(),
+    c2=st.floats(-2.0, 2.0, allow_nan=False),
+)
+@example(half_n=16, c_frac=0.0, negative=False, c2=0.0)  # C = 1
+@example(half_n=16, c_frac=15.0 / 63, negative=True, c2=0.1)  # C = 16 divides N
+@example(half_n=16, c_frac=1.0, negative=False, c2=1.0 / 96)  # C = 2N
+def test_integer_fold_grid_matches_closed_form_grid(half_n, c_frac, negative, c2):
+    """The integer-C collapse and the fold-time sum are two constructions."""
+    n = 2 * half_n
+    c = 1 + int(c_frac * (2 * n - 1))
+    sign = -1.0 if negative else 1.0
+    cfg = ChirpConfig(N=n, T=1e-3, c1=sign * c / (2.0 * n), c2=c2)
+    grid = inner_product_matrix(cfg).entries
+    off = ~np.eye(n, dtype=bool)
+    folded = _integer_fold_grid(cfg, c)
+    assert np.max(np.abs(folded - grid / cfg.T)[off]) <= 1e-12
+    assert np.array_equal(predict_aliased(cfg), grid > 1e-6 * cfg.T)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

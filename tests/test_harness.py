@@ -236,6 +236,18 @@ def test_cli_ortho_predictor_agrees_at_c16(tmp_path, capsys):
     assert "aliased_below_threshold = 0" in lines
 
 
+def test_cli_ortho_without_folds(tmp_path, capsys):
+    # c1 = 0 gives C = 0: no folds, so the chirps are exactly orthogonal
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 32\nc1_num = 0\n")
+    assert cli.main(["ortho", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "pairs_above_threshold = 0",
+        "predictor_agrees = True",
+        "aliased_below_threshold = 0",
+    ]
+
+
 def test_cli_ortho_compares_predictor_with_grid_support(monkeypatch, capsys):
     """A pair with 0 < |I| <= 0.05 T is aliased: it agrees with the exact
     predictor and is counted once as aliased below the threshold."""

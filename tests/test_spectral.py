@@ -106,20 +106,28 @@ def _counting_prototype(monkeypatch):
     from chirplab import spectral
 
     evaluated = []
-    depth = []
 
     def counting(cfg, points):
-        # c1 < 0 recurses through the module name once more; count the outer call
-        if not depth:
-            evaluated.append(len(points))
-        depth.append(None)
-        try:
-            return prototype_spectrum(cfg, points)
-        finally:
-            depth.pop()
+        evaluated.append(len(points))
+        return prototype_spectrum(cfg, points)
 
     monkeypatch.setattr(spectral, "prototype_spectrum", counting)
     return evaluated
+
+
+def test_prototype_spectrum_negative_c1_is_one_call(monkeypatch):
+    """The mirror G(f) = conj(G_{|c1|}(-f)) is evaluated in place, so a
+    wrapper of the module function sees one call, and the values are those
+    of the mirrored configuration bit for bit."""
+    from chirplab import spectral
+
+    cfg = CHIRPED_CFGS[1]
+    freqs = np.linspace(-1e6, 1e6, 401)
+    evaluated = _counting_prototype(monkeypatch)
+    got = spectral.prototype_spectrum(cfg, freqs)
+    assert evaluated == [401]
+    mirrored = ChirpConfig(cfg.N, cfg.T, -cfg.c1, cfg.c2)
+    assert np.array_equal(got, np.conj(prototype_spectrum(mirrored, -freqs)))
 
 
 OTHER_GRIDS = {
