@@ -24,24 +24,18 @@ from .waveform import (
     ideal_basis,
     root_chirp,
     shape,
-    strip_cpp,
     synth_ideal,
 )
 from .spectral import (
     PsdCurve,
     analytic_psd,
-    bandwidth_estimate,
     empirical_psd,
     occupied_bandwidth,
     prototype_spectrum,
 )
 from .aliasing import (
-    AliasedChirpSpec,
-    OrthogonalityMatrix,
-    ideal_aliased_chirp,
     inner_product_matrix,
     predict_aliased,
-    q_index,
 )
 from .channel import (
     ChannelRealizationSpec,
@@ -56,7 +50,6 @@ from .receiver import (
     chirp_domain_from_taps,
     chirp_domain_matrix,
     correlator_receive,
-    cross_ambiguity,
     default_lead,
     effective_taps,
     fold_cpp_taps,

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aliasing
-from .channel import DDChannel, DDPath, add_awgn, apply_channel, make_eva_channel
+from .channel import DDChannel, DDPath, add_awgn, make_eva_channel
 from .experiments import (
     ExperimentConfig,
     complexity_compare,
     run_nmse_sweep,
     run_psd_experiment,
+    simulate_frame,
 )
 from .receiver import (
     cpp_wrap_phase,
@@ -32,16 +33,16 @@ from .receiver import (
     fold_cpp_taps,
     matched_filter,
     required_taps,
-    sample_base_rate,
 )
 from .transforms import (
     ChirpConfig,
+    demodulate,
     idaft_matrix,
     idfnt_matrix,
     modulate,
     ocdm_config,
 )
-from .waveform import Waveform, add_cpp, design_srrc, ideal_basis, shape
+from .waveform import Waveform, ideal_basis
 
 
 @dataclass
@@ -171,7 +172,7 @@ def criterion_05_aliased_figures(small: bool = False) -> CriterionResult:
     all_ok = True
     for c in (48, 32, 16):
         cfg = ChirpConfig(N=n, T=1e-3, c1=c / (2.0 * n), c2=0.0)
-        grid = aliasing.inner_product_matrix(cfg).entries / cfg.T
+        grid = aliasing.inner_product_matrix(cfg) / cfg.T
         hot = grid > thresh
         if c == 16:
             expected = np.zeros((n, n), dtype=bool)
@@ -211,17 +212,21 @@ def criterion_05_aliased_figures(small: bool = False) -> CriterionResult:
 def _impulse_probe_taps(
     cfg: ChirpConfig, filt, channel: DDChannel, lead: int, n_taps: int
 ) -> np.ndarray:
-    """Oracle taps: probe the waveform chain with unit impulses per position."""
-    l_cpp = n_taps - 1
-    dt_fine = filt.dt
-    tau1 = round(channel.paths[0].delay / dt_fine) * dt_fine
-    h_cols = np.empty((cfg.N, cfg.N), dtype=np.complex128)
-    for j in range(cfg.N):
-        x = np.zeros(cfg.N, dtype=np.complex128)
-        x[j] = 1.0
-        wf = shape(cfg, add_cpp(cfg, x, l_cpp), filt, t_first=-l_cpp * cfg.dt)
-        y = matched_filter(apply_channel(channel, wf), filt)
-        h_cols[:, j] = sample_base_rate(y, tau1 - lead * cfg.dt, cfg.N, cfg.dt)
+    """Oracle taps: probe the waveform chain with one unit impulse per position.
+
+    The symbols demodulate(e_j) put a unit impulse at sample j of the frame;
+    ``simulate_frame`` carries it through the whole chain, and ``modulate``
+    reads the sampled matched-filter output back as column j of the folded
+    matrix.  The probe thus checks the code that the NMSE measures.
+    """
+    probes = demodulate(cfg, np.eye(cfg.N, dtype=np.complex128))
+    h_cols = modulate(
+        cfg,
+        np.stack(
+            [simulate_frame(cfg, filt, channel, s, lead, n_taps) for s in probes.T],
+            axis=1,
+        ),
+    )
     # unfold the folded matrix back into causal taps h[k', l]
     taps = np.empty((cfg.N, n_taps), dtype=np.complex128)
     k = np.arange(cfg.N)

@@ -1,4 +1,4 @@
-"""Ideal aliased chirps and their conditional orthogonality.
+"""Inner products of ideal aliased chirps: their conditional orthogonality.
 
 Sampling the ideal chirp basis at the base rate N/T folds its instantaneous
 frequency back into the band [-N/(2T), N/(2T)); reinterpreting those samples
@@ -24,102 +24,22 @@ predict_aliased evaluates this sum for all pairs at once and marks a pair
 aliased iff |I| / T exceeds rounding level; for a non-integer C the sum does
 not collapse and it returns None.
 
-The grid of all pairs (inner_product_matrix) is built independently of that
-integer-C collapse: it sums the piece integrals at the folds themselves,
-which holds for any real c1.  Gauss-Legendre quadrature between the folds
-is its test oracle.
+The grid of all pairs (inner_product_matrix, an (N, N) array of |I|) is
+built independently of that integer-C collapse: it sums the piece integrals
+at the folds themselves, which holds for any real c1.  The sampled aliased
+chirps, their fold edges and Gauss-Legendre quadrature between the folds
+are its test oracle.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
-
 import numpy as np
 
 from .transforms import ChirpConfig
-from .waveform import Waveform
 
 
-@dataclass(frozen=True)
-class AliasedChirpSpec:
-    """One aliased chirp: owning frame configuration and subcarrier index."""
-
-    cfg: ChirpConfig
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n < self.cfg.N:
-            raise ValueError(f"chirp index {self.n} outside [0, {self.cfg.N})")
-
-    def boundaries(self) -> np.ndarray:
-        """Interval edges 0 = t_0 < t_1 < ... < T where the fold index jumps."""
-        cfg = self.cfg
-        c = cfg.chirp_span
-        if c <= 0:
-            return np.array([0.0, cfg.T])
-        # interior crossings of (C/T) t + n/N through integers
-        q_lo = int(np.floor(self.n / cfg.N)) + 1
-        q_hi = int(np.ceil(c + self.n / cfg.N))
-        qs = np.arange(q_lo, q_hi)
-        interior = (qs - self.n / cfg.N) * cfg.T / c
-        interior = interior[(interior > 0) & (interior < cfg.T)]
-        return np.concatenate([[0.0], interior, [cfg.T]])
-
-
-def q_index(cfg: ChirpConfig, n: int, t: float) -> int:
-    """Fold interval index q_n(t) = floor((C/T) t + n/N)."""
-    if not 0 <= n < cfg.N:
-        raise ValueError(f"chirp index {n} outside [0, {cfg.N})")
-    t = np.asarray(t, dtype=float)
-    if np.any((t < 0) | (t >= cfg.T)):
-        raise ValueError("t must lie in [0, T)")
-    q = np.floor(cfg.chirp_span * t / cfg.T + n / cfg.N).astype(int)
-    return int(q) if q.ndim == 0 else q
-
-
-def _aliased_phase_rate(cfg: ChirpConfig, n: int, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Phase (in cycles) of the aliased chirp at times t in fold interval q."""
-    dt = cfg.dt
-    return (
-        cfg.c2 * n**2
-        + cfg.c1 * (t / dt) ** 2
-        + n * t / cfg.T
-        - q * t / dt
-    )
-
-
-def ideal_aliased_chirp(spec: AliasedChirpSpec, oversampling: int) -> Waveform:
-    """Sample the piecewise aliased chirp at rate O*N/T on [0, T)."""
-    cfg = spec.cfg
-    n_samp = cfg.N * oversampling
-    t = np.arange(n_samp) * (cfg.T / n_samp)
-    q = np.floor(cfg.chirp_span * t / cfg.T + spec.n / cfg.N)
-    phase = _aliased_phase_rate(cfg, spec.n, q, t)
-    return Waveform(np.exp(2j * np.pi * phase), sample_rate=n_samp / cfg.T, t0=0.0)
-
-
-@dataclass
-class OrthogonalityMatrix:
-    """|<phi_hat_n, phi_hat_n'>| for all chirp pairs of one configuration."""
-
-    entries: np.ndarray
-    cfg: ChirpConfig
-    method: str
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "n_prime", "abs_I_over_T"])
-            for n in range(self.cfg.N):
-                for n2 in range(self.cfg.N):
-                    writer.writerow(
-                        [n, n2, f"{self.entries[n, n2] / self.cfg.T:.12g}"]
-                    )
-
-
-def inner_product_matrix(cfg: ChirpConfig) -> OrthogonalityMatrix:
-    """Exact matrix |I_{n,n'}| of aliased-chirp inner products over [0, T).
+def inner_product_matrix(cfg: ChirpConfig) -> np.ndarray:
+    """Exact (N, N) matrix |I_{n,n'}| of aliased-chirp inner products over [0, T).
 
     With s = t / T, chirp n folds at s = (k - n/N) / C for the integers k in
     (n/N, C + n/N).  Between the merged folds of a pair n < n' the phase
@@ -166,7 +86,7 @@ def inner_product_matrix(cfg: ChirpConfig) -> OrthogonalityMatrix:
         total = 1.0 / eta_end - 1.0 / eta_minus[:, 0] + jumps(a) - jumps(b)
         entries[a, b] = entries[b, a] = cfg.T * np.abs(total) / (2.0 * np.pi)
     np.fill_diagonal(entries, cfg.T)
-    return OrthogonalityMatrix(entries, cfg, method="closed-form")
+    return entries
 
 
 def _integer_fold_grid(cfg: ChirpConfig, c: int) -> np.ndarray:

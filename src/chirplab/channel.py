@@ -8,8 +8,7 @@ Extended Vehicular A power-delay profile with per-path Jakes Doppler draws.
 from __future__ import annotations
 
 import cmath
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class DDPath:
 class DDChannel:
     """Multipath delay-Doppler channel with paths sorted by delay."""
 
-    paths: list[DDPath] = field(default_factory=list)
+    paths: list[DDPath]
 
     def __post_init__(self) -> None:
         if not self.paths:
@@ -59,45 +58,6 @@ class DDChannel:
         delays = [p.delay for p in self.paths]
         if any(b < a for a, b in zip(delays[:-1], delays[1:])):
             raise ValueError("paths must be ordered by non-decreasing delay")
-
-    @property
-    def max_delay(self) -> float:
-        return self.paths[-1].delay
-
-    @property
-    def max_doppler(self) -> float:
-        return max(abs(p.doppler) for p in self.paths)
-
-    def total_power(self) -> float:
-        return float(sum(abs(p.gain) ** 2 for p in self.paths))
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gain_re", "gain_im", "delay_s", "doppler_hz"])
-            for p in self.paths:
-                writer.writerow(
-                    [
-                        f"{p.gain.real:.12g}",
-                        f"{p.gain.imag:.12g}",
-                        f"{p.delay:.12g}",
-                        f"{p.doppler:.12g}",
-                    ]
-                )
-
-    @classmethod
-    def load_csv(cls, path) -> "DDChannel":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh, skipinitialspace=True)
-            paths = [
-                DDPath(
-                    gain=float(row["gain_re"]) + 1j * float(row["gain_im"]),
-                    delay=float(row["delay_s"]),
-                    doppler=float(row["doppler_hz"]),
-                )
-                for row in reader
-            ]
-        return cls(paths)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .channel import make_eva_channel
 from .receiver import (
     chirp_domain_matrix,
     default_lead,
@@ -28,7 +27,6 @@ from .experiments import (
     ExperimentConfig,
     complexity_compare,
     load_config,
-    matrix_to_csv,
     run_iorel_check,
     run_nmse_sweep,
     run_ortho_experiment,
@@ -79,6 +77,27 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+# rows formatted per write; bounds the memory of the N^2-row ortho grid
+_CSV_BLOCK = 1 << 14
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write a header line, then one row per index of the equal-length columns.
+
+    Integer columns are written with str and all others with 12 significant
+    digits; every line ends with CRLF, as csv.writer ends it.  Rows are
+    formatted and written in blocks, so no N^2 list of lines is ever built.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.12g}" for c in columns)
+    row += "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[start : start + _CSV_BLOCK].tolist() for c in columns]
+            fh.write("".join(map(row.format, *block)))
+
+
 def _run(args) -> int:
     if args.command == "selftest":
         failed = 0
@@ -100,25 +119,33 @@ def _run(args) -> int:
     if args.command == "nmse":
         sweep = run_nmse_sweep(ec)
         if args.out:
-            sweep.write_csv(args.out)
+            _write_csv(
+                args.out,
+                ("sweep_value", "nmse_db", "stderr_db"),
+                (np.asarray(sweep.values, dtype=float), sweep.nmse_db, sweep.stderr_db),
+            )
         for v, m, s in zip(sweep.values, sweep.nmse_db, sweep.stderr_db):
             print(f"{_fmt(float(v))},{_fmt(m)},{_fmt(s)}")
         return 0
     if args.command == "psd":
         ana, emp, bw = run_psd_experiment(ec)
         if args.out:
-            emp.write_csv(args.out)
             stem, dot, ext = args.out.rpartition(".")
-            ana.write_csv(f"{stem}_analytic.{ext}" if dot else f"{args.out}_analytic")
+            analytic_out = f"{stem}_analytic.{ext}" if dot else f"{args.out}_analytic"
+            for curve, path in ((emp, args.out), (ana, analytic_out)):
+                _write_csv(path, ("freq_hz", "psd_db"), (curve.freq, curve.db()))
         print(f"occupied_bandwidth_hz = {_fmt(bw)}")
         return 0
     if args.command == "ortho":
         grid, predictions = run_ortho_experiment(ec)
+        ratio = grid / ec.T
         if args.out:
-            grid.write_csv(args.out)
-        ratio = grid.entries / grid.cfg.T
+            n, n_prime = np.divmod(np.arange(ratio.size), len(ratio))
+            _write_csv(
+                args.out, ("n", "n_prime", "abs_I_over_T"), (n, n_prime, ratio.ravel())
+            )
         above = ratio > 0.05
-        print(f"pairs_above_threshold = {int(np.count_nonzero(above) - grid.cfg.N)}")
+        print(f"pairs_above_threshold = {int(np.count_nonzero(above) - len(ratio))}")
         if predictions is None:
             print("predictor = unavailable (non-integer fold count)")
         else:
@@ -129,21 +156,19 @@ def _run(args) -> int:
             print(f"aliased_below_threshold = {below}")
         return 0
     if args.command == "iorel":
-        report = run_iorel_check(ec)
+        report, channel = run_iorel_check(ec)
         for key, value in report.items():
             print(f"{key} = {_fmt(float(value))}")
         if args.out:
             cfg = ec.chirp_config()
-            rng = np.random.default_rng([ec.seed, 0])
-            channel = make_eva_channel(ec.channel_spec(), rng)
             filt = ec.srrc()
             lead = default_lead(filt)
             taps = effective_taps(
                 channel, filt, cfg.N, lead, required_taps(channel, filt)
             )
-            matrix_to_csv(
-                chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps)), args.out
-            )
+            h_u = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps)).ravel()
+            row, col = np.divmod(np.arange(h_u.size), cfg.N)
+            _write_csv(args.out, ("row", "col", "re", "im"), (row, col, h_u.real, h_u.imag))
         return 0
     raise ValueError(f"unknown subcommand: {args.command}")
 

@@ -1,5 +1,11 @@
 """Experiment drivers: NMSE sweeps, PSD, orthogonality grids, complexity.
 
+The drivers return arrays and small result records; ``chirplab.cli`` is the
+only module that writes them to files.  The NMSE compares two independent
+constructions: the waveform chain (simulate_frame, which receives through
+``receiver.correlator_receive``) and the tap model (effective_taps ->
+predict_output).
+
 Every driver is deterministic given the configuration and master seed; the
 per-trial random streams are derived as default_rng([seed, trial]).  The
 sweep point is left out on purpose: every point of a sweep sees the same
@@ -8,10 +14,9 @@ channel and symbol draws (common random numbers), which smooths the curves.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,18 +27,17 @@ from .channel import (
     apply_channel,
 )
 from .receiver import (
+    correlator_receive,
     default_lead,
     effective_taps,
     full_lead,
     full_taps,
-    matched_filter,
     predict_output,
     required_taps,
-    sample_base_rate,
 )
 from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
-from .transforms import ChirpConfig, demodulate, modulate
-from .waveform import SrrcFilter, add_cpp, design_srrc, shape
+from .transforms import ChirpConfig, modulate
+from .waveform import SrrcFilter, add_cpp, design_srrc, shape, synth_ideal
 from . import aliasing
 
 SWEEP_KINDS = ("speed", "rolloff", "span")
@@ -201,7 +205,6 @@ class SweepResult:
     values: list
     nmse_db: np.ndarray
     stderr_db: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.nmse_db = np.asarray(self.nmse_db, dtype=float)
@@ -210,13 +213,6 @@ class SweepResult:
             raise ValueError("one NMSE and one standard error per sweep point")
         if not np.all(np.isfinite(self.nmse_db)):
             raise ValueError("NMSE values must be finite")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sweep_value", "nmse_db", "stderr_db"])
-            for v, m, s in zip(self.values, self.nmse_db, self.stderr_db):
-                writer.writerow([f"{float(v):.12g}", f"{m:.12g}", f"{s:.12g}"])
 
 
 def qam4_symbols(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -235,10 +231,10 @@ def simulate_frame(
 ) -> np.ndarray:
     """Full waveform chain: returns the received chirp-domain frame.
 
-    modulate -> chirp-periodic prefix -> pulse shaping -> channel -> matched
-    filter -> base-rate sampling with the given symbol lead -> forward
-    transform.  The prefix length is n_taps - 1 so the folded tap relation
-    is exact.
+    modulate -> chirp-periodic prefix -> pulse shaping -> channel ->
+    ``correlator_receive`` (matched filter, base-rate sampling with the given
+    symbol lead, forward transform).  The prefix length is n_taps - 1 so the
+    folded tap relation is exact.
     """
     l_cpp = n_taps - 1
     if not 1 <= l_cpp < cfg.N:
@@ -249,11 +245,9 @@ def simulate_frame(
     x_cpp = add_cpp(cfg, x, l_cpp)
     wf = shape(cfg, x_cpp, filt, t_first=-l_cpp * cfg.dt)
     rx = apply_channel(channel, wf)
-    y = matched_filter(rx, filt)
     dt_fine = filt.dt
     tau1 = round(channel.paths[0].delay / dt_fine) * dt_fine
-    sampled = sample_base_rate(y, tau1 - lead * cfg.dt, cfg.N, cfg.dt)
-    return demodulate(cfg, sampled)
+    return correlator_receive(cfg, rx, filt, t_start=tau1 - lead * cfg.dt)
 
 
 def nmse_trial(
@@ -310,55 +304,48 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
         stderr = samples.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
         means[i] = 10.0 * np.log10(mean)
         errs[i] = (10.0 / np.log(10.0)) * stderr / mean
-    return SweepResult(
-        sweep=ec.sweep,
-        values=points,
-        nmse_db=means,
-        stderr_db=errs,
-        meta={"trials": ec.trials, "seed": ec.seed, "n": ec.n},
-    )
+    return SweepResult(sweep=ec.sweep, values=points, nmse_db=means, stderr_db=errs)
 
 
-def run_psd_experiment(
-    ec: ExperimentConfig, nfft: int = 4096
-) -> tuple[PsdCurve, PsdCurve, float]:
+def run_psd_experiment(ec: ExperimentConfig) -> tuple[PsdCurve, PsdCurve, float]:
     """Analytic and empirical frame PSDs plus the -20 dB occupied bandwidth.
 
     Empirical frames are ideal (alias-free) chirp syntheses of independent
-    4-QAM vectors; ``trials`` sets the frame count.
+    4-QAM vectors; ``trials`` sets the frame count (at least 10), and the
+    Welch estimate uses 4096-point segments.
     """
-    from .waveform import synth_ideal
-
     cfg = ec.chirp_config()
     frames = []
     for t in range(max(ec.trials, 10)):
         rng = np.random.default_rng([ec.seed, t])
         frames.append(synth_ideal(cfg, qam4_symbols(cfg.N, rng), ec.oversample))
-    emp = empirical_psd(frames, nfft=nfft)
+    emp = empirical_psd(frames, nfft=4096)
     ana = analytic_psd(cfg, sigma2=1.0, freqs=emp.freq)
-    bw = occupied_bandwidth(ana, drop_db=20.0)
+    bw = occupied_bandwidth(ana)
     return ana, emp, bw
 
 
 def run_ortho_experiment(ec: ExperimentConfig) -> tuple:
     """Aliased-chirp inner-product grid plus the closed-form classification.
 
-    Returns (OrthogonalityMatrix, predictions) where predictions is the
-    N x N boolean array of ``aliasing.predict_aliased`` (True = predicted
-    aliased), or None when the fold count is not an integer; the grid is
-    exact for any real c1 either way.
+    Returns (grid, predictions): grid is the (N, N) array of |I| from
+    ``aliasing.inner_product_matrix``, exact for any real c1, and
+    predictions the (N, N) boolean array of ``aliasing.predict_aliased``
+    (True = predicted aliased), or None when the fold count is not an
+    integer.
     """
     cfg = ec.chirp_config()
     return aliasing.inner_product_matrix(cfg), aliasing.predict_aliased(cfg)
 
 
-def run_iorel_check(ec: ExperimentConfig) -> dict:
+def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, DDChannel]:
     """Single-realization exact-I/O diagnostic.
 
     Runs one seeded EVA trial and reports two NMSE figures: the standard
     retained-window model (finite truncation error) and the widened window
     covering the whole ambiguity support, which must sit at floating-point
-    level because the tap relation is then exact.
+    level because the tap relation is then exact.  Returns the report and
+    the channel it drew, so callers describe that same realization.
     """
     cfg = ec.chirp_config()
     rng = np.random.default_rng([ec.seed, 0])
@@ -372,19 +359,7 @@ def run_iorel_check(ec: ExperimentConfig) -> dict:
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),
         "speed_kmh": ec.speed_kmh,
         "n": ec.n,
-    }
-
-
-def matrix_to_csv(matrix: np.ndarray, path) -> None:
-    """Export a complex matrix as ``row, col, re, im`` records."""
-    matrix = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for r in range(matrix.shape[0]):
-            for c in range(matrix.shape[1]):
-                v = complex(matrix[r, c])
-                writer.writerow([r, c, f"{v.real:.12g}", f"{v.imag:.12g}"])
+    }, channel
 
 
 def transform_multiply_count(n: int) -> float:
@@ -392,20 +367,20 @@ def transform_multiply_count(n: int) -> float:
     return 0.5 * n * np.log2(n)
 
 
-def measure_transform_time(n: int, batch: int | None = None, reps: int = 9) -> float:
-    """Best-of-``reps`` wall-clock per modulate call at size n, batched.
+def measure_transform_time(n: int) -> float:
+    """Best-of-9 wall-clock per modulate call at size n, batched.
 
-    Batching many frames through one call keeps interpreter overhead out of
-    the measurement so the scaling of the transform itself is visible.
+    Batching max(4, 2^22 / n) frames through one call keeps interpreter
+    overhead out of the measurement so the scaling of the transform itself
+    is visible.
     """
     cfg = ChirpConfig(N=n, T=1e-4, c1=1.0 / (4 * n), c2=1.0 / (3 * n))
-    if batch is None:
-        batch = max(4, (1 << 22) // n)
+    batch = max(4, (1 << 22) // n)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, batch)) + 1j * rng.standard_normal((n, batch))
     modulate(cfg, x)  # warm-up
     best = np.inf
-    for _ in range(reps):
+    for _ in range(9):
         t0 = time.perf_counter()
         modulate(cfg, x)
         best = min(best, time.perf_counter() - t0)

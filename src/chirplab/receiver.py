@@ -1,6 +1,7 @@
 """Matched-filter reception and effective-channel models.
 
-The receive chain is: matched filter against the shaping pulse, base-rate
+The receive chain (correlator_receive, the receiver of the simulated
+waveform chain) is: matched filter against the shaping pulse, base-rate
 sampling with a fixed symbol lead, then the forward chirp transform.  For a
 delay-Doppler channel with fine-grid delays the sampled matched-filter
 output obeys an exact linear tap relation
@@ -55,21 +56,11 @@ def sample_base_rate(wf: Waveform, t_start: float, count: int, Ts: float) -> np.
     return wf.samples[idx]
 
 
-def cross_ambiguity(filt: SrrcFilter, tau: float, nu: float) -> complex:
+def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> np.ndarray:
     """Pulse cross-ambiguity A(tau, nu) = int a(u + tau) a*(u) e^{j2 pi nu u} du.
 
-    Evaluated as the Riemann sum on the filter tap grid; tau must be an
-    integer number of fine-grid steps (the receiver only ever needs those).
-    """
-    s = tau / filt.dt
-    s_int = int(round(s))
-    if abs(s - s_int) > 1e-6:
-        raise ValueError("tau must be a multiple of the fine-grid step Ts/O")
-    return complex(_ambiguity_at_lags(filt, np.array([[s_int]]), np.array([nu]))[0, 0])
-
-
-def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """A(lags[p, l] * dt, nus[p]) for a (P, L) array of integer fine-grid lags.
+    Evaluated at tau = lags[p, l] * dt, nu = nus[p] for a (P, L) array of
+    integer fine-grid lags, as the Riemann sum on the filter tap grid:
 
     A[p, l] = dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u}; lags with
     |lag| >= M (the tap count) have no overlap and give exactly 0.
@@ -262,8 +253,9 @@ def correlator_receive(
     Y[n] = dt * sum_i r[i] conj(s_n[i]) with s_n the pulse-shaped inverse
     transform column whose first symbol sits at t_start.  Algebraically equal
     to matched filtering, base-rate sampling at t_start and a forward
-    transform, which is how it is computed; the literal correlator bank is
-    the test oracle.
+    transform, which is how it is computed and how the simulated waveform
+    chain receives every frame; the literal correlator bank is the test
+    oracle.
     """
     y_mf = matched_filter(wf, filt)
     sampled = sample_base_rate(y_mf, t_start, cfg.N, filt.Ts)

@@ -9,14 +9,14 @@ shifted sum sigma^2/(N T) * sum_n |G(f - n/T)|^2 over the N subcarrier
 positions.  Its terms lie on lattices of step 1/T, which frequencies with a
 common residue f T mod 1 share, so |G|^2 is evaluated once per lattice point
 and each PSD value is a window sum (see analytic_psd).  The occupied
-bandwidth is well approximated by (2 c1 N^2 + N - 1)/T.  The quadrature of
-G and the direct N F evaluation of the shifted sum are test oracles.
+bandwidth is the width of the region within 20 dB of the peak.  The
+quadrature of G, the direct N F evaluation of the shifted sum and the
+closed-form bandwidth (2 c1 N^2 + N - 1)/T are test oracles.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import welch
@@ -32,7 +32,6 @@ class PsdCurve:
 
     freq: np.ndarray
     psd: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.freq = np.asarray(self.freq, dtype=float)
@@ -44,13 +43,6 @@ class PsdCurve:
 
     def db(self, floor: float = 1e-300) -> np.ndarray:
         return 10.0 * np.log10(np.maximum(self.psd, floor))
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["freq_hz", "psd_db"])
-            for f, p in zip(self.freq, self.db()):
-                writer.writerow([f"{f:.12g}", f"{p:.12g}"])
 
 
 def _fresnel_segment(alpha: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -141,15 +133,11 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
         total[order[start:stop]] = np.add.reduceat(np.append(power, 0.0), bounds)[::2]
         start = stop
     psd = sigma2 / (big_n * cfg.T) * total
-    return PsdCurve(freqs, psd, meta={"kind": "analytic", "sigma2": sigma2, "N": big_n})
+    return PsdCurve(freqs, psd)
 
 
-def empirical_psd(
-    frames: list[Waveform],
-    nfft: int,
-    window: str = "hann",
-) -> PsdCurve:
-    """Averaged two-sided periodogram of independently generated frames.
+def empirical_psd(frames: list[Waveform], nfft: int) -> PsdCurve:
+    """Hann-windowed, averaged two-sided periodogram of independent frames.
 
     The frames are concatenated into one stream before segmenting so every
     instant of a frame carries equal weight; windowing isolated frames would
@@ -167,7 +155,7 @@ def empirical_psd(
     f, pxx = welch(
         stream,
         fs=rate,
-        window=window,
+        window="hann",
         nperseg=nperseg,
         nfft=nfft,
         noverlap=nperseg // 2,
@@ -177,20 +165,13 @@ def empirical_psd(
     )
     psd = np.fft.fftshift(pxx)
     freq = np.fft.fftshift(f)
-    return PsdCurve(freq, psd, meta={"kind": "empirical", "frames": len(frames)})
+    return PsdCurve(freq, psd)
 
 
-def bandwidth_estimate(cfg: ChirpConfig) -> float:
-    """Closed-form occupied bandwidth (2 c1 N^2 + N - 1) / T for c1 >= 0."""
-    if cfg.c1 < 0:
-        raise ValueError("bandwidth estimate is stated for c1 >= 0")
-    return (2.0 * cfg.c1 * cfg.N**2 + cfg.N - 1) / cfg.T
-
-
-def occupied_bandwidth(curve: PsdCurve, drop_db: float = 20.0) -> float:
-    """Width of the region within drop_db of the PSD peak."""
+def occupied_bandwidth(curve: PsdCurve) -> float:
+    """Width of the region within 20 dB of the PSD peak."""
     level = curve.db()
-    above = np.where(level > level.max() - drop_db)[0]
+    above = np.where(level > level.max() - 20.0)[0]
     if len(above) < 2:
         return 0.0
     return float(curve.freq[above[-1]] - curve.freq[above[0]])

@@ -38,14 +38,6 @@ class Waveform:
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(len(self.samples)) / self.sample_rate
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-    def energy(self) -> float:
-        """Riemann-sum signal energy."""
-        return float(np.sum(np.abs(self.samples) ** 2) / self.sample_rate)
-
 
 @dataclass
 class SrrcFilter:
@@ -188,11 +180,6 @@ def add_cpp(cfg: ChirpConfig, seq: np.ndarray, l_cpp: int) -> np.ndarray:
     k = np.arange(-l_cpp, 0)
     phase = np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
     return np.concatenate([seq[cfg.N + k] * phase, seq])
-
-
-def strip_cpp(cfg: ChirpConfig, seq: np.ndarray, l_cpp: int) -> np.ndarray:
-    """Drop the prefix added by :func:`add_cpp`."""
-    return np.asarray(seq)[l_cpp:]
 
 
 def shape(

@@ -8,14 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from chirplab import (
-    AliasedChirpSpec,
-    ChirpConfig,
-    ideal_aliased_chirp,
-    inner_product_matrix,
-    predict_aliased,
-    q_index,
-)
+from chirplab import ChirpConfig, Waveform, cli, inner_product_matrix, predict_aliased
 from chirplab.aliasing import _integer_fold_grid
 
 
@@ -29,10 +22,34 @@ def _gauss_legendre(order):
     return leggauss(order)
 
 
+def _fold_index(cfg, n, t):
+    """Fold interval index q_n(t) = floor((C/T) t + n/N)."""
+    return np.floor(cfg.chirp_span * t / cfg.T + n / cfg.N)
+
+
 def _aliased_phase(cfg, n, t):
     """Phase in cycles of the aliased chirp n at times t, fold index included."""
-    q = np.floor(cfg.chirp_span * t / cfg.T + n / cfg.N)
+    q = _fold_index(cfg, n, t)
     return cfg.c2 * n**2 + cfg.c1 * (t / cfg.dt) ** 2 + n * t / cfg.T - q * t / cfg.dt
+
+
+def _fold_edges(cfg, n):
+    """Interval edges 0 = t_0 < t_1 < ... < T where the fold index of n jumps."""
+    c = cfg.chirp_span
+    if c <= 0:
+        return np.array([0.0, cfg.T])
+    # interior crossings of (C/T) t + n/N through integers
+    qs = np.arange(int(np.floor(n / cfg.N)) + 1, int(np.ceil(c + n / cfg.N)))
+    interior = (qs - n / cfg.N) * cfg.T / c
+    interior = interior[(interior > 0) & (interior < cfg.T)]
+    return np.concatenate([[0.0], interior, [cfg.T]])
+
+
+def _ideal_aliased_chirp(cfg, n, oversampling):
+    """The piecewise aliased chirp n sampled at rate O N / T on [0, T)."""
+    n_samp = cfg.N * oversampling
+    t = np.arange(n_samp) * (cfg.T / n_samp)
+    return Waveform(np.exp(2j * np.pi * _aliased_phase(cfg, n, t)), n_samp / cfg.T)
 
 
 def _quadrature_grid(cfg):
@@ -43,7 +60,7 @@ def _quadrature_grid(cfg):
     reach over the longest piece of the pair.
     """
     big_n = cfg.N
-    bounds = [AliasedChirpSpec(cfg, n).boundaries() for n in range(big_n)]
+    bounds = [_fold_edges(cfg, n) for n in range(big_n)]
     grid = np.eye(big_n) * cfg.T
     for n in range(big_n):
         for n2 in range(n + 1, big_n):
@@ -60,34 +77,27 @@ def _quadrature_grid(cfg):
 
 def test_q_index_example():
     cfg = _cfg(32, 16)
-    assert q_index(cfg, 8, cfg.T / 2.0) == 8
+    assert _fold_index(cfg, 8, cfg.T / 2.0) == 8
 
 
 def test_q_index_matches_boundary_scan():
+    """The quadrature oracle's fold edges sit where the phase's fold index jumps."""
     cfg = _cfg(32, 16)
     rng = np.random.default_rng(13)
     for _ in range(1000):
         n = int(rng.integers(0, cfg.N))
         t = float(rng.uniform(0.0, cfg.T * (1 - 1e-12)))
-        edges = AliasedChirpSpec(cfg, n).boundaries()
+        edges = _fold_edges(cfg, n)
         # q increments by one at each interior boundary, starting at floor(n/N)
         expected = int(np.floor(n / cfg.N)) + int(
             np.sum(edges[1:-1] <= t)
         )
-        assert q_index(cfg, n, t) == expected
-
-
-def test_q_index_validation():
-    cfg = _cfg(32, 16)
-    with pytest.raises(ValueError):
-        q_index(cfg, 32, 0.0)
-    with pytest.raises(ValueError):
-        q_index(cfg, 0, cfg.T)
+        assert _fold_index(cfg, n, t) == expected
 
 
 def test_aliased_chirp_equals_root_chirp_before_first_fold():
     cfg = _cfg(32, 8)
-    wf = ideal_aliased_chirp(AliasedChirpSpec(cfg, 0), 16)
+    wf = _ideal_aliased_chirp(cfg, 0, 16)
     t = wf.times()
     head = t < cfg.T / 8.0  # q = 0 region for n = 0
     unfolded = np.exp(
@@ -99,7 +109,7 @@ def test_aliased_chirp_equals_root_chirp_before_first_fold():
 def test_aliased_chirp_base_rate_samples_match_sequence():
     cfg = _cfg(32, 16, c2=1.0 / 96.0)
     n = 5
-    wf = ideal_aliased_chirp(AliasedChirpSpec(cfg, n), 1)
+    wf = _ideal_aliased_chirp(cfg, n, 1)
     k = np.arange(cfg.N)
     phi = np.exp(2j * np.pi * (cfg.c1 * k**2 + n * k / cfg.N))
     expected = phi * np.exp(2j * np.pi * cfg.c2 * n**2)
@@ -109,14 +119,13 @@ def test_aliased_chirp_base_rate_samples_match_sequence():
 def test_aliased_chirp_frequency_stays_in_band():
     cfg = _cfg(32, 16)
     o = 64
-    spec = AliasedChirpSpec(cfg, 7)
-    wf = ideal_aliased_chirp(spec, o)
+    wf = _ideal_aliased_chirp(cfg, 7, o)
     phase = np.unwrap(np.angle(wf.samples))
     t_mid = wf.times()[:-1] + 0.5 / wf.sample_rate
     inst_freq = np.diff(phase) * wf.sample_rate / (2.0 * np.pi)
     # the phase is only piecewise continuous: drop the finite-difference
     # estimates that straddle a fold boundary
-    edges = spec.boundaries()[1:-1]
+    edges = _fold_edges(cfg, 7)[1:-1]
     step = 1.0 / wf.sample_rate
     interior = np.all(np.abs(t_mid[:, None] - edges[None, :]) > step, axis=1)
     band = cfg.N / cfg.T
@@ -127,7 +136,7 @@ def test_aliased_chirp_frequency_stays_in_band():
 
 def test_inner_product_matrix_symmetry_and_diagonal():
     cfg = _cfg(16, 16)
-    grid = inner_product_matrix(cfg).entries
+    grid = inner_product_matrix(cfg)
     assert np.max(np.abs(grid - grid.T)) < 1e-9 * cfg.T
     assert np.max(np.abs(np.diag(grid) - cfg.T)) < 1e-3 * cfg.T
 
@@ -135,7 +144,7 @@ def test_inner_product_matrix_symmetry_and_diagonal():
 def test_case_one_orthogonality_c_at_least_n():
     for c in (32, 48):
         cfg = _cfg(32, c)
-        grid = inner_product_matrix(cfg).entries / cfg.T
+        grid = inner_product_matrix(cfg) / cfg.T
         off = grid - np.diag(np.diag(grid))
         assert np.max(off) < 0.05
         assert np.array_equal(predict_aliased(cfg), np.eye(cfg.N, dtype=bool))
@@ -143,7 +152,7 @@ def test_case_one_orthogonality_c_at_least_n():
 
 def test_case_two_band_at_separation_c():
     cfg = _cfg(32, 16)
-    grid = inner_product_matrix(cfg).entries / cfg.T
+    grid = inner_product_matrix(cfg) / cfg.T
     # the |n - n'| = 16 band carries (2/pi)|cos(pi n / 16)|
     for n in range(16):
         expected = (2.0 / np.pi) * abs(np.cos(np.pi * n / 16.0))
@@ -179,7 +188,7 @@ def test_predictor_cancelling_pair_is_orthogonal():
 @pytest.mark.parametrize("n, c", [(32, 16), (32, 8), (64, 16)])
 def test_predictor_matches_quadrature_support(n, c):
     cfg = _cfg(n, c)
-    grid = inner_product_matrix(cfg).entries / cfg.T
+    grid = inner_product_matrix(cfg) / cfg.T
     assert np.array_equal(predict_aliased(cfg), grid > 1e-6)
 
 
@@ -207,7 +216,7 @@ def test_integer_fold_grid_matches_closed_form_grid(half_n, c_frac, negative, c2
     c = 1 + int(c_frac * (2 * n - 1))
     sign = -1.0 if negative else 1.0
     cfg = ChirpConfig(N=n, T=1e-3, c1=sign * c / (2.0 * n), c2=c2)
-    grid = inner_product_matrix(cfg).entries
+    grid = inner_product_matrix(cfg)
     off = ~np.eye(n, dtype=bool)
     folded = _integer_fold_grid(cfg, c)
     assert np.max(np.abs(folded - grid / cfg.T)[off]) <= 1e-12
@@ -226,15 +235,17 @@ def test_integer_fold_grid_matches_closed_form_grid(half_n, c_frac, negative, c2
 @example(half_n=32, c1=16.25 / 128, c2=1.0 / 192)
 def test_closed_form_grid_matches_quadrature(half_n, c1, c2):
     cfg = ChirpConfig(N=2 * half_n, T=1e-3, c1=c1, c2=c2)
-    grid = inner_product_matrix(cfg).entries
+    grid = inner_product_matrix(cfg)
     assert np.max(np.abs(grid - _quadrature_grid(cfg))) <= 1e-12 * cfg.T
 
 
-def test_orthogonality_matrix_csv(tmp_path):
-    cfg = _cfg(8, 8)
-    grid = inner_product_matrix(cfg)
+def test_orthogonality_matrix_csv(tmp_path, capsys):
+    # N = 8 with C = 8: one row per ordered pair, |I| / T in the last column
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 8\nc1_num = 8\nc1_den = 2N\n")
     out = tmp_path / "grid.csv"
-    grid.write_csv(out)
+    assert cli.main(["ortho", "--config", str(path), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,n_prime,abs_I_over_T"
     assert len(lines) == 1 + 64
+    assert lines[1] == "0,0,1" and lines[64].startswith("7,7,")

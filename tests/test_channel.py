@@ -31,7 +31,7 @@ def test_eva_doppler_bound_and_path_count():
     assert len(ch.paths) == 9
     assert all(abs(p.doppler) <= spec.max_doppler_hz + 1e-9 for p in ch.paths)
     assert ch.paths[0].delay == 0.0
-    assert abs(ch.max_delay - 2510e-9) < 1e-12
+    assert abs(ch.paths[-1].delay - 2510e-9) < 1e-12
 
 
 def test_eva_reproducible_and_normalized():
@@ -43,7 +43,7 @@ def test_eva_reproducible_and_normalized():
     powers = []
     for s in range(200):
         ch = make_eva_channel(_spec(), np.random.default_rng(s))
-        powers.append(ch.total_power())
+        powers.append(sum(abs(p.gain) ** 2 for p in ch.paths))
     assert abs(np.mean(powers) - 1.0) < 0.1
 
 
@@ -63,21 +63,6 @@ def test_channel_validation():
 def test_path_rejects_non_finite_values(gain, delay, doppler, key):
     with pytest.raises(ValueError, match=f"path {key} must be finite"):
         DDPath(gain, delay, doppler)
-
-
-def test_channel_csv_round_trip(tmp_path):
-    ch = DDChannel(
-        [DDPath(0.5 - 0.25j, 0.0, 100.0), DDPath(0.1 + 0.9j, 3e-7, -55.5)]
-    )
-    out = tmp_path / "channel.csv"
-    ch.save_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "gain_re,gain_im,delay_s,doppler_hz"
-    loaded = DDChannel.load_csv(out)
-    for a, b in zip(ch.paths, loaded.paths):
-        assert abs(a.gain - b.gain) < 1e-12
-        assert abs(a.delay - b.delay) < 1e-18
-        assert abs(a.doppler - b.doppler) < 1e-9
 
 
 def _random_wf(n=512, rate=1e6, seed=21):
@@ -143,8 +128,8 @@ def test_apply_channel_energy_bound_lti():
         [DDPath(g, i * 3 * dt, 0.0) for i, g in enumerate(gains)]
     )
     out = apply_channel(ch, wf)
-    bound = sum(abs(g) for g in gains) ** 2 * wf.energy()
-    assert out.energy() <= bound * (1.0 + 1e-12)
+    bound = sum(abs(g) for g in gains) ** 2 * np.sum(np.abs(wf.samples) ** 2)
+    assert np.sum(np.abs(out.samples) ** 2) <= bound * (1.0 + 1e-12)
 
 
 def test_add_awgn_properties():

@@ -1,16 +1,19 @@
 """Unit tests for configuration parsing, experiment drivers and the CLI."""
 
+import csv
 from types import ModuleType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chirplab import ExperimentConfig, complexity_compare, load_config
-from chirplab import acceptance, cli
+from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
+from chirplab import acceptance, cli, experiments
 from chirplab.experiments import (
+    CONFIG_KEYS,
     SweepResult,
     config_from_dict,
-    matrix_to_csv,
     run_iorel_check,
     run_nmse_sweep,
     transform_multiply_count,
@@ -117,15 +120,16 @@ def test_load_config_unknown_key(tmp_path):
         load_config(path)
 
 
-def test_sweep_result_csv_format(tmp_path):
+def test_sweep_result_csv_format(tmp_path, monkeypatch, capsys):
     sweep = SweepResult(
         sweep="speed",
         values=[0.0, 250.0],
         nmse_db=np.array([-51.234567890123, -50.5]),
         stderr_db=np.array([0.25, 0.5]),
     )
+    monkeypatch.setattr(cli, "run_nmse_sweep", lambda ec: sweep)
     out = tmp_path / "sweep.csv"
-    sweep.write_csv(out)
+    assert cli.main(["nmse", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "sweep_value,nmse_db,stderr_db"
     assert lines[1].split(",")[1] == "-51.2345678901"  # 12 significant digits
@@ -133,10 +137,104 @@ def test_sweep_result_csv_format(tmp_path):
 
 def test_matrix_csv_format(tmp_path):
     out = tmp_path / "mat.csv"
-    matrix_to_csv(np.array([[1.0 + 2.0j]]), out)
+    m = np.array([1.0 + 2.0j])
+    cli._write_csv(out, ("row", "col", "re", "im"), ([0], [0], m.real, m.imag))
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "row,col,re,im"
     assert lines[1] == "0,0,1,2"
+
+
+# The csv.writer loops that wrote each CSV before cli._write_csv: the oracle
+# for byte identity.
+def _csv_writer_sweep(path, values, nmse_db, stderr_db):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sweep_value", "nmse_db", "stderr_db"])
+        for v, m, s in zip(values, nmse_db, stderr_db):
+            writer.writerow([f"{float(v):.12g}", f"{m:.12g}", f"{s:.12g}"])
+
+
+def _csv_writer_psd(path, freq, psd_db):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["freq_hz", "psd_db"])
+        for f, p in zip(freq, psd_db):
+            writer.writerow([f"{f:.12g}", f"{p:.12g}"])
+
+
+def _csv_writer_grid(path, entries, t):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n", "n_prime", "abs_I_over_T"])
+        for n in range(len(entries)):
+            for n2 in range(len(entries)):
+                writer.writerow([n, n2, f"{entries[n, n2] / t:.12g}"])
+
+
+def _csv_writer_matrix(path, matrix):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "col", "re", "im"])
+        for r in range(matrix.shape[0]):
+            for c in range(matrix.shape[1]):
+                v = complex(matrix[r, c])
+                writer.writerow([r, c, f"{v.real:.12g}", f"{v.imag:.12g}"])
+
+
+# negative zero, values that round at the 12th digit, huge and tiny magnitudes
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -51.234567890123, 0.1234567890125,
+                     999999999999.5, 1e-300, -1e200, 5e-324]),
+    st.floats(-1e200, 1e200),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS), min_size=1, max_size=40),
+    span=st.booleans(),
+    side=st.integers(1, 6),
+    t=st.sampled_from([1e-3, 266.667e-6, 1.0]),
+)
+def test_write_csv_matches_csv_writer(tmp_path_factory, rows, span, side, t):
+    """cli._write_csv writes each CSV byte for byte as csv.writer did."""
+    tmp = tmp_path_factory.mktemp("csv")
+    a, b, c = (np.array(col) for col in zip(*rows))
+    # sweep: a span sweep has int points; the writer sees them as floats
+    values = [int(v) for v in range(2, 2 + 2 * len(a), 2)] if span else list(a)
+    _csv_writer_sweep(tmp / "want", values, b, c)
+    cli._write_csv(tmp / "got", ("sweep_value", "nmse_db", "stderr_db"),
+                   (np.asarray(values, dtype=float), b, c))
+    assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+    # PSD curve: frequencies and dB levels
+    _csv_writer_psd(tmp / "want", a, b)
+    cli._write_csv(tmp / "got", ("freq_hz", "psd_db"), (a, b))
+    assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+    # square grids: the ortho |I| (divided by T) and a complex matrix
+    flat = np.resize(np.concatenate([a, b, c]), side * side)
+    grid = np.abs(flat).reshape(side, side)
+    ratio = grid / t
+    n, n_prime = np.divmod(np.arange(ratio.size), side)
+    _csv_writer_grid(tmp / "want", grid, t)
+    cli._write_csv(tmp / "got", ("n", "n_prime", "abs_I_over_T"), (n, n_prime, ratio.ravel()))
+    assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+    matrix = (flat + 1j * np.resize(c, side * side)).reshape(side, side)
+    _csv_writer_matrix(tmp / "want", matrix)
+    h = matrix.ravel()
+    cli._write_csv(tmp / "got", ("row", "col", "re", "im"), (n, n_prime, h.real, h.imag))
+    assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+
+
+def test_write_csv_streams_blocks_identically(tmp_path, monkeypatch):
+    """A grid larger than one block is written as if in one piece."""
+    cfg = ExperimentConfig(n=16, c1_num=16.0, c1_den="2N").chirp_config()
+    grid = inner_product_matrix(cfg)
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    n, n_prime = np.divmod(np.arange(grid.size), 16)
+    cli._write_csv(tmp_path / "got", ("n", "n_prime", "abs_I_over_T"),
+                   (n, n_prime, (grid / cfg.T).ravel()))
+    _csv_writer_grid(tmp_path / "want", grid, cfg.T)
+    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 def test_run_nmse_sweep_deterministic():
@@ -151,7 +249,8 @@ def test_run_nmse_sweep_deterministic():
 
 def test_run_iorel_check_reports_small_errors():
     ec = ExperimentConfig(n=64, trials=1, oversample=8, seed=11)
-    report = run_iorel_check(ec)
+    report, channel = run_iorel_check(ec)
+    assert len(channel.paths) == 9
     assert report["nmse_model_db"] < -40.0
     assert report["nmse_exact_db"] < -200.0
 
@@ -251,13 +350,10 @@ def test_cli_ortho_without_folds(tmp_path, capsys):
 def test_cli_ortho_compares_predictor_with_grid_support(monkeypatch, capsys):
     """A pair with 0 < |I| <= 0.05 T is aliased: it agrees with the exact
     predictor and is counted once as aliased below the threshold."""
-    from chirplab.aliasing import OrthogonalityMatrix
-
-    cfg = ExperimentConfig(n=4).chirp_config()
-    entries = np.eye(4) * cfg.T
-    entries[0, 2] = entries[2, 0] = 0.01 * cfg.T
-    predictions = entries > 0
-    grid = OrthogonalityMatrix(entries=entries, cfg=cfg, method="stub")
+    t = ExperimentConfig().T
+    grid = np.eye(4) * t
+    grid[0, 2] = grid[2, 0] = 0.01 * t
+    predictions = grid > 0
     monkeypatch.setattr(cli, "run_ortho_experiment", lambda ec: (grid, predictions))
     assert cli.main(["ortho"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -280,6 +376,76 @@ def test_span_sweep_rejects_non_integer_and_odd_values(tmp_path, capsys):
     assert cli.main(["nmse", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "sweep_values" in err and "6.5" in err
+
+
+def test_cli_iorel_out_writes_the_reported_channel(tmp_path, monkeypatch, capsys):
+    """iorel --out builds its matrix from the one channel the check drew."""
+    drawn = []
+    draw = experiments.make_eva_channel
+
+    def counting(spec, rng):
+        drawn.append(draw(spec, rng))
+        return drawn[-1]
+
+    for module in (experiments, cli):
+        if hasattr(module, "make_eva_channel"):
+            monkeypatch.setattr(module, "make_eva_channel", counting)
+    out = tmp_path / "hu.csv"
+    assert cli.main(["iorel", "--small", "--out", str(out)]) == 0
+    assert len(drawn) == 1
+    lines = out.read_text().splitlines()
+    assert lines[0] == "row,col,re,im"
+    assert len(lines) == 1 + 256 * 256
+    assert lines[1].startswith("0,0,") and lines[-1].startswith("255,255,")
+    assert "n = 256" in capsys.readouterr().out
+
+
+def _config_values():
+    """Random valid ExperimentConfig field values."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    positive = st.floats(1e-3, 1e4, allow_nan=False)
+    den = st.one_of(st.sampled_from(["4N", "3N", "2N", "N", "0.5N"]),
+                    positive.map(repr))
+    sweep_values = st.lists(st.integers(1, 20).map(lambda v: 2.0 * v), min_size=1, max_size=6)
+    return st.fixed_dictionaries(
+        {
+            "n": st.integers(1, 2048).map(lambda h: 2 * h),
+            "t_us": positive,
+            "c1_num": finite,
+            "c1_den": den,
+            "c2_num": finite,
+            "c2_den": den,
+            "beta": st.floats(0.0, 1.0),
+            "q": st.integers(1, 20).map(lambda h: 2 * h),
+            "oversample": st.integers(2, 64),
+            "fc_hz": positive,
+            "speed_kmh": st.floats(0.0, 1000.0),
+            "trials": st.integers(1, 1000),
+            "seed": st.integers(0, 2**63 - 1),
+            "sweep": st.sampled_from(["speed", "rolloff", "span"]),
+            "sweep_values": st.one_of(st.none(), sweep_values.map(sorted).map(tuple)),
+        }
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(values=_config_values())
+def test_load_config_round_trip(tmp_path_factory, values):
+    """Writing a valid config as key = value lines and loading it is lossless."""
+    ec = ExperimentConfig(**values)
+    lines = []
+    for key in CONFIG_KEYS:
+        value = getattr(ec, key)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ", ".join(repr(v) for v in value)
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key} = {value}\n")
+    path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    path.write_text("".join(lines))
+    assert load_config(path) == ec
 
 
 def test_cli_complexity(capsys):

@@ -13,7 +13,6 @@ from chirplab import (
     build_baseline,
     chirp_domain_from_taps,
     chirp_domain_matrix,
-    cross_ambiguity,
     default_lead,
     design_srrc,
     effective_taps,
@@ -29,7 +28,7 @@ from chirplab import (
     shape,
 )
 from chirplab.experiments import nmse_trial, qam4_symbols
-from chirplab.receiver import correlator_receive
+from chirplab.receiver import _ambiguity_at_lags, correlator_receive
 from chirplab.transforms import idaft_matrix
 from chirplab.waveform import Waveform
 
@@ -71,26 +70,31 @@ def _taps_from_tables(channel, filt, n_out, lead, n_taps):
     return h
 
 
+def _ambiguity(filt, lag, nu):
+    """A(lag * dt, nu) at one integer fine-grid lag."""
+    return _ambiguity_at_lags(filt, np.array([[lag]]), np.array([nu]))[0, 0]
+
+
 def test_cross_ambiguity_origin_is_unit_energy():
     filt = _filt(_cfg(64))
-    assert abs(cross_ambiguity(filt, 0.0, 0.0) - 1.0) < 1e-6
+    assert abs(_ambiguity(filt, 0, 0.0) - 1.0) < 1e-6
 
 
 def test_cross_ambiguity_nyquist_lags_small():
     filt = _filt(_cfg(64))
     for m in range(1, 5):
-        assert abs(cross_ambiguity(filt, m * filt.Ts, 0.0)) < 1e-2
+        assert abs(_ambiguity(filt, m * filt.O, 0.0)) < 1e-2
 
 
 def test_cross_ambiguity_doppler_nonzero_but_contractive():
     filt = _filt(_cfg(64))
-    val = cross_ambiguity(filt, 0.0, 2000.0)
+    val = _ambiguity(filt, 0, 2000.0)
     assert 0.0 < abs(val) < 1.0
 
 
 def test_cross_ambiguity_outside_support_is_zero():
     filt = _filt(_cfg(64))
-    assert cross_ambiguity(filt, (filt.q + 1) * filt.Ts, 500.0) == 0.0
+    assert _ambiguity(filt, (filt.q + 1) * filt.O, 500.0) == 0.0
 
 
 def test_matched_filter_gives_self_correlation_peak():

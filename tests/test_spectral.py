@@ -9,7 +9,7 @@ from chirplab import (
     PsdCurve,
     Waveform,
     analytic_psd,
-    bandwidth_estimate,
+    cli,
     empirical_psd,
     occupied_bandwidth,
     prototype_spectrum,
@@ -29,6 +29,13 @@ def _shifted_sum_psd(cfg, sigma2, freqs):
         g = prototype_spectrum(cfg, (freqs[:, None] - sub[None, :]).ravel())
         total += np.sum(np.abs(g.reshape(len(freqs), len(sub))) ** 2, axis=1)
     return sigma2 / (cfg.N * cfg.T) * total
+
+
+def _bandwidth_estimate(cfg):
+    """Oracle: closed-form occupied bandwidth (2 c1 N^2 + N - 1) / T, c1 >= 0."""
+    if cfg.c1 < 0:
+        raise ValueError("bandwidth estimate is stated for c1 >= 0")
+    return (2.0 * cfg.c1 * cfg.N**2 + cfg.N - 1) / cfg.T
 
 
 def _welch_grid(cfg, oversample, nfft):
@@ -175,17 +182,17 @@ def test_analytic_psd_rejects_non_finite_frequencies():
         analytic_psd(PAPER_CFG, 1.0, np.array([0.0, np.inf]))
 
 
-def test_psd_curve_validation_and_csv(tmp_path):
+def test_psd_curve_validation_and_csv(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
-        PsdCurve(np.array([0.0, -1.0]), np.array([1.0, 1.0]), meta={})
+        PsdCurve(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        PsdCurve(np.array([0.0, 1.0]), np.array([1.0, -1.0]), meta={})
-    curve = PsdCurve(np.array([0.0, 1.0]), np.array([1.0, 2.0]), meta={})
+        PsdCurve(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+    curve = PsdCurve(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    monkeypatch.setattr(cli, "run_psd_experiment", lambda ec: (curve, curve, 1.0))
     out = tmp_path / "psd.csv"
-    curve.write_csv(out)
+    assert cli.main(["psd", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "freq_hz,psd_db"
-    assert len(lines) == 3
+    assert lines == ["freq_hz,psd_db", "0,0", "1,3.01029995664"]
 
 
 def test_empirical_psd_white_noise_flat():
@@ -225,17 +232,17 @@ def test_empirical_psd_input_validation():
 
 
 def test_bandwidth_estimate_values():
-    assert abs(bandwidth_estimate(PAPER_CFG) - 5.756e6) < 0.01e6
+    assert abs(_bandwidth_estimate(PAPER_CFG) - 5.756e6) < 0.01e6
     cfg0 = ChirpConfig(N=64, T=1e-4, c1=0.0, c2=0.0)
-    assert abs(bandwidth_estimate(cfg0) - 63.0 / 1e-4) < 1e-6
+    assert abs(_bandwidth_estimate(cfg0) - 63.0 / 1e-4) < 1e-6
     with pytest.raises(ValueError):
-        bandwidth_estimate(ChirpConfig(N=64, T=1e-4, c1=-1.0 / 128.0, c2=0.0))
+        _bandwidth_estimate(ChirpConfig(N=64, T=1e-4, c1=-1.0 / 128.0, c2=0.0))
 
 
 def test_bandwidth_estimate_cross_checks_occupied_bandwidth():
     cfg = ChirpConfig(N=512, T=133.333e-6, c1=1.0 / 2048.0, c2=0.0)
-    est = bandwidth_estimate(cfg)
+    est = _bandwidth_estimate(cfg)
     freqs = np.linspace(-0.5 * est, 1.5 * est, 8001)
     curve = analytic_psd(cfg, 1.0, freqs)
-    occ = occupied_bandwidth(curve, drop_db=20.0)
+    occ = occupied_bandwidth(curve)
     assert abs(occ - est) / est < 0.05

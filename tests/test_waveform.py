@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirplab import (
     ChirpConfig,
@@ -13,7 +15,6 @@ from chirplab import (
     modulate,
     root_chirp,
     shape,
-    strip_cpp,
     synth_ideal,
 )
 
@@ -82,7 +83,8 @@ def test_synth_ideal_energy():
     wf = synth_ideal(cfg, x, 16)
     # orthogonal expansion with unit-amplitude basis: energy = sum |X|^2 * T/N
     expected = np.sum(np.abs(x) ** 2) * cfg.T / n
-    assert abs(wf.energy() - expected) / expected < 0.01
+    energy = np.sum(np.abs(wf.samples) ** 2) / wf.sample_rate
+    assert abs(energy - expected) / expected < 0.01
 
 
 def test_add_cpp_plain_cyclic_prefix_when_unchirped():
@@ -121,12 +123,27 @@ def test_add_cpp_extension_identity_large():
         assert abs(out[i] - expected) < 1e-12
 
 
-def test_strip_cpp_inverts_add_cpp():
-    n = 32
-    cfg = _cfg(n, 1.0 / 128.0)
-    rng = np.random.default_rng(12)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 64),
+    c1=st.floats(-1.0, 1.0, allow_nan=False),
+    l_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_add_cpp_prefix_is_chirp_periodic(half_n, c1, l_frac, seed):
+    """x[k] = x[N + k] e^{-j 2 pi c1 (N^2 + 2 N k)} on the prefix k = -L .. -1,
+    and the frame follows the prefix unchanged."""
+    n = 2 * half_n
+    l_cpp = min(1 + int(l_frac * (n - 1)), n - 1)
+    cfg = _cfg(n, c1)
+    rng = np.random.default_rng(seed)
     seq = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert np.array_equal(strip_cpp(cfg, add_cpp(cfg, seq, 5), 5), seq)
+    out = add_cpp(cfg, seq, l_cpp)
+    assert out.shape == (n + l_cpp,)
+    assert np.array_equal(out[l_cpp:], seq)
+    k = np.arange(-l_cpp, 0)
+    wrapped = seq[n + k] * np.exp(-2j * np.pi * c1 * (n**2 + 2 * n * k))
+    assert np.max(np.abs(out[:l_cpp] - wrapped)) <= 1e-12 * np.max(np.abs(seq))
 
 
 def test_add_cpp_range_checked():
