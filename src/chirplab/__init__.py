@@ -55,10 +55,9 @@ from .receiver import (
     fold_cpp_taps,
     full_lead,
     full_taps,
-    matched_filter,
     predict_output,
     required_taps,
-    sample_base_rate,
+    sample_matched_filter,
 )
 from .experiments import (
     ExperimentConfig,

@@ -31,8 +31,8 @@ from .receiver import (
     default_lead,
     effective_taps,
     fold_cpp_taps,
-    matched_filter,
     required_taps,
+    sample_matched_filter,
 )
 from .transforms import (
     ChirpConfig,
@@ -408,8 +408,8 @@ def criterion_12_noise_whiteness(small: bool = False) -> CriterionResult:
     rng = np.random.default_rng(1212)
     silent = Waveform(np.zeros(n_fine), sample_rate=o / filt.Ts, t0=0.0)
     noisy = add_awgn(silent, n0=1.0, rng=rng)
-    mf = matched_filter(noisy, filt)
-    w = mf.samples[filt.q * o :: o][:n_samples]
+    # first instant a half span in: its window is the first q O + 1 samples
+    w = sample_matched_filter(noisy, filt, filt.half_span * filt.Ts, n_samples)
     r0 = float(np.mean(np.abs(w) ** 2))
     off = max(
         abs(np.mean(w[m:] * np.conj(w[:-m]))) for m in range(1, 6)

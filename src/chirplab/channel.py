@@ -3,11 +3,16 @@
 A channel is a finite sum of paths, each with a complex gain, a delay in
 seconds and a Doppler shift in hertz.  Statistical realizations follow the
 Extended Vehicular A power-delay profile with per-path Jakes Doppler draws.
+A waveform passes through the channel path by path on its own sampling
+grid; each path's Doppler tone on that grid is the outer product of a
+coarse and a fine tone (``_doppler_tones``), which the receiver's tap model
+also uses for its per-symbol Doppler phases.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,23 +105,42 @@ def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> 
     )
 
 
+def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
+    """Tones exp(j 2 pi nu_p (t0_p + i step)) for i < count, as a (P, count) array.
+
+    ``t0`` is one start time for all tones or one per tone.  Writing
+    i = a B + b with B = ceil(sqrt(count)) makes each tone the outer product
+    of a coarse tone over a and a fine tone over b, so a tone costs about
+    2 sqrt(count) complex exponentials instead of count.
+    """
+    nus = np.asarray(nus, dtype=float)[:, None]
+    block = math.isqrt(max(count - 1, 0)) + 1
+    starts = np.reshape(t0, (-1, 1)) + np.arange(-(-count // block)) * (block * step)
+    coarse = np.exp(2j * np.pi * nus * starts)
+    fine = np.exp(2j * np.pi * nus * (np.arange(block) * step))
+    tones = coarse[:, :, None] * fine[:, None, :]
+    return tones.reshape(len(nus), -1)[:, :count]
+
+
 def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     """Pass a waveform through the channel on its own sampling grid.
 
     Each path multiplies the input by its Doppler tone (evaluated on the
     absolute input time axis), shifts by the delay rounded to an integer
     number of input samples, and scales by the gain.  The output grid starts
-    at the input t0 and extends to cover the largest quantized delay.
+    at the input t0 and extends to cover the largest quantized delay.  The
+    tones of all paths come from ``_doppler_tones``, one coarse-by-fine outer
+    product per path.
     """
     dt = 1.0 / wf.sample_rate
     shifts = [int(round(p.delay / dt)) for p in channel.paths]
-    n_out = len(wf.samples) + max(shifts)
-    out = np.zeros(n_out, dtype=np.complex128)
-    t_in = wf.times()
-    for p, s in zip(channel.paths, shifts):
-        out[s : s + len(wf.samples)] += (
-            p.gain * wf.samples * np.exp(2j * np.pi * p.doppler * t_in)
-        )
+    n_in = len(wf.samples)
+    out = np.zeros(n_in + max(shifts), dtype=np.complex128)
+    tones = _doppler_tones([p.doppler for p in channel.paths], wf.t0, dt, n_in)
+    tones *= wf.samples
+    tones *= np.array([p.gain for p in channel.paths])[:, None]
+    for s, tone in zip(shifts, tones):
+        out[s : s + n_in] += tone
     return Waveform(out, wf.sample_rate, t0=wf.t0)
 
 

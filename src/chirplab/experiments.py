@@ -75,6 +75,12 @@ class ExperimentConfig:
             raise ValueError(f"t_us must be finite and positive, got {self.t_us}")
         if self.oversample < 2:
             raise ValueError(f"oversample must be >= 2, got {self.oversample}")
+        if self.q < 2 or self.q % 2 != 0:
+            raise ValueError(f"q must be an even integer >= 2, got {self.q}")
+        if not (math.isfinite(self.beta) and 0.0 <= self.beta <= 1.0):
+            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.sweep not in SWEEP_KINDS:
@@ -315,11 +321,13 @@ def run_psd_experiment(ec: ExperimentConfig) -> tuple[PsdCurve, PsdCurve, float]
     Welch estimate uses 4096-point segments.
     """
     cfg = ec.chirp_config()
-    frames = []
-    for t in range(max(ec.trials, 10)):
-        rng = np.random.default_rng([ec.seed, t])
-        frames.append(synth_ideal(cfg, qam4_symbols(cfg.N, rng), ec.oversample))
-    emp = empirical_psd(frames, nfft=4096)
+    symbols = np.array(
+        [
+            qam4_symbols(cfg.N, np.random.default_rng([ec.seed, t]))
+            for t in range(max(ec.trials, 10))
+        ]
+    )
+    emp = empirical_psd(synth_ideal(cfg, symbols, ec.oversample), nfft=4096)
     ana = analytic_psd(cfg, sigma2=1.0, freqs=emp.freq)
     bw = occupied_bandwidth(ana)
     return ana, emp, bw

@@ -1,9 +1,12 @@
 """Matched-filter reception and effective-channel models.
 
 The receive chain (correlator_receive, the receiver of the simulated
-waveform chain) is: matched filter against the shaping pulse, base-rate
-sampling with a fixed symbol lead, then the forward chirp transform.  For a
-delay-Doppler channel with fine-grid delays the sampled matched-filter
+waveform chain) is: the matched filter against the shaping pulse, sampled
+at the base rate with a fixed symbol lead, then the forward chirp
+transform.  ``sample_matched_filter`` evaluates the matched-filter output
+only at those N instants, as one strided window product of the waveform
+with the conjugated taps, so the fine-grid correlation is never formed.
+For a delay-Doppler channel with fine-grid delays the sampled matched-filter
 output obeys an exact linear tap relation
 
     y[k'] = sum_l h[k', l] x[k' - l],
@@ -23,37 +26,45 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
-from .channel import DDChannel
+from .channel import DDChannel, _doppler_tones
 from .transforms import ChirpConfig, daft_matrix, demodulate, idaft_matrix, modulate
 from .waveform import SrrcFilter, Waveform
 
 
-def matched_filter(wf: Waveform, filt: SrrcFilter) -> Waveform:
-    """Correlate the waveform with the pulse: y(t) = int r(u) a*(u - t) du.
+def sample_matched_filter(
+    wf: Waveform, filt: SrrcFilter, t_start: float, count: int
+) -> np.ndarray:
+    """Matched-filter output y(t) = int r(u) a*(u - t) du at t_start + k Ts, k < count.
 
-    Implemented as convolution with the conjugated, time-reversed taps and a
-    Riemann weight of one fine-grid step.
+    Each output is the Riemann sum dt sum_u r[n_k - c + u] a*[u] of the
+    window of the M = q O + 1 fine samples around the instant (c = q O), so
+    only the ``count`` sampled outputs are computed: one strided window view
+    of the waveform times the conjugated taps.  The instants must sit on the
+    fine grid and inside the support of the full correlation (length
+    len(r) + M - 1); windows running past either end of the waveform read
+    zeros there.
     """
     if abs(wf.sample_rate * filt.dt - 1.0) > 1e-9:
         raise ValueError("waveform rate does not match the filter fine grid")
-    samples = fftconvolve(wf.samples, np.conj(filt.taps[::-1])) * filt.dt
-    return Waveform(samples, wf.sample_rate, t0=wf.t0 - filt.half_span * filt.Ts)
-
-
-def sample_base_rate(wf: Waveform, t_start: float, count: int, Ts: float) -> np.ndarray:
-    """Pick ``count`` samples at t_start + k Ts; instants must sit on the grid."""
     dt = 1.0 / wf.sample_rate
-    step = Ts / dt
-    first = (t_start - wf.t0) / dt
-    idx_f = first + step * np.arange(count)
+    m = len(filt.taps)
+    # index of each instant on the grid of the full correlation, which starts
+    # half a filter span before the waveform
+    first = (t_start - (wf.t0 - filt.half_span * filt.Ts)) / dt
+    idx_f = first + (filt.Ts / dt) * np.arange(count)
     idx = np.round(idx_f).astype(int)
     if np.max(np.abs(idx_f - idx)) > 1e-6:
         raise ValueError("sampling instants do not align with the waveform grid")
-    if idx[0] < 0 or idx[-1] >= len(wf.samples):
+    if idx[0] < 0 or idx[-1] >= len(wf.samples) + m - 1:
         raise ValueError("sampling instants fall outside the waveform support")
-    return wf.samples[idx]
+    # window k covers r[idx_k - (m - 1)] .. r[idx_k]; pad only where it leaves r
+    lo = max(0, m - 1 - idx[0])
+    hi = max(0, idx[-1] + 1 - len(wf.samples))
+    r = np.pad(wf.samples, (lo, hi)) if lo or hi else wf.samples
+    start = idx[0] - (m - 1) + lo
+    windows = sliding_window_view(r, m)[start : start + filt.O * count : filt.O]
+    return (windows @ np.conj(filt.taps)) * filt.dt
 
 
 def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -122,8 +133,9 @@ def effective_taps(
     A(tau1 - tau_p + (l - D) Ts, nu_p) with every delay quantized to the fine
     grid, so it reproduces the discrete simulation chain to floating-point
     accuracy when the same filter is used.  Only the L lags the window reads
-    are evaluated, as one (P, L) ambiguity array, and h is the (N, P) @
-    (P, L) product of the gain-weighted Doppler phases with it.
+    are evaluated, as one (P, L) ambiguity array, and h is the product of the
+    (N, P) Doppler tones, built by the channel's coarse-by-fine tone split,
+    with the gain-weighted ambiguity array.
     """
     dt = filt.dt
     shifts = np.array([int(round(p.delay / dt)) for p in channel.paths])
@@ -133,9 +145,8 @@ def effective_taps(
     tau1 = s1 * dt
     lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * filt.O
     amb = _ambiguity_at_lags(filt, lags, nus)
-    t = (tau1 - shifts * dt)[None, :] + ((np.arange(n_out) - lead) * filt.Ts)[:, None]
-    phase = gains * np.exp(2j * np.pi * nus * t)
-    return phase @ amb
+    tones = _doppler_tones(nus, tau1 - shifts * dt - lead * filt.Ts, filt.Ts, n_out)
+    return tones.T @ (gains[:, None] * amb)
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
@@ -257,6 +268,4 @@ def correlator_receive(
     chain receives every frame; the literal correlator bank is the test
     oracle.
     """
-    y_mf = matched_filter(wf, filt)
-    sampled = sample_base_rate(y_mf, t_start, cfg.N, filt.Ts)
-    return demodulate(cfg, sampled)
+    return demodulate(cfg, sample_matched_filter(wf, filt, t_start, cfg.N))

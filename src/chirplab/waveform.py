@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .transforms import ChirpConfig
 
@@ -24,6 +24,8 @@ class Waveform:
     """Uniformly sampled complex baseband signal.
 
     t0 is the absolute time of samples[0]; sample k sits at t0 + k/sample_rate.
+    A two-dimensional ``samples`` holds one frame per row, every row on that
+    same time grid.
     """
 
     samples: np.ndarray
@@ -36,7 +38,7 @@ class Waveform:
             raise ValueError("sample_rate must be positive")
 
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.sample_rate
+        return self.t0 + np.arange(self.samples.shape[-1]) / self.sample_rate
 
 
 @dataclass
@@ -152,18 +154,21 @@ def synth_ideal(cfg: ChirpConfig, symbols: np.ndarray, oversampling: int) -> Wav
 
     The per-symbol chirp phase and 1/sqrt(N) scaling are absorbed into
     Xdot[n] = exp(j 2 pi c2 n^2) X[n] / sqrt(N), so at oversampling 1 the
-    samples equal ``modulate(cfg, symbols)`` exactly.
+    samples equal ``modulate(cfg, symbols)`` exactly.  A (frames, N) symbol
+    array gives one frame per row of the samples, all built on one envelope.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.shape != (cfg.N,):
-        raise ValueError(f"expected {cfg.N} symbols, got shape {symbols.shape}")
+    if symbols.ndim not in (1, 2) or symbols.shape[-1] != cfg.N:
+        raise ValueError(f"expected {cfg.N} symbols per frame, got shape {symbols.shape}")
     n = np.arange(cfg.N)
     weighted = symbols * np.exp(2j * np.pi * cfg.c2 * n**2) / np.sqrt(cfg.N)
     n_samp = cfg.N * oversampling
     # sum_n w[n] exp(j 2 pi n j / (N O)) is a zero-padded inverse DFT
-    tones = np.fft.ifft(weighted, n=n_samp) * n_samp
+    samples = np.fft.ifft(weighted, n=n_samp)
+    samples *= n_samp
     envelope = root_chirp(cfg, oversampling)
-    return Waveform(envelope.samples * tones, envelope.sample_rate, t0=0.0)
+    samples *= envelope.samples
+    return Waveform(samples, envelope.sample_rate, t0=0.0)
 
 
 def add_cpp(cfg: ChirpConfig, seq: np.ndarray, l_cpp: int) -> np.ndarray:
@@ -191,13 +196,26 @@ def shape(
     """Sample-wise pulse shaping x(t) = sum_k seq[k] a(t - k T/N - t_first).
 
     Returns the fine-grid waveform at rate O*N/T; the output starts q/2
-    symbol intervals before the first sequence sample.
+    symbol intervals before the first sequence sample.  Computed as O
+    polyphase sub-filters of q + 1 taps on the base-rate sequence (Crochiere
+    and Rabiner, Multirate Digital Signal Processing, 1983): output sample
+    m O + r is a (q + 1)-term sum, so no zero-stuffed sequence is filtered.
     """
     seq = np.asarray(seq, dtype=np.complex128)
     if abs(filt.Ts - cfg.dt) > 1e-9 * cfg.dt:
         raise ValueError("filter symbol interval does not match cfg.T/N")
-    up = np.zeros((len(seq) - 1) * filt.O + 1, dtype=np.complex128)
-    up[:: filt.O] = seq
-    samples = fftconvolve(up, filt.taps)
-    rate = filt.O / filt.Ts
-    return Waveform(samples, sample_rate=rate, t0=t_first - filt.half_span * filt.Ts)
+    o, q = filt.O, filt.q
+    # phase r of sub-filter j holds tap j O + r; the last row has only r = 0
+    phases = np.zeros((q + 1) * o, dtype=np.complex128)
+    phases[: len(filt.taps)] = filt.taps
+    phases = phases.reshape(q + 1, o)
+    # output m O + r = sum_j seq[m - j] phases[j, r]; the window of the
+    # zero-padded sequence at m holds seq[m - q .. m], hence the flipped rows
+    padded = np.concatenate([np.zeros(q), seq, np.zeros(q)])
+    samples = (sliding_window_view(padded, q + 1) @ phases[::-1]).ravel()
+    rate = o / filt.Ts
+    return Waveform(
+        samples[: (len(seq) + q - 1) * o + 1],
+        sample_rate=rate,
+        t0=t_first - filt.half_span * filt.Ts,
+    )

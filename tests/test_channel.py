@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirplab import (
     ChannelRealizationSpec,
@@ -12,6 +14,7 @@ from chirplab import (
     apply_channel,
     make_eva_channel,
 )
+from chirplab.channel import _doppler_tones
 
 
 def _spec(speed=500.0):
@@ -103,6 +106,58 @@ def test_apply_channel_matches_reference_loop():
             t = t_out[j]
             ref[j] += p.gain * x * np.exp(2j * np.pi * p.doppler * (t - p.delay))
     assert np.max(np.abs(out.samples - ref)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 300),
+    t0=st.floats(-1e-3, 1e-3).filter(lambda v: v != 0.0),
+    rate=st.floats(1e5, 1e8),
+    paths=st.lists(
+        st.tuples(st.floats(0.0, 40.0), st.floats(-5e3, 5e3)), min_size=1, max_size=9
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_channel_equals_per_sample_loop(n, t0, rate, paths, seed):
+    """Random delays (in samples, rounded by the channel) and Dopplers on a
+    grid that does not start at t = 0."""
+    rng = np.random.default_rng(seed)
+    wf = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), rate, t0=t0)
+    ch = DDChannel(
+        [
+            DDPath(complex(rng.standard_normal(), rng.standard_normal()), d / rate, nu)
+            for d, nu in sorted(paths)
+        ]
+    )
+    out = apply_channel(ch, wf)
+    shifts = [int(round(p.delay * rate)) for p in ch.paths]
+    ref = np.zeros(n + max(shifts), dtype=complex)
+    for p, s in zip(ch.paths, shifts):
+        for i, x in enumerate(wf.samples):
+            ref[i + s] += p.gain * x * np.exp(2j * np.pi * p.doppler * (t0 + i / rate))
+    assert out.t0 == t0 and out.samples.shape == ref.shape
+    scale = sum(abs(p.gain) for p in ch.paths) * np.max(np.abs(wf.samples))
+    assert np.max(np.abs(out.samples - ref)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nus=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=9),
+    t0=st.floats(-1e-3, 1e-3),
+    per_tone=st.booleans(),
+    step=st.floats(1e-9, 1e-6),
+    count=st.integers(1, 2000),
+)
+def test_doppler_tones_equal_direct_exp(nus, t0, per_tone, step, count):
+    """The coarse-by-fine split against one exp per sample.  Phases stay
+    below 2 pi 1e4 * 4e-3 = 250 rad, whose rounding is about 3e-14."""
+    nus = np.array(nus)
+    starts = t0 + 1e-4 * np.arange(len(nus)) if per_tone else t0
+    got = _doppler_tones(nus, starts, step, count)
+    times = np.reshape(starts, (-1, 1)) + np.arange(count) * step
+    want = np.exp(2j * np.pi * nus[:, None] * times)
+    assert got.shape == (len(nus), count)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_apply_channel_linearity():

@@ -69,6 +69,31 @@ def test_config_rejects_bad_value_naming_key(key, value):
         ExperimentConfig(**{key: value})
 
 
+def test_config_rejects_negative_seed(capsys):
+    with pytest.raises(ValueError, match=r"^seed .*-3"):
+        ExperimentConfig(seed=-3)
+    assert cli.main(["nmse", "--small", "--seed", "-3"]) == 1
+    assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+
+
+def test_config_rejects_odd_or_short_span(tmp_path, capsys):
+    for q in (7, 0, -2):
+        with pytest.raises(ValueError, match=rf"^q .*{q}"):
+            ExperimentConfig(q=q)
+    path = _write_config(tmp_path, "q = 7\n")
+    assert cli.main(["psd", "--config", path]) == 1
+    assert "q must be an even integer >= 2, got 7" in capsys.readouterr().err
+
+
+def test_config_rejects_non_finite_or_out_of_range_beta(tmp_path, capsys):
+    for beta in (float("nan"), float("inf"), -0.1, 1.5):
+        with pytest.raises(ValueError, match=rf"^beta .*{beta}"):
+            ExperimentConfig(beta=beta)
+    path = _write_config(tmp_path, "beta = nan\n")
+    assert cli.main(["psd", "--config", path]) == 1
+    assert "beta must lie in [0, 1], got nan" in capsys.readouterr().err
+
+
 def test_load_config_duplicate_key_names_key_and_lines(tmp_path):
     path = _write_config(tmp_path, "n = 64\n# comment\nq = 8\nn = 128\n")
     expected = r":4: duplicate configuration key n \(first set on line 1\)"

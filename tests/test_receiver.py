@@ -19,12 +19,11 @@ from chirplab import (
     fold_cpp_taps,
     full_lead,
     full_taps,
-    matched_filter,
     demodulate,
     modulate,
     predict_output,
     required_taps,
-    sample_base_rate,
+    sample_matched_filter,
     shape,
 )
 from chirplab.experiments import nmse_trial, qam4_symbols
@@ -70,6 +69,20 @@ def _taps_from_tables(channel, filt, n_out, lead, n_taps):
     return h
 
 
+def _matched_filter(wf, filt):
+    """Oracle: the whole fine-grid matched-filter output by fast convolution,
+    y(t) = int r(u) a*(u - t) du with a Riemann weight of one fine step."""
+    samples = fftconvolve(wf.samples, np.conj(filt.taps[::-1])) * filt.dt
+    return Waveform(samples, wf.sample_rate, t0=wf.t0 - filt.half_span * filt.Ts)
+
+
+def _sample_base_rate(wf, t_start, count, ts):
+    """Oracle: pick ``count`` samples at t_start + k Ts by stride indexing."""
+    first = int(round((t_start - wf.t0) * wf.sample_rate))
+    step = int(round(ts * wf.sample_rate))
+    return wf.samples[first : first + step * count : step]
+
+
 def _ambiguity(filt, lag, nu):
     """A(lag * dt, nu) at one integer fine-grid lag."""
     return _ambiguity_at_lags(filt, np.array([[lag]]), np.array([nu]))[0, 0]
@@ -102,10 +115,12 @@ def test_matched_filter_gives_self_correlation_peak():
     filt = _filt(cfg, q=4, o=8)
     seq = np.zeros(cfg.N, dtype=complex)
     seq[0] = 1.0
-    mf = matched_filter(shape(cfg, seq, filt), filt)
+    wf = shape(cfg, seq, filt)
+    mf = _matched_filter(wf, filt)
     peak_idx = int(round((0.0 - mf.t0) * mf.sample_rate))
     assert abs(mf.samples[peak_idx] - 1.0) < 1e-6
     assert np.max(np.abs(mf.samples)) <= abs(mf.samples[peak_idx]) + 1e-9
+    assert abs(sample_matched_filter(wf, filt, 0.0, 1)[0] - mf.samples[peak_idx]) < 1e-12
 
 
 def test_matched_filter_cascade_recovers_sequence():
@@ -113,20 +128,57 @@ def test_matched_filter_cascade_recovers_sequence():
     filt = _filt(cfg)
     rng = np.random.default_rng(31)
     seq = rng.standard_normal(cfg.N) + 1j * rng.standard_normal(cfg.N)
-    mf = matched_filter(shape(cfg, seq, filt), filt)
-    got = sample_base_rate(mf, 0.0, cfg.N, cfg.dt)
+    got = sample_matched_filter(shape(cfg, seq, filt), filt, 0.0, cfg.N)
     assert np.max(np.abs(got - seq)) / np.max(np.abs(seq)) < 1e-2
 
 
 def test_sample_base_rate_strides_and_validation():
-    rate = 8e6
+    filt = design_srrc(0.3, 2, 8, 1e-6)
+    rate = filt.O / filt.Ts
     wf = Waveform(np.arange(64, dtype=complex), sample_rate=rate, t0=0.0)
-    got = sample_base_rate(wf, 0.0, 8, 8.0 / rate)
-    assert np.array_equal(got, np.arange(0, 64, 8, dtype=complex))
-    with pytest.raises(ValueError):
-        sample_base_rate(wf, 0.3 / rate, 4, 8.0 / rate)  # off the grid
-    with pytest.raises(ValueError):
-        sample_base_rate(wf, 0.0, 9, 8.0 / rate)  # runs past the end
+    # the full correlation has 64 + 16 samples and starts one symbol early
+    want = _sample_base_rate(_matched_filter(wf, filt), 0.0, 9, filt.Ts)
+    got = sample_matched_filter(wf, filt, 0.0, 9)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="do not align"):
+        sample_matched_filter(wf, filt, 0.3 / rate, 4)  # off the grid
+    with pytest.raises(ValueError, match="outside the waveform support"):
+        sample_matched_filter(wf, filt, 0.0, 10)  # runs past the end
+    with pytest.raises(ValueError, match="outside the waveform support"):
+        sample_matched_filter(wf, filt, -2 * filt.Ts, 4)  # starts before it
+    with pytest.raises(ValueError, match="fine grid"):
+        sample_matched_filter(Waveform(wf.samples, 2 * rate), filt, 0.0, 4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    half_q=st.integers(1, 4),
+    o=st.integers(2, 8),
+    n=st.integers(1, 40),
+    first=st.integers(-8, 48),
+    count=st.integers(1, 40),
+    t0=st.floats(-1e-4, 1e-4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, count, t0, seed):
+    """Instants across the whole correlation support, including windows that
+    run past either end of the waveform, against fftconvolve + stride O."""
+    filt = design_srrc(0.25, 2 * half_q, o, 1e-6)
+    rng = np.random.default_rng(seed)
+    wf = Waveform(
+        rng.standard_normal(n) + 1j * rng.standard_normal(n), o / filt.Ts, t0=t0
+    )
+    mf = _matched_filter(wf, filt)
+    support = len(mf.samples)
+    first = first % support
+    count = min(count, (support - 1 - first) // o + 1)
+    t_start = mf.t0 + first * filt.dt
+    got = sample_matched_filter(wf, filt, t_start, count)
+    want = _sample_base_rate(mf, t_start, count, filt.Ts)
+    # every output is a sum of products bounded by the sum of |r| |a| dt
+    scale = np.sum(np.abs(wf.samples)) * np.max(np.abs(filt.taps)) * filt.dt
+    assert len(got) == count
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_effective_taps_single_clean_path_is_near_impulse():

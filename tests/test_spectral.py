@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.signal import welch
 
 from chirplab import (
     ChirpConfig,
@@ -198,14 +201,11 @@ def test_psd_curve_validation_and_csv(tmp_path, monkeypatch):
 def test_empirical_psd_white_noise_flat():
     rng = np.random.default_rng(42)
     rate = 1e6
-    frames = [
-        Waveform(
-            (rng.standard_normal(16384) + 1j * rng.standard_normal(16384))
-            / np.sqrt(2.0),
-            sample_rate=rate,
-        )
-        for _ in range(60)
-    ]
+    frames = Waveform(
+        (rng.standard_normal((60, 16384)) + 1j * rng.standard_normal((60, 16384)))
+        / np.sqrt(2.0),
+        sample_rate=rate,
+    )
     curve = empirical_psd(frames, nfft=1024)
     # unit-variance complex noise: density 1/rate
     dev_db = np.max(np.abs(curve.db() - 10.0 * np.log10(1.0 / rate)))
@@ -216,19 +216,46 @@ def test_empirical_psd_tone_peak():
     rate = 1e6
     f0 = 125e3
     t = np.arange(4096) / rate
-    frames = [Waveform(np.exp(2j * np.pi * f0 * t), sample_rate=rate)] * 10
+    frames = Waveform(np.tile(np.exp(2j * np.pi * f0 * t), (10, 1)), sample_rate=rate)
     curve = empirical_psd(frames, nfft=1024)
     assert abs(curve.freq[np.argmax(curve.psd)] - f0) < rate / 1024
 
 
 def test_empirical_psd_input_validation():
     rate = 1e6
-    wf = Waveform(np.ones(256, dtype=complex), sample_rate=rate)
-    with pytest.raises(ValueError):
-        empirical_psd([wf] * 9, nfft=128)
-    other = Waveform(np.ones(256, dtype=complex), sample_rate=2 * rate)
-    with pytest.raises(ValueError):
-        empirical_psd([wf] * 9 + [other], nfft=128)
+    with pytest.raises(ValueError, match="at least 10 frames"):
+        empirical_psd(Waveform(np.ones((9, 256), dtype=complex), rate), nfft=128)
+    # one frame per row: a flat stream is not a frame set
+    with pytest.raises(ValueError, match=r"shape \(2560,\)"):
+        empirical_psd(Waveform(np.ones(2560, dtype=complex), rate), nfft=128)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    frames=st.integers(10, 16),
+    frame_len=st.integers(1, 64),
+    log_nfft=st.integers(2, 7),
+    rate=st.floats(1e3, 1e7),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 511 segments of 4 samples: seven full blocks of 64 and one of 63
+@example(frames=16, frame_len=64, log_nfft=2, rate=1e6, seed=0)
+# a stream shorter than nfft: one zero-padded segment
+@example(frames=10, frame_len=1, log_nfft=7, rate=1e6, seed=1)
+def test_blocked_welch_equals_scipy_welch(frames, frame_len, log_nfft, rate, seed):
+    """Streams from under one segment to several blocks of segments."""
+    nfft = 1 << log_nfft
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((frames, frame_len)) + 1j * rng.standard_normal((frames, frame_len))
+    curve = empirical_psd(Waveform(x, rate), nfft=nfft)
+    nperseg = min(nfft, x.size)
+    f, pxx = welch(
+        x.ravel(), fs=rate, window="hann", nperseg=nperseg, nfft=nfft,
+        noverlap=nperseg // 2, detrend=False, return_onesided=False,
+        scaling="density",
+    )
+    assert np.array_equal(curve.freq, np.fft.fftshift(f))
+    assert np.max(np.abs(curve.psd - np.fft.fftshift(pxx))) <= 1e-12 * np.max(pxx)
 
 
 def test_bandwidth_estimate_values():

@@ -7,6 +7,9 @@ call belongs in the tests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import chirplab
@@ -60,3 +63,18 @@ def _consumed_names():
 def test_every_public_name_has_a_library_consumer():
     unused = sorted(set(chirplab.__all__) - _consumed_names())
     assert unused == [], f"exported but read by no library code: {unused}"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """The package needs only scipy.special; scipy.signal is a test oracle."""
+    code = "import sys, chirplab; print('scipy.signal' in sys.modules)"
+    src = str(Path(chirplab.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from chirplab import (
     ChirpConfig,
@@ -85,6 +86,19 @@ def test_synth_ideal_energy():
     expected = np.sum(np.abs(x) ** 2) * cfg.T / n
     energy = np.sum(np.abs(wf.samples) ** 2) / wf.sample_rate
     assert abs(energy - expected) / expected < 0.01
+
+
+def test_synth_ideal_frame_rows_equal_single_frames():
+    n = 32
+    cfg = _cfg(n, 1.0 / 128.0, 1.0 / 96.0)
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    rows = synth_ideal(cfg, x, 4)
+    assert rows.samples.shape == (3, n * 4)
+    for frame, symbols in zip(rows.samples, x):
+        assert np.array_equal(frame, synth_ideal(cfg, symbols, 4).samples)
+    with pytest.raises(ValueError, match="per frame"):
+        synth_ideal(cfg, x[:, 1:], 4)
 
 
 def test_add_cpp_plain_cyclic_prefix_when_unchirped():
@@ -250,3 +264,32 @@ def test_shape_rejects_mismatched_symbol_interval():
     filt = design_srrc(0.2, 4, 8, 2e-6)
     with pytest.raises(ValueError):
         shape(cfg, np.ones(16, dtype=complex), filt)
+
+
+def _shape_upsampled(seq, filt):
+    """Oracle: zero-stuff the sequence to the fine grid, then convolve."""
+    up = np.zeros((len(seq) - 1) * filt.O + 1, dtype=np.complex128)
+    up[:: filt.O] = seq
+    return fftconvolve(up, filt.taps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_seq=st.integers(1, 80),
+    half_q=st.integers(1, 10),
+    o=st.integers(2, 16),
+    beta=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polyphase_shape_equals_upsample_and_convolve(n_seq, half_q, o, beta, seed):
+    cfg = _cfg(16, 1.0 / 64.0, t=16e-6)
+    filt = design_srrc(beta, 2 * half_q, o, cfg.dt)
+    rng = np.random.default_rng(seed)
+    seq = rng.standard_normal(n_seq) + 1j * rng.standard_normal(n_seq)
+    got = shape(cfg, seq, filt, t_first=-3 * cfg.dt)
+    want = _shape_upsampled(seq, filt)
+    assert got.samples.shape == want.shape
+    assert abs(got.t0 - (-3 - half_q) * cfg.dt) < 1e-12 * cfg.dt
+    # each sample sums at most q + 1 products |seq| |tap|
+    scale = (2 * half_q + 1) * np.max(np.abs(seq)) * np.max(np.abs(filt.taps))
+    assert np.max(np.abs(got.samples - want)) <= 1e-12 * scale
