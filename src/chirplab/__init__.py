@@ -9,7 +9,6 @@ import types as _types
 
 from .transforms import (
     ChirpConfig,
-    daft_matrix,
     demodulate,
     idaft_matrix,
     idfnt_matrix,

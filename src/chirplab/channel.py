@@ -5,7 +5,7 @@ seconds and a Doppler shift in hertz.  Statistical realizations follow the
 Extended Vehicular A power-delay profile with per-path Jakes Doppler draws.
 A waveform passes through the channel path by path on its own sampling
 grid; each path's Doppler tone on that grid is the outer product of a
-coarse and a fine tone (``_doppler_tones``), which the receiver's tap model
+coarse and a fine tone (``_tone_factors``), which the receiver's tap model
 also uses for its per-symbol Doppler phases.
 """
 
@@ -82,14 +82,20 @@ class ChannelRealizationSpec:
         return (self.speed_kmh / 3.6) * self.carrier_hz / SPEED_OF_LIGHT
 
 
-def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> DDChannel:
-    """Draw one EVA channel realization.
+def make_eva_channels(
+    specs: list[ChannelRealizationSpec], rng: np.random.Generator
+) -> list[DDChannel]:
+    """Draw one EVA channel realization and return it at each spec's speed.
 
     Gains are independent complex Gaussians with the EVA tap powers scaled
     to unit total power, the Doppler of each path is nu_max * cos(theta_p)
     with theta_p uniform on [-pi, pi), and each gain is rotated by the
-    carrier phase of its delay.
+    carrier phase of its delay.  The gains and angles are drawn once, so the
+    channels differ only in nu_max; the specs must share one carrier.
     """
+    carriers = {spec.carrier_hz for spec in specs}
+    if len(carriers) != 1:
+        raise ValueError(f"specs must share one carrier frequency, got {sorted(carriers)}")
     delays = np.array([d * 1e-9 for d, _ in EVA_PROFILE])
     powers = 10.0 ** (np.array([p for _, p in EVA_PROFILE]) / 10.0)
     powers = powers / powers.sum()
@@ -97,29 +103,46 @@ def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> 
     gains = np.sqrt(powers / 2.0) * (
         rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
     )
-    gains = gains * np.exp(-2j * np.pi * spec.carrier_hz * delays)
-    theta = rng.uniform(-np.pi, np.pi, size=n_paths)
-    dopplers = spec.max_doppler_hz * np.cos(theta)
-    return DDChannel(
-        [DDPath(complex(g), float(d), float(nu)) for g, d, nu in zip(gains, delays, dopplers)]
-    )
+    gains = gains * np.exp(-2j * np.pi * carriers.pop() * delays)
+    cos_theta = np.cos(rng.uniform(-np.pi, np.pi, size=n_paths))
+    return [
+        DDChannel(
+            [
+                DDPath(complex(g), float(d), float(nu))
+                for g, d, nu in zip(gains, delays, spec.max_doppler_hz * cos_theta)
+            ]
+        )
+        for spec in specs
+    ]
 
 
-def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
-    """Tones exp(j 2 pi nu_p (t0_p + i step)) for i < count, as a (P, count) array.
+def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> DDChannel:
+    """Draw one EVA channel realization at the spec's speed (see make_eva_channels)."""
+    return make_eva_channels([spec], rng)[0]
+
+
+def _tone_factors(nus, t0, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coarse and fine factors of the tones exp(j 2 pi nu_p (t0_p + i step)), i < count.
 
     ``t0`` is one start time for all tones or one per tone.  Writing
-    i = a B + b with B = ceil(sqrt(count)) makes each tone the outer product
-    of a coarse tone over a and a fine tone over b, so a tone costs about
-    2 sqrt(count) complex exponentials instead of count.
+    i = a B + b with B = ceil(sqrt(count)) makes tone p at i the product
+    coarse[p, a] * fine[p, b] of a (P, ceil(count / B)) coarse and a (P, B)
+    fine array, so a tone costs about 2 sqrt(count) complex exponentials
+    instead of count.
     """
     nus = np.asarray(nus, dtype=float)[:, None]
     block = math.isqrt(max(count - 1, 0)) + 1
     starts = np.reshape(t0, (-1, 1)) + np.arange(-(-count // block)) * (block * step)
     coarse = np.exp(2j * np.pi * nus * starts)
     fine = np.exp(2j * np.pi * nus * (np.arange(block) * step))
+    return coarse, fine
+
+
+def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
+    """The tones of ``_tone_factors`` as a (P, count) array: their outer products."""
+    coarse, fine = _tone_factors(nus, t0, step, count)
     tones = coarse[:, :, None] * fine[:, None, :]
-    return tones.reshape(len(nus), -1)[:, :count]
+    return tones.reshape(len(coarse), -1)[:, :count]
 
 
 def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
@@ -128,19 +151,28 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     Each path multiplies the input by its Doppler tone (evaluated on the
     absolute input time axis), shifts by the delay rounded to an integer
     number of input samples, and scales by the gain.  The output grid starts
-    at the input t0 and extends to cover the largest quantized delay.  The
-    tones of all paths come from ``_doppler_tones``, one coarse-by-fine outer
-    product per path.
+    at the input t0 and extends to cover the largest quantized delay.
+
+    The paths are applied one at a time.  With the input viewed as a
+    (blocks, B) array, path p's tone is the coarse-by-fine factor pair of
+    ``_tone_factors``; the gain is folded into the coarse factor, so the
+    input is multiplied by the fine and the coarse factor into one buffer,
+    reused by every path, which is then added into the output at the shift.
     """
     dt = 1.0 / wf.sample_rate
     shifts = [int(round(p.delay / dt)) for p in channel.paths]
     n_in = len(wf.samples)
     out = np.zeros(n_in + max(shifts), dtype=np.complex128)
-    tones = _doppler_tones([p.doppler for p in channel.paths], wf.t0, dt, n_in)
-    tones *= wf.samples
-    tones *= np.array([p.gain for p in channel.paths])[:, None]
-    for s, tone in zip(shifts, tones):
-        out[s : s + n_in] += tone
+    coarse, fine = _tone_factors([p.doppler for p in channel.paths], wf.t0, dt, n_in)
+    coarse *= np.array([p.gain for p in channel.paths])[:, None]
+    blocks = np.zeros(coarse.shape[1] * fine.shape[1], dtype=np.complex128)
+    blocks[:n_in] = wf.samples
+    blocks = blocks.reshape(coarse.shape[1], fine.shape[1])
+    buf = np.empty_like(blocks)
+    for s, c, f in zip(shifts, coarse, fine):
+        np.multiply(blocks, f, out=buf)
+        buf *= c[:, None]
+        out[s : s + n_in] += buf.reshape(-1)[:n_in]
     return Waveform(out, wf.sample_rate, t0=wf.t0)
 
 

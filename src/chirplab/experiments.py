@@ -2,14 +2,21 @@
 
 The drivers return arrays and small result records; ``chirplab.cli`` is the
 only module that writes them to files.  The NMSE compares two independent
-constructions: the waveform chain (simulate_frame, which receives through
-``receiver.correlator_receive``) and the tap model (effective_taps ->
-predict_output).
+constructions: the waveform chain (simulate_frame: modulate, prefix,
+shaping, channel, then ``receiver.correlator_receive``) and the tap model
+(effective_taps -> predict_output).
 
 Every driver is deterministic given the configuration and master seed; the
 per-trial random streams are derived as default_rng([seed, trial]).  The
 sweep point is left out on purpose: every point of a sweep sees the same
 channel and symbol draws (common random numbers), which smooths the curves.
+So the NMSE sweep runs trials in the outer loop: it draws each trial once
+(one EVA draw, seen at every speed of a speed sweep), designs each distinct
+filter once per sweep, and each construction does the work that points
+share once per trial.  The waveform chain modulates once and prefix-extends
+and shapes once per run of points with the same filter and tap count (all
+of a speed sweep); the tap model modulates and prefix-extends once per tap
+count, for the stacked taps of those points.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .channel import (
     ChannelRealizationSpec,
     DDChannel,
     make_eva_channel,
+    make_eva_channels,
     apply_channel,
 )
 from .receiver import (
@@ -37,7 +45,7 @@ from .receiver import (
 )
 from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
 from .transforms import ChirpConfig, modulate
-from .waveform import SrrcFilter, add_cpp, design_srrc, shape, synth_ideal
+from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_ideal
 from . import aliasing
 
 SWEEP_KINDS = ("speed", "rolloff", "span")
@@ -81,6 +89,10 @@ class ExperimentConfig:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not (math.isfinite(self.speed_kmh) and self.speed_kmh >= 0):
+            raise ValueError(f"speed_kmh must be finite and non-negative, got {self.speed_kmh}")
+        if not (math.isfinite(self.fc_hz) and self.fc_hz > 0):
+            raise ValueError(f"fc_hz must be finite and positive, got {self.fc_hz}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.sweep not in SWEEP_KINDS:
@@ -89,14 +101,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel profile: {self.profile}")
         if self.sweep_values is not None:
             vals = list(self.sweep_values)
+            # each value is checked by kind first: NaN passes the order check
+            for v in vals:
+                _check_sweep_value(self.sweep, v)
             if not vals or any(b < a for a, b in zip(vals[:-1], vals[1:])):
                 raise ValueError("sweep_values must be non-empty and ordered")
-            if self.sweep == "span":
-                for v in vals:
-                    if not (float(v).is_integer() and v >= 2 and v % 2 == 0):
-                        raise ValueError(
-                            f"sweep_values: span sweep values must be even integers >= 2, got {v}"
-                        )
 
     @property
     def T(self) -> float:
@@ -144,6 +153,20 @@ class ExperimentConfig:
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
+
+def _check_sweep_value(sweep: str, v) -> None:
+    """One sweep point must be a legal speed, roll-off or filter span."""
+    if sweep == "speed":
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(
+                f"sweep_values: speed sweep values must be finite and non-negative, got {v}"
+            )
+    elif sweep == "rolloff":
+        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            raise ValueError(f"sweep_values: roll-off sweep values must lie in [0, 1], got {v}")
+    elif not (float(v).is_integer() and v >= 2 and v % 2 == 0):
+        raise ValueError(f"sweep_values: span sweep values must be even integers >= 2, got {v}")
 
 
 def _parse_denominator(text: str, n: int) -> float:
@@ -240,16 +263,28 @@ def simulate_frame(
     modulate -> chirp-periodic prefix -> pulse shaping -> channel ->
     ``correlator_receive`` (matched filter, base-rate sampling with the given
     symbol lead, forward transform).  The prefix length is n_taps - 1 so the
-    folded tap relation is exact.
+    folded tap relation is exact.  The NMSE sweep runs the same two halves,
+    ``_transmit`` and ``_receive``, sharing one transmitted frame between
+    points.
     """
+    wf = _transmit(cfg, filt, modulate(cfg, symbols), n_taps)
+    return _receive(cfg, filt, channel, wf, lead)
+
+
+def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) -> Waveform:
+    """Prefix-extend a modulated frame by n_taps - 1 samples and shape it."""
     l_cpp = n_taps - 1
     if not 1 <= l_cpp < cfg.N:
         raise ValueError(
             f"prefix length {l_cpp} outside [1, {cfg.N}); reduce the tap span"
         )
-    x = modulate(cfg, symbols)
-    x_cpp = add_cpp(cfg, x, l_cpp)
-    wf = shape(cfg, x_cpp, filt, t_first=-l_cpp * cfg.dt)
+    return shape(cfg, add_cpp(cfg, x, l_cpp), filt, t_first=-l_cpp * cfg.dt)
+
+
+def _receive(
+    cfg: ChirpConfig, filt: SrrcFilter, channel: DDChannel, wf: Waveform, lead: int
+) -> np.ndarray:
+    """Channel, then the receiver sampling ``lead`` symbols before the first path."""
     rx = apply_channel(channel, wf)
     dt_fine = filt.dt
     tau1 = round(channel.paths[0].delay / dt_fine) * dt_fine
@@ -270,44 +305,81 @@ def nmse_trial(
     truncation.  ``exact_window=True`` widens the window to cover the full
     ambiguity support, which drives the NMSE to floating-point level.
     """
-    if exact_window:
-        lead, n_taps = full_lead(filt), full_taps(channel, filt)
-    else:
-        lead, n_taps = default_lead(filt), required_taps(channel, filt)
-    y_sim = simulate_frame(cfg, filt, channel, symbols, lead, n_taps)
-    taps = effective_taps(channel, filt, cfg.N, lead, n_taps)
-    y_pred = predict_output(cfg, taps, symbols)
-    return float(
-        np.sum(np.abs(y_pred - y_sim) ** 2) / np.sum(np.abs(y_sim) ** 2)
-    )
+    return float(_nmse_points(cfg, [filt], [channel], symbols, exact_window)[0])
+
+
+def _nmse_points(
+    cfg: ChirpConfig,
+    filts: list,
+    channels: list,
+    symbols: np.ndarray,
+    exact_window: bool = False,
+) -> np.ndarray:
+    """``nmse_trial`` of one frame of symbols at each point (filts[i], channels[i]).
+
+    The waveform chain modulates once and transmits once per run of points
+    with the same filter object and tap count; the tap model modulates and
+    prefix-extends once per tap count (``predict_output`` on stacked taps).
+    Neither reads anything the other computed.
+    """
+    windows = [
+        (full_lead(f), full_taps(c, f)) if exact_window
+        else (default_lead(f), required_taps(c, f))
+        for f, c in zip(filts, channels)
+    ]
+    x = modulate(cfg, symbols)
+    y_sim = np.empty((len(filts), cfg.N), dtype=np.complex128)
+    sent = None  # (filter, tap count, waveform) of the last transmitted frame
+    for i, (filt, channel, (lead, n_taps)) in enumerate(zip(filts, channels, windows)):
+        if sent is None or sent[0] is not filt or sent[1] != n_taps:
+            sent = (filt, n_taps, _transmit(cfg, filt, x, n_taps))
+        y_sim[i] = _receive(cfg, filt, channel, sent[2], lead)
+    y_pred = np.empty_like(y_sim)
+    for n_taps in dict.fromkeys(n for _, n in windows):
+        idx = [i for i, (_, n) in enumerate(windows) if n == n_taps]
+        # filled point by point: stacking a list would hold every point's taps
+        # twice, and at paper scale the allocator then maps and faults in those
+        # megabytes afresh on every trial
+        taps = np.empty((len(idx), cfg.N, n_taps), dtype=np.complex128)
+        for j, i in enumerate(idx):
+            taps[j] = effective_taps(channels[i], filts[i], cfg.N, windows[i][0], n_taps)
+        y_pred[idx] = predict_output(cfg, taps, symbols)
+    return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
 
 
 def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
-    """NMSE versus speed, roll-off or filter span, averaged over trials."""
+    """NMSE versus speed, roll-off or filter span, averaged over trials.
+
+    Trials are the outer loop: trial t draws its channel and symbols once
+    from default_rng([seed, t]) and every point reuses them (see the module
+    docstring), so the per-point statistics equal those of drawing afresh at
+    every point.
+    """
     cfg = ec.chirp_config()
     points = ec.sweep_points()
+    if ec.sweep == "speed":
+        designs = [(ec.beta, ec.q)] * len(points)
+        speeds = points
+    elif ec.sweep == "rolloff":
+        designs = [(value, ec.q) for value in points]
+        speeds = [ec.speed_kmh] * len(points)
+    else:
+        designs = [(ec.beta, int(value)) for value in points]
+        speeds = [ec.speed_kmh] * len(points)
+    designed = {d: ec.srrc(*d) for d in dict.fromkeys(designs)}
+    filts = [designed[d] for d in designs]
+    specs = {v: ec.channel_spec(speed_kmh=v) for v in dict.fromkeys(speeds)}
+    samples = np.empty((len(points), ec.trials))
+    for t in range(ec.trials):
+        rng = np.random.default_rng([ec.seed, t])
+        drawn = dict(zip(specs, make_eva_channels(list(specs.values()), rng)))
+        symbols = qam4_symbols(cfg.N, rng)
+        samples[:, t] = _nmse_points(cfg, filts, [drawn[v] for v in speeds], symbols)
     means = np.empty(len(points))
     errs = np.empty(len(points))
-    for i, value in enumerate(points):
-        if ec.sweep == "speed":
-            filt = ec.srrc()
-            spec = ec.channel_spec(speed_kmh=value)
-        elif ec.sweep == "rolloff":
-            filt = ec.srrc(beta=value)
-            spec = ec.channel_spec()
-        else:
-            filt = ec.srrc(q=int(value))
-            spec = ec.channel_spec()
-        samples = np.empty(ec.trials)
-        for t in range(ec.trials):
-            # common random numbers across sweep points: the channel draw
-            # depends on the trial index only, which smooths the curves
-            rng = np.random.default_rng([ec.seed, t])
-            channel = make_eva_channel(spec, rng)
-            symbols = qam4_symbols(cfg.N, rng)
-            samples[t] = nmse_trial(cfg, filt, channel, symbols)
-        mean = samples.mean()
-        stderr = samples.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
+    for i, row in enumerate(samples):
+        mean = row.mean()
+        stderr = row.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
         means[i] = 10.0 * np.log10(mean)
         errs[i] = (10.0 / np.log(10.0)) * stderr / mean
     return SweepResult(sweep=ec.sweep, values=points, nmse_db=means, stderr_db=errs)

@@ -4,8 +4,9 @@ The receive chain (correlator_receive, the receiver of the simulated
 waveform chain) is: the matched filter against the shaping pulse, sampled
 at the base rate with a fixed symbol lead, then the forward chirp
 transform.  ``sample_matched_filter`` evaluates the matched-filter output
-only at those N instants, as one strided window product of the waveform
-with the conjugated taps, so the fine-grid correlation is never formed.
+only at those N instants, as a polyphase decimator (one product of the
+waveform, folded into rows of O samples, with the conjugated taps, then a
+sum of shifted diagonals), so the fine-grid correlation is never formed.
 For a delay-Doppler channel with fine-grid delays the sampled matched-filter
 output obeys an exact linear tap relation
 
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import DDChannel, _doppler_tones
-from .transforms import ChirpConfig, daft_matrix, demodulate, idaft_matrix, modulate
+from .transforms import ChirpConfig, demodulate, modulate
 from .waveform import SrrcFilter, Waveform
 
 
@@ -39,16 +40,23 @@ def sample_matched_filter(
 
     Each output is the Riemann sum dt sum_u r[n_k - c + u] a*[u] of the
     window of the M = q O + 1 fine samples around the instant (c = q O), so
-    only the ``count`` sampled outputs are computed: one strided window view
-    of the waveform times the conjugated taps.  The instants must sit on the
-    fine grid and inside the support of the full correlation (length
+    only the ``count`` sampled outputs are computed.  The instants must sit
+    on the fine grid and inside the support of the full correlation (length
     len(r) + M - 1); windows running past either end of the waveform read
     zeros there.
+
+    The sum is a polyphase decimator (Crochiere and Rabiner, Multirate
+    Digital Signal Processing, 1983).  With u = j O + p, window k reads
+    r[n_0 - c + (k + j) O + p], entry (k + j, p) of the span the windows
+    cover folded into a contiguous (count + q, O) array R.  So the product
+    P = R A^H with the (q + 1, O) tap matrix A (taps zero-padded to
+    (q + 1) O) gives output k as the diagonal sum sum_j P[k + j, j].
     """
     if abs(wf.sample_rate * filt.dt - 1.0) > 1e-9:
         raise ValueError("waveform rate does not match the filter fine grid")
     dt = 1.0 / wf.sample_rate
     m = len(filt.taps)
+    o, q = filt.O, filt.q
     # index of each instant on the grid of the full correlation, which starts
     # half a filter span before the waveform
     first = (t_start - (wf.t0 - filt.half_span * filt.Ts)) / dt
@@ -56,15 +64,24 @@ def sample_matched_filter(
     idx = np.round(idx_f).astype(int)
     if np.max(np.abs(idx_f - idx)) > 1e-6:
         raise ValueError("sampling instants do not align with the waveform grid")
-    if idx[0] < 0 or idx[-1] >= len(wf.samples) + m - 1:
+    n_in = len(wf.samples)
+    if idx[0] < 0 or idx[-1] >= n_in + m - 1:
         raise ValueError("sampling instants fall outside the waveform support")
-    # window k covers r[idx_k - (m - 1)] .. r[idx_k]; pad only where it leaves r
-    lo = max(0, m - 1 - idx[0])
-    hi = max(0, idx[-1] + 1 - len(wf.samples))
-    r = np.pad(wf.samples, (lo, hi)) if lo or hi else wf.samples
-    start = idx[0] - (m - 1) + lo
-    windows = sliding_window_view(r, m)[start : start + filt.O * count : filt.O]
-    return (windows @ np.conj(filt.taps)) * filt.dt
+    # the windows span r[start .. stop); pad only where that leaves r (the
+    # last O - 1 samples of the span meet zero taps)
+    start = idx[0] - (m - 1)
+    stop = start + (count + q) * o
+    span = wf.samples[max(start, 0) : min(stop, n_in)]
+    if start < 0 or stop > n_in:
+        span = np.pad(span, (max(-start, 0), max(stop - n_in, 0)))
+    taps = np.zeros((q + 1) * o, dtype=np.complex128)
+    taps[:m] = np.conj(filt.taps)
+    prod = span.reshape(count + q, o) @ taps.reshape(q + 1, o).T
+    out = prod[:count, 0].copy()
+    for j in range(1, q + 1):
+        out += prod[j : j + count, j]
+    out *= filt.dt
+    return out
 
 
 def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> np.ndarray:
@@ -156,7 +173,7 @@ def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
 
 def _check_fold(cfg: ChirpConfig, taps: np.ndarray) -> None:
     """The taps must give one row per frame sample and fit in one frame."""
-    n_out, n_taps = taps.shape
+    n_out, n_taps = taps.shape[-2:]
     if n_out != cfg.N:
         raise ValueError(f"taps have {n_out} output rows, expected N = {cfg.N}")
     if n_taps > cfg.N:
@@ -182,8 +199,12 @@ def fold_cpp_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
 
 
 def chirp_domain_matrix(cfg: ChirpConfig, h_mat: np.ndarray) -> np.ndarray:
-    """Conjugate a time-domain N x N matrix into the chirp domain: A H A^H."""
-    return daft_matrix(cfg) @ h_mat @ idaft_matrix(cfg)
+    """Conjugate a time-domain N x N matrix into the chirp domain: A H A^H.
+
+    With A the forward transform, demodulate(M) = A M column by column, so
+    A H A^H = (A (A H)^H)^H: two batched fast transforms, O(N^2 log N).
+    """
+    return demodulate(cfg, demodulate(cfg, h_mat).conj().T).conj().T
 
 
 def chirp_domain_from_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
@@ -221,15 +242,18 @@ def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> n
     the frame extended by its L - 1 chirp-periodic prefix samples (built
     here with ``cpp_wrap_phase``), then demodulates.  This is O(N L) and
     equals demodulate(fold_cpp_taps(cfg, taps) @ modulate(cfg, symbols)).
+    A (points, N, L) stack of taps gives the (points, N) outputs of that one
+    frame, which is modulated and prefix-extended once.
     """
     _check_fold(cfg, taps)
     x = modulate(cfg, symbols)
-    n_taps = taps.shape[1]
+    n_taps = taps.shape[-1]
     k = np.arange(1 - n_taps, 0)
     x_cpp = np.concatenate([x[cfg.N + k] * cpp_wrap_phase(cfg, k), x])
     # window row k' holds x[k' - L + 1 .. k'], so tap l pairs with column L - 1 - l
     window = sliding_window_view(x_cpp, n_taps)
-    return demodulate(cfg, np.einsum("kl,kl->k", taps[:, ::-1], window))
+    y = np.einsum("...kl,kl->...k", taps[..., ::-1], window)
+    return demodulate(cfg, y.T).T
 
 
 def build_baseline(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:

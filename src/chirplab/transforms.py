@@ -10,13 +10,17 @@ the inverse discrete Fresnel transform up to the global phase exp(j pi / 4),
 which recovers orthogonal chirp division multiplexing as a special case.
 
 All fast paths use the chirp / inverse-FFT / chirp factorization and agree
-with the dense matrices to machine precision (see tests).
+with the dense matrices to machine precision (see tests).  The two chirp
+tables of that factorization are computed once per ``ChirpConfig`` and kept
+on it, read-only, so repeated transforms of one configuration cost one
+pointwise product per table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +59,22 @@ class ChirpConfig:
         """Aliasing index C = 2 N |c1| (number of frequency folds per frame)."""
         return 2.0 * self.N * abs(self.c1)
 
+    @cached_property
+    def _k_chirp(self) -> np.ndarray:
+        """Post-chirp exp(j 2 pi c1 k^2) for k < N, read-only."""
+        return _read_only(np.exp(2j * np.pi * self.c1 * np.arange(self.N) ** 2))
+
+    @cached_property
+    def _n_chirp(self) -> np.ndarray:
+        """Pre-chirp exp(j 2 pi c2 n^2) for n < N, read-only."""
+        return _read_only(np.exp(2j * np.pi * self.c2 * np.arange(self.N) ** 2))
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """Lock a cached table: every caller of the configuration shares it."""
+    table.flags.writeable = False
+    return table
+
 
 def idaft_matrix(cfg: ChirpConfig) -> np.ndarray:
     """Dense N x N inverse DAFT matrix; column n synthesizes subcarrier n."""
@@ -62,21 +82,6 @@ def idaft_matrix(cfg: ChirpConfig) -> np.ndarray:
     n = np.arange(cfg.N)[None, :]
     phase = cfg.c2 * n**2 + (n * k) / cfg.N + cfg.c1 * k**2
     return np.exp(2j * np.pi * phase) / np.sqrt(cfg.N)
-
-
-def daft_matrix(cfg: ChirpConfig) -> np.ndarray:
-    """Dense forward DAFT matrix (conjugate transpose of the inverse)."""
-    return idaft_matrix(cfg).conj().T
-
-
-def _k_chirp(cfg: ChirpConfig) -> np.ndarray:
-    k = np.arange(cfg.N)
-    return np.exp(2j * np.pi * cfg.c1 * k**2)
-
-
-def _n_chirp(cfg: ChirpConfig) -> np.ndarray:
-    n = np.arange(cfg.N)
-    return np.exp(2j * np.pi * cfg.c2 * n**2)
 
 
 def modulate(cfg: ChirpConfig, symbols: np.ndarray) -> np.ndarray:
@@ -89,8 +94,8 @@ def modulate(cfg: ChirpConfig, symbols: np.ndarray) -> np.ndarray:
     symbols = np.asarray(symbols)
     if symbols.shape[0] != cfg.N:
         raise ValueError(f"expected {cfg.N} symbols, got {symbols.shape[0]}")
-    pre = _n_chirp(cfg)
-    post = _k_chirp(cfg)
+    pre = cfg._n_chirp
+    post = cfg._k_chirp
     if symbols.ndim > 1:
         pre = pre[:, None]
         post = post[:, None]
@@ -103,8 +108,8 @@ def demodulate(cfg: ChirpConfig, sequence: np.ndarray) -> np.ndarray:
     sequence = np.asarray(sequence)
     if sequence.shape[0] != cfg.N:
         raise ValueError(f"expected length {cfg.N}, got {sequence.shape[0]}")
-    pre = _k_chirp(cfg).conj()
-    post = _n_chirp(cfg).conj()
+    pre = cfg._k_chirp.conj()
+    post = cfg._n_chirp.conj()
     if sequence.ndim > 1:
         pre = pre[:, None]
         post = post[:, None]

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
 from chirplab import acceptance, cli, experiments
+from chirplab.channel import make_eva_channel
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
     config_from_dict,
+    nmse_trial,
+    qam4_symbols,
     run_iorel_check,
     run_nmse_sweep,
     transform_multiply_count,
@@ -272,6 +275,64 @@ def test_run_nmse_sweep_deterministic():
     assert not np.array_equal(a.nmse_db, c.nmse_db)
 
 
+def _nmse_sweep_per_point(ec):
+    """Oracle: the sweep as a per-point loop that designs the point's filter,
+    redraws every trial's channel at the point's speed and symbols from
+    default_rng([seed, trial]), and calls ``nmse_trial``."""
+    cfg = ec.chirp_config()
+    means, errs = [], []
+    for value in ec.sweep_points():
+        if ec.sweep == "speed":
+            filt, spec = ec.srrc(), ec.channel_spec(speed_kmh=value)
+        elif ec.sweep == "rolloff":
+            filt, spec = ec.srrc(beta=value), ec.channel_spec()
+        else:
+            filt, spec = ec.srrc(q=int(value)), ec.channel_spec()
+        samples = np.empty(ec.trials)
+        for t in range(ec.trials):
+            rng = np.random.default_rng([ec.seed, t])
+            channel = make_eva_channel(spec, rng)
+            samples[t] = nmse_trial(cfg, filt, channel, qam4_symbols(cfg.N, rng))
+        mean = samples.mean()
+        stderr = samples.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
+        means.append(10.0 * np.log10(mean))
+        errs.append((10.0 / np.log(10.0)) * stderr / mean)
+    return np.array(means), np.array(errs)
+
+
+_SWEEP_POINTS = {
+    "speed": st.floats(0.0, 600.0),
+    "rolloff": st.floats(0.0, 1.0),
+    "span": st.integers(1, 4).map(lambda h: 2.0 * h),
+}
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(sorted(_SWEEP_POINTS)).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind), st.lists(_SWEEP_POINTS[kind], min_size=1, max_size=4)
+        )
+    ),
+    half_n=st.sampled_from([16, 32]),
+    trials=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nmse_sweep_equals_per_point_oracle(case, half_n, trials, seed):
+    """Trials outer, one draw and one transmit shared by the points, equals
+    drawing and simulating afresh at every point.  Repeated values make
+    neighbouring points share a filter; a roll-off sweep changes the filter
+    but not the tap count."""
+    kind, values = case
+    ec = ExperimentConfig(n=2 * half_n, oversample=4, trials=trials, seed=seed,
+                          sweep=kind, sweep_values=tuple(sorted(values)))
+    got = run_nmse_sweep(ec)
+    means, errs = _nmse_sweep_per_point(ec)
+    for a, b in ((got.nmse_db, means), (got.stderr_db, errs)):
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+        assert [f"{v:.12g}" for v in a] == [f"{v:.12g}" for v in b]
+
+
 def test_run_iorel_check_reports_small_errors():
     ec = ExperimentConfig(n=64, trials=1, oversample=8, seed=11)
     report, channel = run_iorel_check(ec)
@@ -403,6 +464,45 @@ def test_span_sweep_rejects_non_integer_and_odd_values(tmp_path, capsys):
     assert "sweep_values" in err and "6.5" in err
 
 
+def test_rolloff_sweep_rejects_values_outside_unit_interval(tmp_path, capsys):
+    for bad in (1.5, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^sweep_values: roll-off .*{bad}"):
+            ExperimentConfig(sweep="rolloff", sweep_values=(0.1, bad))
+    path = _write_config(tmp_path, "n = 64\nsweep = rolloff\nsweep_values = 0.2, 1.5\n")
+    assert cli.main(["nmse", "--config", path]) == 1
+    assert "sweep_values: roll-off sweep values must lie in [0, 1], got 1.5" in capsys.readouterr().err
+
+
+def test_speed_sweep_rejects_non_finite_values(tmp_path, capsys):
+    """NaN compares false, so it used to pass the order check."""
+    for bad in (float("nan"), float("inf"), -float("inf"), -5.0):
+        with pytest.raises(ValueError, match=f"^sweep_values: speed .*{bad}"):
+            ExperimentConfig(sweep="speed", sweep_values=(0.0, bad))
+    path = _write_config(tmp_path, "n = 64\nsweep = speed\nsweep_values = 0, nan\n")
+    assert cli.main(["nmse", "--config", path]) == 1
+    assert "sweep_values: speed sweep values must be finite and non-negative, got nan" in (
+        capsys.readouterr().err
+    )
+
+
+def test_config_rejects_non_finite_or_negative_speed(tmp_path, capsys):
+    for speed in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match=rf"^speed_kmh .*{speed}"):
+            ExperimentConfig(speed_kmh=speed)
+    path = _write_config(tmp_path, "speed_kmh = -1\n")
+    assert cli.main(["iorel", "--config", path]) == 1
+    assert "speed_kmh must be finite and non-negative, got -1.0" in capsys.readouterr().err
+
+
+def test_config_rejects_non_finite_or_non_positive_carrier(tmp_path, capsys):
+    for fc in (float("nan"), -float("inf"), 0.0, -5e9):
+        with pytest.raises(ValueError, match=rf"^fc_hz .*{fc}"):
+            ExperimentConfig(fc_hz=fc)
+    path = _write_config(tmp_path, "fc_hz = inf\n")
+    assert cli.main(["nmse", "--config", path]) == 1
+    assert "fc_hz must be finite and positive, got inf" in capsys.readouterr().err
+
+
 def test_cli_iorel_out_writes_the_reported_channel(tmp_path, monkeypatch, capsys):
     """iorel --out builds its matrix from the one channel the check drew."""
     drawn = []
@@ -425,13 +525,26 @@ def test_cli_iorel_out_writes_the_reported_channel(tmp_path, monkeypatch, capsys
     assert "n = 256" in capsys.readouterr().out
 
 
+def _sweep_values(kind):
+    """None or an ordered tuple of legal points of one sweep kind."""
+    value = {
+        "speed": st.floats(0.0, 1000.0),
+        "rolloff": st.floats(0.0, 1.0),
+        "span": st.integers(1, 20).map(lambda v: 2.0 * v),
+    }[kind]
+    return st.one_of(st.none(), st.lists(value, min_size=1, max_size=6).map(sorted).map(tuple))
+
+
 def _config_values():
     """Random valid ExperimentConfig field values."""
+    return st.sampled_from(["speed", "rolloff", "span"]).flatmap(_config_values_of_kind)
+
+
+def _config_values_of_kind(kind):
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
     positive = st.floats(1e-3, 1e4, allow_nan=False)
     den = st.one_of(st.sampled_from(["4N", "3N", "2N", "N", "0.5N"]),
                     positive.map(repr))
-    sweep_values = st.lists(st.integers(1, 20).map(lambda v: 2.0 * v), min_size=1, max_size=6)
     return st.fixed_dictionaries(
         {
             "n": st.integers(1, 2048).map(lambda h: 2 * h),
@@ -447,8 +560,8 @@ def _config_values():
             "speed_kmh": st.floats(0.0, 1000.0),
             "trials": st.integers(1, 1000),
             "seed": st.integers(0, 2**63 - 1),
-            "sweep": st.sampled_from(["speed", "rolloff", "span"]),
-            "sweep_values": st.one_of(st.none(), sweep_values.map(sorted).map(tuple)),
+            "sweep": st.just(kind),
+            "sweep_values": _sweep_values(kind),
         }
     )
 

@@ -160,6 +160,10 @@ def test_sample_base_rate_strides_and_validation():
     t0=st.floats(-1e-4, 1e-4),
     seed=st.integers(0, 2**32 - 1),
 )
+# long counts like criterion-12's, from the first instant of the support (its
+# window starts q O samples before the waveform) to the last (past its end)
+@example(half_q=6, o=16, n=100_000, first=0, count=10**6, t0=0.0, seed=12)
+@example(half_q=3, o=8, n=80_003, first=5, count=10**6, t0=2e-5, seed=13)
 def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, count, t0, seed):
     """Instants across the whole correlation support, including windows that
     run past either end of the waveform, against fftconvolve + stride O."""
@@ -175,8 +179,10 @@ def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, cou
     t_start = mf.t0 + first * filt.dt
     got = sample_matched_filter(wf, filt, t_start, count)
     want = _sample_base_rate(mf, t_start, count, filt.Ts)
-    # every output is a sum of products bounded by the sum of |r| |a| dt
-    scale = np.sum(np.abs(wf.samples)) * np.max(np.abs(filt.taps)) * filt.dt
+    # every output is a sum of products bounded by the sum over its window of
+    # |r| |a| dt, at most the largest window sum of |r| times max |a| dt
+    window_sum = np.convolve(np.abs(wf.samples), np.ones(len(filt.taps))).max()
+    scale = window_sum * np.max(np.abs(filt.taps)) * filt.dt
     assert len(got) == count
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
@@ -330,6 +336,43 @@ def test_chirp_domain_dual_construction_agrees():
     assert np.max(np.abs(via_product - via_entries)) < 1e-12
 
 
+def _chirp_domain_dense(cfg, h_mat):
+    """Oracle: A H A^H with the dense forward matrix A, two O(N^3) products.
+
+    A^H is built entry by entry as exp(j 2 pi c1 k^2) exp(j 2 pi (n k mod N) / N)
+    exp(j 2 pi c2 n^2) / sqrt(N): ``idaft_matrix`` rounds the summed phase,
+    whose error grows like c N^2 and would swamp the comparison.
+    """
+    k = np.arange(cfg.N)
+    dft = np.exp(2j * np.pi * (np.outer(k, k) % cfg.N) / cfg.N)
+    inv = (
+        np.exp(2j * np.pi * cfg.c1 * k**2)[:, None]
+        * dft
+        * np.exp(2j * np.pi * cfg.c2 * k**2)[None, :]
+        / np.sqrt(cfg.N)
+    )
+    return inv.conj().T @ h_mat @ inv
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 48),
+    c1=st.floats(-1.0, 1.0),
+    c2=st.floats(-1.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chirp_domain_matrix_equals_dense_conjugation(half_n, c1, c2, seed):
+    """The two batched fast transforms against the dense A H A^H, for any
+    square H (not only a folded tap matrix)."""
+    n = 2 * half_n
+    cfg = ChirpConfig(N=n, T=n * 1e-6, c1=c1, c2=c2)
+    rng = np.random.default_rng(seed)
+    h_mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = _chirp_domain_dense(cfg, h_mat)
+    got = chirp_domain_matrix(cfg, h_mat)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_chirp_domain_identity_channel_is_identity():
     cfg = _cfg(32)
     taps = np.ones((32, 1), dtype=complex)
@@ -389,6 +432,35 @@ def test_exact_window_io_relation_is_machine_precision():
     symbols = qam4_symbols(cfg.N, rng)
     nmse = nmse_trial(cfg, filt, ch, symbols, exact_window=True)
     assert nmse < 1e-20
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(12, 32),
+    o=st.sampled_from([4, 8]),
+    half_q=st.integers(1, 3),
+    beta=st.floats(0.05, 1.0),
+    paths=st.lists(
+        st.tuples(st.integers(0, 32), st.floats(-5e3, 5e3)), min_size=1, max_size=4
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_window_io_relation_for_random_channels(half_n, o, half_q, beta, paths, seed):
+    """Random small DD channels with fractional (fine-grid) delays and random
+    Dopplers: over the full ambiguity support the tap model reproduces the
+    waveform chain, matched filter and channel included, to rounding."""
+    n = 2 * half_n
+    cfg = _cfg(n)
+    filt = design_srrc(beta, 2 * half_q, o, cfg.dt)
+    rng = np.random.default_rng(seed)
+    ch = DDChannel(
+        [
+            DDPath(complex(rng.standard_normal(), rng.standard_normal()), s * filt.dt, nu)
+            for s, nu in sorted(paths)
+        ]
+    )
+    symbols = qam4_symbols(cfg.N, rng)
+    assert nmse_trial(cfg, filt, ch, symbols, exact_window=True) < 1e-20
 
 
 def test_default_window_io_relation_is_accurate():

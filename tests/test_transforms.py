@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chirplab import (
     ChirpConfig,
-    daft_matrix,
     demodulate,
     idaft_matrix,
     idfnt_matrix,
@@ -16,6 +17,11 @@ from chirplab import (
 
 def _cfg(n, c1, c2, t=1e-3):
     return ChirpConfig(N=n, T=t, c1=c1, c2=c2)
+
+
+def daft_matrix(cfg):
+    """Oracle: the dense forward DAFT matrix, conjugate transpose of the inverse."""
+    return idaft_matrix(cfg).conj().T
 
 
 def test_idaft_reduces_to_idft_without_chirps():
@@ -41,8 +47,11 @@ def test_idaft_unitary(n):
 
 
 def test_daft_is_conjugate_transpose():
+    """The forward transform's matrix, read column by column off the identity,
+    is the conjugate transpose of the inverse DAFT matrix."""
     cfg = _cfg(16, 1.0 / 64.0, 1.0 / 48.0)
-    assert np.array_equal(daft_matrix(cfg), idaft_matrix(cfg).conj().T)
+    forward = demodulate(cfg, np.eye(16, dtype=complex))
+    assert np.max(np.abs(forward - idaft_matrix(cfg).conj().T)) < 1e-14
 
 
 def test_modulate_matches_dense_matrix():
@@ -147,3 +156,66 @@ def test_ocdm_config_modulate_matches_idfnt():
     lhs = np.exp(1j * np.pi / 4) * modulate(cfg, x)
     rhs = idfnt_matrix(n) @ x
     assert np.max(np.abs(lhs - rhs)) < 1e-11
+
+
+_rate = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(half_n=st.integers(1, 256), c1=_rate, c2=_rate)
+def test_fast_transform_unitary_for_any_real_rates(half_n, c1, c2):
+    """The matrices of modulate and demodulate, read off the identity, are
+    unitary and mutually inverse for every real chirp rate.  The dense
+    matrix is checked where its phases c N^2 stay small enough to round
+    below the tolerance."""
+    n = 2 * half_n
+    cfg = _cfg(n, c1, c2)
+    eye = np.eye(n, dtype=complex)
+    fwd, inv = demodulate(cfg, eye), modulate(cfg, eye)
+    assert np.max(np.abs(inv.conj().T @ inv - eye)) < 1e-12
+    assert np.max(np.abs(fwd - inv.conj().T)) < 1e-12
+    if max(abs(c1), abs(c2)) * n**2 <= 1e4:
+        dense = idaft_matrix(cfg)
+        assert np.max(np.abs(dense @ dense.conj().T - eye)) < 1e-11
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 256), c1=_rate, c2=_rate, batch=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_modulate_demodulate_round_trip(half_n, c1, c2, batch, seed):
+    """Round trip both ways for a vector or an (N, m) batch; the unitary pair
+    also preserves the norm."""
+    n = 2 * half_n
+    cfg = _cfg(n, c1, c2)
+    rng = np.random.default_rng(seed)
+    size = (n, batch) if batch else n
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    scale = np.linalg.norm(x)
+    y = modulate(cfg, x)
+    assert abs(np.linalg.norm(y) - scale) <= 1e-12 * scale
+    assert np.linalg.norm(demodulate(cfg, y) - x) <= 1e-12 * scale
+    assert np.linalg.norm(modulate(cfg, demodulate(cfg, x)) - x) <= 1e-12 * scale
+
+
+def test_chirp_tables_are_cached_read_only_and_per_config():
+    cfg = _cfg(16, 1.0 / 64.0, 1.0 / 48.0)
+    assert cfg._k_chirp is cfg._k_chirp and cfg._n_chirp is cfg._n_chirp
+    for table in (cfg._k_chirp, cfg._n_chirp):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    k = np.arange(16)
+    assert np.array_equal(cfg._k_chirp, np.exp(2j * np.pi * cfg.c1 * k**2))
+    assert np.array_equal(cfg._n_chirp, np.exp(2j * np.pi * cfg.c2 * k**2))
+    # a config differing only in c1 gets its own post-chirp, only in c2 its own pre-chirp
+    other_c1 = _cfg(16, 1.0 / 32.0, cfg.c2)
+    other_c2 = _cfg(16, cfg.c1, 1.0 / 24.0)
+    assert not np.allclose(other_c1._k_chirp, cfg._k_chirp)
+    assert np.array_equal(other_c1._n_chirp, cfg._n_chirp)
+    assert not np.allclose(other_c2._n_chirp, cfg._n_chirp)
+    assert np.array_equal(other_c2._k_chirp, cfg._k_chirp)
+    x = np.ones(16, dtype=complex)
+    assert not np.allclose(modulate(other_c1, x), modulate(cfg, x))
+    assert not np.allclose(modulate(other_c2, x), modulate(cfg, x))
