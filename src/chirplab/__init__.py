@@ -37,15 +37,14 @@ from .aliasing import (
     predict_aliased,
 )
 from .channel import (
-    ChannelRealizationSpec,
     DDChannel,
     DDPath,
     add_awgn,
     apply_channel,
-    make_eva_channel,
+    make_eva_channels,
 )
 from .receiver import (
-    build_baseline,
+    baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,
     correlator_receive,

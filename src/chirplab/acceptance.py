@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aliasing
-from .channel import DDChannel, DDPath, add_awgn, make_eva_channel
+from .channel import DDChannel, DDPath, add_awgn, make_eva_channels
 from .experiments import (
     ExperimentConfig,
     complexity_compare,
@@ -24,8 +24,8 @@ from .experiments import (
     simulate_frame,
 )
 from .receiver import (
+    baseline_taps,
     cpp_wrap_phase,
-    build_baseline,
     chirp_domain_from_taps,
     chirp_domain_matrix,
     default_lead,
@@ -175,19 +175,13 @@ def criterion_05_aliased_figures(small: bool = False) -> CriterionResult:
         grid = aliasing.inner_product_matrix(cfg) / cfg.T
         hot = grid > thresh
         if c == 16:
-            expected = np.zeros((n, n), dtype=bool)
-            for i in range(n):
-                for j in range(n):
-                    band = (2.0 / np.pi) * abs(np.cos(np.pi * min(i, j) / 16.0))
-                    expected[i, j] = i == j or (abs(i - j) == 16 and band > thresh)
+            i, j = np.indices((n, n))
+            band = (2.0 / np.pi) * np.abs(np.cos(np.pi * np.minimum(i, j) / 16.0))
+            expected = (i == j) | ((np.abs(i - j) == 16) & (band > thresh))
             shape_ok = np.array_equal(hot, expected)
             if not shape_ok:
-                bad = [
-                    (i, j)
-                    for i in range(n)
-                    for j in range(i + 1, n)
-                    if hot[i, j] != expected[i, j]
-                ]
+                rows, cols = np.nonzero(np.triu(hot != expected, 1))
+                bad = list(zip(rows.tolist(), cols.tolist()))
                 details.append(
                     f"C=16 set mismatch at {bad} "
                     f"(expected: diagonal plus (2/pi)|cos(pi n/16)| > {thresh} band)"
@@ -216,23 +210,20 @@ def _impulse_probe_taps(
 
     The symbols demodulate(e_j) put a unit impulse at sample j of the frame;
     ``simulate_frame`` carries it through the whole chain, and ``modulate``
-    reads the sampled matched-filter output back as column j of the folded
-    matrix.  The probe thus checks the code that the NMSE measures.
+    reads the sampled matched-filter output back as row j of the transposed
+    folded matrix H^T.  The probe thus checks the code that the NMSE
+    measures.
     """
     probes = demodulate(cfg, np.eye(cfg.N, dtype=np.complex128))
-    h_cols = modulate(
-        cfg,
-        np.stack(
-            [simulate_frame(cfg, filt, channel, s, lead, n_taps) for s in probes.T],
-            axis=1,
-        ),
+    h_t = modulate(
+        cfg, np.stack([simulate_frame(cfg, filt, channel, s, lead, n_taps) for s in probes])
     )
-    # unfold the folded matrix back into causal taps h[k', l]
+    # unfold the folded matrix back into causal taps h[k', l] = H[k', k' - l]
     taps = np.empty((cfg.N, n_taps), dtype=np.complex128)
     k = np.arange(cfg.N)
     for l in range(n_taps):
         phase = np.where(k - l >= 0, 1.0, cpp_wrap_phase(cfg, k - l))
-        taps[:, l] = h_cols[k, np.mod(k - l, cfg.N)] / phase
+        taps[:, l] = h_t[np.mod(k - l, cfg.N), k] / phase
     return taps
 
 
@@ -243,7 +234,7 @@ def criterion_06_tap_formula(small: bool = False) -> CriterionResult:
     ec = ExperimentConfig(n=n, seed=606)
     cfg = ec.chirp_config()
     rng = np.random.default_rng(606)
-    channel = make_eva_channel(ec.channel_spec(), rng)
+    (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
     filt = ec.srrc()
     lead = default_lead(filt)
     n_taps = required_taps(channel, filt)
@@ -284,54 +275,43 @@ def criterion_07_speed_sweep(small: bool = False) -> CriterionResult:
     )
 
 
-def _monotone_non_increasing(vals: np.ndarray, jitter_db: float = 1.0) -> bool:
-    return bool(np.all(np.diff(vals) <= jitter_db))
+def _sweep_endpoints(
+    name: str, sweep: str, targets: tuple[float, float], small: bool
+) -> CriterionResult:
+    """Seed-7 sweep: endpoints within 3 dB of the targets and a monotone trend.
+
+    The trend is non-increasing up to 1 dB of jitter per step.  The desk-scale
+    variant checks the trend only.
+    """
+    ec = ExperimentConfig(seed=7, sweep=sweep)
+    if small:
+        ec = ec.shrink()
+    vals = run_nmse_sweep(ec).nmse_db
+    monotone = bool(np.all(np.diff(vals) <= 1.0))
+    if small:
+        ok = monotone
+        detail = f"qualitative trend {'ok' if monotone else 'BAD'}, " \
+                 f"range [{vals.min():.1f}, {vals.max():.1f}] dB"
+    else:
+        lo, hi = targets
+        lo_ok = abs(vals[0] - lo) <= 3.0
+        hi_ok = abs(vals[-1] - hi) <= 3.0
+        ok = monotone and lo_ok and hi_ok
+        detail = (
+            f"endpoints {vals[0]:.2f} / {vals[-1]:.2f} dB "
+            f"(targets {lo:.0f} / {hi:.0f} +- 3), monotone {'ok' if monotone else 'BAD'}"
+        )
+    return CriterionResult(name, ok, detail)
 
 
 def criterion_08_rolloff_sweep(small: bool = False) -> CriterionResult:
     """Roll-off sweep endpoints and monotone trend."""
-    ec = ExperimentConfig(seed=7, sweep="rolloff")
-    if small:
-        ec = ec.shrink()
-    sweep = run_nmse_sweep(ec)
-    vals = sweep.nmse_db
-    monotone = _monotone_non_increasing(vals)
-    if small:
-        ok = monotone
-        detail = f"qualitative trend {'ok' if monotone else 'BAD'}, " \
-                 f"range [{vals.min():.1f}, {vals.max():.1f}] dB"
-    else:
-        lo_ok = abs(vals[0] - (-39.0)) <= 3.0
-        hi_ok = abs(vals[-1] - (-62.0)) <= 3.0
-        ok = monotone and lo_ok and hi_ok
-        detail = (
-            f"endpoints {vals[0]:.2f} / {vals[-1]:.2f} dB "
-            f"(targets -39 / -62 +- 3), monotone {'ok' if monotone else 'BAD'}"
-        )
-    return CriterionResult("criterion-08-rolloff-sweep", ok, detail)
+    return _sweep_endpoints("criterion-08-rolloff-sweep", "rolloff", (-39.0, -62.0), small)
 
 
 def criterion_09_span_sweep(small: bool = False) -> CriterionResult:
     """Filter span sweep endpoints and monotone trend."""
-    ec = ExperimentConfig(seed=7, sweep="span")
-    if small:
-        ec = ec.shrink()
-    sweep = run_nmse_sweep(ec)
-    vals = sweep.nmse_db
-    monotone = _monotone_non_increasing(vals)
-    if small:
-        ok = monotone
-        detail = f"qualitative trend {'ok' if monotone else 'BAD'}, " \
-                 f"range [{vals.min():.1f}, {vals.max():.1f}] dB"
-    else:
-        lo_ok = abs(vals[0] - (-40.0)) <= 3.0
-        hi_ok = abs(vals[-1] - (-57.0)) <= 3.0
-        ok = monotone and lo_ok and hi_ok
-        detail = (
-            f"endpoints {vals[0]:.2f} / {vals[-1]:.2f} dB "
-            f"(targets -40 / -57 +- 3), monotone {'ok' if monotone else 'BAD'}"
-        )
-    return CriterionResult("criterion-09-span-sweep", ok, detail)
+    return _sweep_endpoints("criterion-09-span-sweep", "span", (-40.0, -57.0), small)
 
 
 def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
@@ -367,7 +347,7 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
                 for p in channel.paths
             ]
         )
-        hu_base = chirp_domain_matrix(cfg, build_baseline(cfg, shifted))
+        hu_base = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, baseline_taps(cfg, shifted)))
         return float(
             np.linalg.norm(hu_mf - hu_base) / np.linalg.norm(hu_base)
         )

@@ -65,37 +65,18 @@ class DDChannel:
             raise ValueError("paths must be ordered by non-decreasing delay")
 
 
-@dataclass(frozen=True)
-class ChannelRealizationSpec:
-    """Parameters of one statistical channel draw.
-
-    carrier_hz    carrier frequency used for the Doppler scale and the
-                  per-path phase rotation exp(-j 2 pi fc tau_p)
-    speed_kmh     terminal speed; Jakes Doppler spread nu_max = v fc / c0
-    """
-
-    carrier_hz: float
-    speed_kmh: float
-
-    @property
-    def max_doppler_hz(self) -> float:
-        return (self.speed_kmh / 3.6) * self.carrier_hz / SPEED_OF_LIGHT
-
-
 def make_eva_channels(
-    specs: list[ChannelRealizationSpec], rng: np.random.Generator
+    carrier_hz: float, speeds_kmh: list[float], rng: np.random.Generator
 ) -> list[DDChannel]:
-    """Draw one EVA channel realization and return it at each spec's speed.
+    """Draw one EVA channel realization and return it at each speed.
 
     Gains are independent complex Gaussians with the EVA tap powers scaled
     to unit total power, the Doppler of each path is nu_max * cos(theta_p)
-    with theta_p uniform on [-pi, pi), and each gain is rotated by the
-    carrier phase of its delay.  The gains and angles are drawn once, so the
-    channels differ only in nu_max; the specs must share one carrier.
+    with theta_p uniform on [-pi, pi) and the Jakes spread nu_max = v fc / c0
+    of each speed v, and each gain is rotated by the carrier phase
+    exp(-j 2 pi fc tau_p) of its delay.  The gains and angles are drawn once,
+    so the channels differ only in nu_max.
     """
-    carriers = {spec.carrier_hz for spec in specs}
-    if len(carriers) != 1:
-        raise ValueError(f"specs must share one carrier frequency, got {sorted(carriers)}")
     delays = np.array([d * 1e-9 for d, _ in EVA_PROFILE])
     powers = 10.0 ** (np.array([p for _, p in EVA_PROFILE]) / 10.0)
     powers = powers / powers.sum()
@@ -103,22 +84,17 @@ def make_eva_channels(
     gains = np.sqrt(powers / 2.0) * (
         rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)
     )
-    gains = gains * np.exp(-2j * np.pi * carriers.pop() * delays)
+    gains = gains * np.exp(-2j * np.pi * carrier_hz * delays)
     cos_theta = np.cos(rng.uniform(-np.pi, np.pi, size=n_paths))
     return [
         DDChannel(
             [
                 DDPath(complex(g), float(d), float(nu))
-                for g, d, nu in zip(gains, delays, spec.max_doppler_hz * cos_theta)
+                for g, d, nu in zip(gains, delays, nu_max * cos_theta)
             ]
         )
-        for spec in specs
+        for nu_max in ((v / 3.6) * carrier_hz / SPEED_OF_LIGHT for v in speeds_kmh)
     ]
-
-
-def make_eva_channel(spec: ChannelRealizationSpec, rng: np.random.Generator) -> DDChannel:
-    """Draw one EVA channel realization at the spec's speed (see make_eva_channels)."""
-    return make_eva_channels([spec], rng)[0]
 
 
 def _tone_factors(nus, t0, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:

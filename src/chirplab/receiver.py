@@ -19,8 +19,9 @@ the prefix-extended frame, which costs O(N L) and never forms an N x N
 matrix.  Folding the taps through the chirp-periodic prefix yields the dense
 N x N effective matrix H, and conjugating by the transform pair yields the
 chirp-domain matrix H_u that an equalizer would see; those matrices are
-built only where a matrix is the result.  A plain cyclic-shift baseline
-model (ideal pulses, delays on the symbol grid) is provided for comparison.
+built only where a matrix is the result.  The literature baseline (ideal
+pulses, delays on the symbol grid) is given as banded taps of the same
+layout, so it goes through the same fold and the same banded prediction.
 """
 
 from __future__ import annotations
@@ -201,10 +202,11 @@ def fold_cpp_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
 def chirp_domain_matrix(cfg: ChirpConfig, h_mat: np.ndarray) -> np.ndarray:
     """Conjugate a time-domain N x N matrix into the chirp domain: A H A^H.
 
-    With A the forward transform, demodulate(M) = A M column by column, so
-    A H A^H = (A (A H)^H)^H: two batched fast transforms, O(N^2 log N).
+    With A the forward transform, demodulate(M) = M A^T row by row, so
+    demodulate(H^T) = (A H)^T and A H A^H = conj(conj(A H) A^T): two batched
+    fast transforms, O(N^2 log N).
     """
-    return demodulate(cfg, demodulate(cfg, h_mat).conj().T).conj().T
+    return demodulate(cfg, demodulate(cfg, h_mat.T).T.conj()).conj()
 
 
 def chirp_domain_from_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
@@ -243,7 +245,8 @@ def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> n
     here with ``cpp_wrap_phase``), then demodulates.  This is O(N L) and
     equals demodulate(fold_cpp_taps(cfg, taps) @ modulate(cfg, symbols)).
     A (points, N, L) stack of taps gives the (points, N) outputs of that one
-    frame, which is modulated and prefix-extended once.
+    frame, which is modulated and prefix-extended once and demodulated as
+    one (points, N) batch of rows.
     """
     _check_fold(cfg, taps)
     x = modulate(cfg, symbols)
@@ -253,28 +256,25 @@ def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> n
     # window row k' holds x[k' - L + 1 .. k'], so tap l pairs with column L - 1 - l
     window = sliding_window_view(x_cpp, n_taps)
     y = np.einsum("...kl,kl->...k", taps[..., ::-1], window)
-    return demodulate(cfg, y.T).T
+    return demodulate(cfg, y)
 
 
-def build_baseline(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
-    """Ideal-pulse baseline H: delays rounded to the symbol grid, no shaping.
+def baseline_taps(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
+    """Ideal-pulse literature taps: delays rounded to the symbol grid, no shaping.
 
-    Each path contributes a chirp-periodic cyclic shift by l_p = round(tau_p
-    N / T) symbols, a Doppler tone on the symbol grid referenced to the path
-    delay, and the prefix-fold phase on wrapped entries.
+    Path p sits at lag l_p = round(tau_p N / T) with its gain times a Doppler
+    tone on the symbol grid referenced to the path delay,
+    h[k, l_p] = g_p exp(j 2 pi nu_p (k - l_p) T / N).  The (N, max l_p + 1)
+    array has the layout of ``effective_taps``: ``fold_cpp_taps`` turns it
+    into the sum of chirp-periodic cyclic shifts of the literature I/O
+    relation, and ``predict_output`` applies it banded in O(N L).
     """
-    n = cfg.N
-    h_mat = np.zeros((n, n), dtype=np.complex128)
-    k = np.arange(n)
-    for p in channel.paths:
-        lp = int(round(p.delay / cfg.dt))
-        if lp >= n:
-            raise ValueError("baseline model requires path delays below T")
-        col = np.mod(k - lp, n)
-        tone = np.exp(2j * np.pi * p.doppler * cfg.dt * (k - lp))
-        phase = np.where(k - lp >= 0, 1.0, cpp_wrap_phase(cfg, k - lp))
-        h_mat[k, col] += p.gain * tone * phase
-    return h_mat
+    lags = [int(round(p.delay / cfg.dt)) for p in channel.paths]
+    taps = np.zeros((cfg.N, max(lags) + 1), dtype=np.complex128)
+    k = np.arange(cfg.N)
+    for p, lp in zip(channel.paths, lags):
+        taps[:, lp] += p.gain * np.exp(2j * np.pi * p.doppler * cfg.dt * (k - lp))
+    return taps
 
 
 def correlator_receive(

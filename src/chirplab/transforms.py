@@ -14,6 +14,9 @@ with the dense matrices to machine precision (see tests).  The two chirp
 tables of that factorization are computed once per ``ChirpConfig`` and kept
 on it, read-only, so repeated transforms of one configuration cost one
 pointwise product per table.
+
+``modulate`` and ``demodulate`` take (..., N) arrays, like every frame array
+of the package: frames in the leading axes, the transform along the last.
 """
 
 from __future__ import annotations
@@ -89,32 +92,21 @@ def modulate(cfg: ChirpConfig, symbols: np.ndarray) -> np.ndarray:
 
     Equivalent to ``idaft_matrix(cfg) @ symbols`` but O(N log N): pre-chirp in
     the symbol index, unitary inverse FFT, post-chirp in the sample index.
-    Accepts a length-N vector or an (N, m) batch of columns.
+    Takes an (..., N) array: frames in the leading axes, the transform along
+    the last, contiguous axis.
     """
     symbols = np.asarray(symbols)
-    if symbols.shape[0] != cfg.N:
-        raise ValueError(f"expected {cfg.N} symbols, got {symbols.shape[0]}")
-    pre = cfg._n_chirp
-    post = cfg._k_chirp
-    if symbols.ndim > 1:
-        pre = pre[:, None]
-        post = post[:, None]
-    core = np.fft.ifft(pre * symbols, axis=0) * np.sqrt(cfg.N)
-    return post * core
+    if symbols.shape[-1] != cfg.N:
+        raise ValueError(f"expected {cfg.N} symbols per frame, got {symbols.shape[-1]}")
+    return cfg._k_chirp * (np.fft.ifft(cfg._n_chirp * symbols) * np.sqrt(cfg.N))
 
 
 def demodulate(cfg: ChirpConfig, sequence: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`modulate` (forward DAFT); unitary round trip."""
+    """Inverse of :func:`modulate` (forward DAFT) on an (..., N) array; unitary."""
     sequence = np.asarray(sequence)
-    if sequence.shape[0] != cfg.N:
-        raise ValueError(f"expected length {cfg.N}, got {sequence.shape[0]}")
-    pre = cfg._k_chirp.conj()
-    post = cfg._n_chirp.conj()
-    if sequence.ndim > 1:
-        pre = pre[:, None]
-        post = post[:, None]
-    core = np.fft.fft(pre * sequence, axis=0) / np.sqrt(cfg.N)
-    return post * core
+    if sequence.shape[-1] != cfg.N:
+        raise ValueError(f"expected length {cfg.N} per frame, got {sequence.shape[-1]}")
+    return cfg._n_chirp.conj() * (np.fft.fft(cfg._k_chirp.conj() * sequence) / np.sqrt(cfg.N))
 
 
 def idfnt_matrix(n_points: int) -> np.ndarray:

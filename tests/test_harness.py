@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
 from chirplab import acceptance, cli, experiments
-from chirplab.channel import make_eva_channel
+from chirplab.channel import make_eva_channels
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
@@ -283,15 +283,15 @@ def _nmse_sweep_per_point(ec):
     means, errs = [], []
     for value in ec.sweep_points():
         if ec.sweep == "speed":
-            filt, spec = ec.srrc(), ec.channel_spec(speed_kmh=value)
+            filt, speed = ec.srrc(), value
         elif ec.sweep == "rolloff":
-            filt, spec = ec.srrc(beta=value), ec.channel_spec()
+            filt, speed = ec.srrc(beta=value), ec.speed_kmh
         else:
-            filt, spec = ec.srrc(q=int(value)), ec.channel_spec()
+            filt, speed = ec.srrc(q=int(value)), ec.speed_kmh
         samples = np.empty(ec.trials)
         for t in range(ec.trials):
             rng = np.random.default_rng([ec.seed, t])
-            channel = make_eva_channel(spec, rng)
+            (channel,) = make_eva_channels(ec.fc_hz, [speed], rng)
             samples[t] = nmse_trial(cfg, filt, channel, qam4_symbols(cfg.N, rng))
         mean = samples.mean()
         stderr = samples.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
@@ -506,15 +506,15 @@ def test_config_rejects_non_finite_or_non_positive_carrier(tmp_path, capsys):
 def test_cli_iorel_out_writes_the_reported_channel(tmp_path, monkeypatch, capsys):
     """iorel --out builds its matrix from the one channel the check drew."""
     drawn = []
-    draw = experiments.make_eva_channel
+    draw = experiments.make_eva_channels
 
-    def counting(spec, rng):
-        drawn.append(draw(spec, rng))
+    def counting(carrier_hz, speeds_kmh, rng):
+        drawn.append(draw(carrier_hz, speeds_kmh, rng))
         return drawn[-1]
 
     for module in (experiments, cli):
-        if hasattr(module, "make_eva_channel"):
-            monkeypatch.setattr(module, "make_eva_channel", counting)
+        if hasattr(module, "make_eva_channels"):
+            monkeypatch.setattr(module, "make_eva_channels", counting)
     out = tmp_path / "hu.csv"
     assert cli.main(["iorel", "--small", "--out", str(out)]) == 0
     assert len(drawn) == 1

@@ -10,7 +10,7 @@ from chirplab import (
     ChirpConfig,
     DDChannel,
     DDPath,
-    build_baseline,
+    baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,
     default_lead,
@@ -27,7 +27,7 @@ from chirplab import (
     shape,
 )
 from chirplab.experiments import nmse_trial, qam4_symbols
-from chirplab.receiver import _ambiguity_at_lags, correlator_receive
+from chirplab.receiver import _ambiguity_at_lags, correlator_receive, cpp_wrap_phase
 from chirplab.transforms import idaft_matrix
 from chirplab.waveform import Waveform
 
@@ -380,18 +380,37 @@ def test_chirp_domain_identity_channel_is_identity():
     assert np.max(np.abs(hu - np.eye(32))) < 1e-10
 
 
+def build_baseline(cfg, channel):
+    """Oracle: the dense ideal-pulse baseline H, path by path.
+
+    Each path contributes a chirp-periodic cyclic shift by l_p = round(tau_p
+    N / T) symbols, a Doppler tone on the symbol grid referenced to the path
+    delay, and the prefix-fold phase on wrapped entries.
+    """
+    n = cfg.N
+    h_mat = np.zeros((n, n), dtype=np.complex128)
+    k = np.arange(n)
+    for p in channel.paths:
+        lp = int(round(p.delay / cfg.dt))
+        col = np.mod(k - lp, n)
+        tone = np.exp(2j * np.pi * p.doppler * cfg.dt * (k - lp))
+        phase = np.where(k - lp >= 0, 1.0, cpp_wrap_phase(cfg, k - lp))
+        h_mat[k, col] += p.gain * tone * phase
+    return h_mat
+
+
 def test_baseline_identity_and_cyclic_shift():
     cfg = _cfg(16)
-    ident = build_baseline(cfg, DDChannel([DDPath(1.0 + 0j, 0.0, 0.0)]))
-    assert np.max(np.abs(ident - np.eye(16))) < 1e-14
+    ident = baseline_taps(cfg, DDChannel([DDPath(1.0 + 0j, 0.0, 0.0)]))
+    assert ident.shape == (16, 1)
+    assert np.max(np.abs(fold_cpp_taps(cfg, ident) - np.eye(16))) < 1e-14
 
     cfg0 = ChirpConfig(N=16, T=16e-6, c1=0.0, c2=0.0)
-    shifted = build_baseline(
-        cfg0, DDChannel([DDPath(1.0 + 0j, 2 * cfg0.dt, 0.0)])
-    )
+    shifted = baseline_taps(cfg0, DDChannel([DDPath(1.0 + 0j, 2 * cfg0.dt, 0.0)]))
+    assert shifted.shape == (16, 3)
     # y[k] = x[k - 2]: ones at (k, k - 2 mod N)
     perm = np.roll(np.eye(16), -2, axis=1)
-    assert np.max(np.abs(shifted - perm)) < 1e-14
+    assert np.max(np.abs(fold_cpp_taps(cfg0, shifted) - perm)) < 1e-14
 
 
 def test_baseline_matches_time_domain_convolution():
@@ -401,7 +420,7 @@ def test_baseline_matches_time_domain_convolution():
         DDPath(complex(rng.standard_normal() + 1j * rng.standard_normal()), l * cfg.dt, nu)
         for l, nu in ((0, 700.0), (2, -300.0), (5, 1100.0))
     ]
-    h_mat = build_baseline(cfg, DDChannel(paths))
+    channel = DDChannel(paths)
     x = rng.standard_normal(cfg.N) + 1j * rng.standard_normal(cfg.N)
     # direct loop over the CPP-consistent sequence: x[-l] = x[N-l] * phase
     y_ref = np.zeros(cfg.N, dtype=complex)
@@ -416,7 +435,55 @@ def test_baseline_matches_time_domain_convolution():
                     -2j * np.pi * cfg.c1 * (cfg.N**2 + 2.0 * cfg.N * idx)
                 )
             y_ref[k] += p.gain * np.exp(2j * np.pi * p.doppler * cfg.dt * idx) * xv
-    assert np.max(np.abs(h_mat @ x - y_ref)) < 1e-12
+    assert np.max(np.abs(build_baseline(cfg, channel) @ x - y_ref)) < 1e-12
+    assert np.max(np.abs(fold_cpp_taps(cfg, baseline_taps(cfg, channel)) @ x - y_ref)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 48),
+    c1=st.floats(-1.0, 1.0),
+    lags=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(half_n=4, c1=0.1, lags=[0.3, 0.3, 0.99], seed=3)  # two paths on one lag, L = N
+def test_banded_baseline_equals_dense_oracle(half_n, c1, lags, seed):
+    """The banded literature taps, folded or applied to a frame, equal the
+    dense path-by-path baseline; paths may share a lag and may reach lag
+    N - 1, and delays need not sit on the symbol grid."""
+    n = 2 * half_n
+    cfg = ChirpConfig(N=n, T=n * 1e-6, c1=c1, c2=c1 / 3.0)
+    rng = np.random.default_rng(seed)
+    channel = DDChannel(
+        [
+            DDPath(
+                complex(rng.standard_normal() + 1j * rng.standard_normal()),
+                f * (n - 1) * cfg.dt,
+                float(rng.uniform(-5e3, 5e3)),
+            )
+            for f in sorted(lags)
+        ]
+    )
+    dense = build_baseline(cfg, channel)
+    taps = baseline_taps(cfg, channel)
+    scale = sum(abs(p.gain) for p in channel.paths)
+    assert np.max(np.abs(fold_cpp_taps(cfg, taps) - dense)) <= 1e-12 * scale
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = demodulate(cfg, dense @ modulate(cfg, x))
+    got = predict_output(cfg, taps, x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_baseline_rejects_delay_of_a_frame():
+    """A path delay of T or more needs a shift by N or more symbols, which
+    cannot fold through one frame's prefix."""
+    cfg = _cfg(8)
+    taps = baseline_taps(cfg, DDChannel([DDPath(1.0 + 0j, 0.0, 0.0), DDPath(0.5, cfg.T, 0.0)]))
+    assert taps.shape == (8, 9)
+    with pytest.raises(ValueError, match="exceeds the frame length"):
+        fold_cpp_taps(cfg, taps)
+    with pytest.raises(ValueError, match="exceeds the frame length"):
+        predict_output(cfg, taps, np.ones(8, dtype=complex))
 
 
 def test_exact_window_io_relation_is_machine_precision():

@@ -47,11 +47,11 @@ def test_idaft_unitary(n):
 
 
 def test_daft_is_conjugate_transpose():
-    """The forward transform's matrix, read column by column off the identity,
-    is the conjugate transpose of the inverse DAFT matrix."""
+    """The forward transform's matrix, read row by row off the identity (so
+    transposed), is the conjugate transpose of the inverse DAFT matrix."""
     cfg = _cfg(16, 1.0 / 64.0, 1.0 / 48.0)
     forward = demodulate(cfg, np.eye(16, dtype=complex))
-    assert np.max(np.abs(forward - idaft_matrix(cfg).conj().T)) < 1e-14
+    assert np.max(np.abs(forward.T - idaft_matrix(cfg).conj().T)) < 1e-14
 
 
 def test_modulate_matches_dense_matrix():
@@ -105,6 +105,15 @@ def test_length_mismatch_rejected():
         modulate(cfg, np.ones(7))
     with pytest.raises(ValueError):
         demodulate(cfg, np.ones(9))
+
+
+@pytest.mark.parametrize("transform", [modulate, demodulate])
+def test_column_batch_rejected_naming_its_width(transform):
+    """Frames lie along the last axis: an (N, m) batch of columns with m != N
+    is a batch of N frames of length m, and the error names m."""
+    cfg = _cfg(8, 1.0 / 32.0, 1.0 / 24.0)
+    with pytest.raises(ValueError, match=r"^expected.* 8 .*, got 3$"):
+        transform(cfg, np.ones((8, 3), dtype=complex))
 
 
 def test_invalid_config_rejected():
@@ -185,18 +194,45 @@ def test_fast_transform_unitary_for_any_real_rates(half_n, c1, c2):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_modulate_demodulate_round_trip(half_n, c1, c2, batch, seed):
-    """Round trip both ways for a vector or an (N, m) batch; the unitary pair
+    """Round trip both ways for a vector or an (m, N) batch; the unitary pair
     also preserves the norm."""
     n = 2 * half_n
     cfg = _cfg(n, c1, c2)
     rng = np.random.default_rng(seed)
-    size = (n, batch) if batch else n
+    size = (batch, n) if batch else n
     x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     scale = np.linalg.norm(x)
     y = modulate(cfg, x)
     assert abs(np.linalg.norm(y) - scale) <= 1e-12 * scale
     assert np.linalg.norm(demodulate(cfg, y) - x) <= 1e-12 * scale
     assert np.linalg.norm(modulate(cfg, demodulate(cfg, x)) - x) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 256),
+    c1=_rate,
+    c2=_rate,
+    frames=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_frames_equal_per_frame_calls(half_n, c1, c2, frames, seed):
+    """An (m, N) or (a, b, N) stack transforms frame by frame: each frame of
+    the result equals the 1-D call on that frame bit for bit, and the stack
+    round-trips."""
+    n = 2 * half_n
+    cfg = _cfg(n, c1, c2)
+    rng = np.random.default_rng(seed)
+    size = (*frames, n)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    y = modulate(cfg, x)
+    z = demodulate(cfg, x)
+    assert y.shape == z.shape == x.shape
+    for idx in np.ndindex(*frames):
+        assert np.array_equal(y[idx], modulate(cfg, x[idx]))
+        assert np.array_equal(z[idx], demodulate(cfg, x[idx]))
+    scale = np.linalg.norm(x)
+    assert np.linalg.norm(demodulate(cfg, y) - x) <= 1e-12 * scale
 
 
 def test_chirp_tables_are_cached_read_only_and_per_config():
