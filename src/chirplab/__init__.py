@@ -38,7 +38,6 @@ from .aliasing import (
 )
 from .channel import (
     DDChannel,
-    DDPath,
     add_awgn,
     apply_channel,
     make_eva_channels,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aliasing
-from .channel import DDChannel, DDPath, add_awgn, make_eva_channels
+from .channel import DDChannel, add_awgn, make_eva_channels
 from .experiments import (
     ExperimentConfig,
     complexity_compare,
@@ -330,23 +330,16 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
     filt = ec.srrc()
     rng = np.random.default_rng(1010)
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(6.0)
-    delays = [0.0, 2 * cfg.dt, 5 * cfg.dt]
+    delays = np.array([0.0, 2 * cfg.dt, 5 * cfg.dt])
     dopplers_on = [2314.8, -1523.0, 842.0]
     lead = default_lead(filt)
 
     def gap(dopplers):
-        channel = DDChannel(
-            [DDPath(complex(g), d, nu) for g, d, nu in zip(gains, delays, dopplers)]
-        )
+        channel = DDChannel(gains, delays, dopplers)
         n_taps = required_taps(channel, filt)
         taps = effective_taps(channel, filt, n, lead, n_taps)
         hu_mf = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
-        shifted = DDChannel(
-            [
-                DDPath(p.gain, p.delay + lead * cfg.dt, p.doppler)
-                for p in channel.paths
-            ]
-        )
+        shifted = DDChannel(gains, delays + lead * cfg.dt, dopplers)
         hu_base = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, baseline_taps(cfg, shifted)))
         return float(
             np.linalg.norm(hu_mf - hu_base) / np.linalg.norm(hu_base)

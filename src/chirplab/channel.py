@@ -1,17 +1,16 @@
 """Doubly dispersive (delay-Doppler) multipath channels.
 
-A channel is a finite sum of paths, each with a complex gain, a delay in
-seconds and a Doppler shift in hertz.  Statistical realizations follow the
-Extended Vehicular A power-delay profile with per-path Jakes Doppler draws.
-A waveform passes through the channel path by path on its own sampling
-grid; each path's Doppler tone on that grid is the outer product of a
-coarse and a fine tone (``_tone_factors``), which the receiver's tap model
-also uses for its per-symbol Doppler phases.
+A channel is a finite sum of P paths, held as three read-only length-P
+arrays of complex gains, delays (s) and Doppler shifts (Hz).  Realizations
+follow the Extended Vehicular A power-delay profile with per-path Jakes
+Doppler draws.  A waveform passes through the channel path by path on its
+own sampling grid; each path's Doppler tone on that grid is the outer
+product of a coarse and a fine tone (``_tone_factors``), which the
+receiver's tap model also uses for its per-symbol Doppler phases.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,34 +34,41 @@ EVA_PROFILE = (
 )
 
 
-@dataclass(frozen=True)
-class DDPath:
-    """Single propagation path: complex gain, delay (s), Doppler shift (Hz)."""
-
-    gain: complex
-    delay: float
-    doppler: float
-
-    def __post_init__(self) -> None:
-        for name in ("gain", "delay", "doppler"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"path {name} must be finite, got {getattr(self, name)}")
-        if self.delay < 0:
-            raise ValueError(f"path delay must be non-negative, got {self.delay}")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class DDChannel:
-    """Multipath delay-Doppler channel with paths sorted by delay."""
+    """Path p has gains[p], delays[p] (s) and dopplers[p] (Hz), in non-decreasing delay.
 
-    paths: list[DDPath]
+    The arrays are copied and made read-only, so a valid channel stays valid.
+    """
+
+    gains: np.ndarray
+    delays: np.ndarray
+    dopplers: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.paths:
+        for name, dtype in (("gain", complex), ("delay", float), ("doppler", float)):
+            values = np.array(getattr(self, name + "s"), dtype=dtype)
+            if values.ndim != 1:
+                raise ValueError(f"path {name}s must be a 1-D array, got shape {values.shape}")
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(f"path {name} must be finite, got {bad[0]}")
+            values.flags.writeable = False
+            object.__setattr__(self, name + "s", values)
+        sizes = (len(self.gains), len(self.delays), len(self.dopplers))
+        if len(set(sizes)) > 1:
+            raise ValueError("got %d gains, %d delays and %d dopplers, need one per path" % sizes)
+        if not sizes[0]:
             raise ValueError("channel needs at least one path")
-        delays = [p.delay for p in self.paths]
-        if any(b < a for a, b in zip(delays[:-1], delays[1:])):
+        if self.delays.min() < 0:
+            raise ValueError(f"path delay must be non-negative, got {self.delays.min()}")
+        if (np.diff(self.delays) < 0).any():
             raise ValueError("paths must be ordered by non-decreasing delay")
+
+    def shifts(self, dt: float) -> np.ndarray:
+        """The delays rounded to whole samples of dt (halves to even), as the
+        waveform chain and the tap model both shift the paths."""
+        return np.rint(self.delays / dt).astype(int)
 
 
 def make_eva_channels(
@@ -87,12 +93,7 @@ def make_eva_channels(
     gains = gains * np.exp(-2j * np.pi * carrier_hz * delays)
     cos_theta = np.cos(rng.uniform(-np.pi, np.pi, size=n_paths))
     return [
-        DDChannel(
-            [
-                DDPath(complex(g), float(d), float(nu))
-                for g, d, nu in zip(gains, delays, nu_max * cos_theta)
-            ]
-        )
+        DDChannel(gains, delays, nu_max * cos_theta)
         for nu_max in ((v / 3.6) * carrier_hz / SPEED_OF_LIGHT for v in speeds_kmh)
     ]
 
@@ -124,10 +125,11 @@ def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
 def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     """Pass a waveform through the channel on its own sampling grid.
 
-    Each path multiplies the input by its Doppler tone (evaluated on the
-    absolute input time axis), shifts by the delay rounded to an integer
-    number of input samples, and scales by the gain.  The output grid starts
-    at the input t0 and extends to cover the largest quantized delay.
+    Path p multiplies the input by its Doppler tone of dopplers[p]
+    (evaluated on the absolute input time axis), shifts by delays[p]
+    rounded to whole input samples (``DDChannel.shifts``) and scales by
+    gains[p].  The output grid starts at the input t0 and extends to cover
+    the largest quantized delay.
 
     The paths are applied one at a time.  With the input viewed as a
     (blocks, B) array, path p's tone is the coarse-by-fine factor pair of
@@ -136,11 +138,11 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     reused by every path, which is then added into the output at the shift.
     """
     dt = 1.0 / wf.sample_rate
-    shifts = [int(round(p.delay / dt)) for p in channel.paths]
+    shifts = channel.shifts(dt)
     n_in = len(wf.samples)
-    out = np.zeros(n_in + max(shifts), dtype=np.complex128)
-    coarse, fine = _tone_factors([p.doppler for p in channel.paths], wf.t0, dt, n_in)
-    coarse *= np.array([p.gain for p in channel.paths])[:, None]
+    out = np.zeros(n_in + shifts.max(), dtype=np.complex128)
+    coarse, fine = _tone_factors(channel.dopplers, wf.t0, dt, n_in)
+    coarse *= channel.gains[:, None]
     blocks = np.zeros(coarse.shape[1] * fine.shape[1], dtype=np.complex128)
     blocks[:n_in] = wf.samples
     blocks = blocks.reshape(coarse.shape[1], fine.shape[1])

@@ -16,16 +16,11 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .receiver import (
-    chirp_domain_matrix,
-    default_lead,
-    effective_taps,
-    fold_cpp_taps,
-    required_taps,
-)
+from .receiver import chirp_domain_matrix, fold_cpp_taps
 from .experiments import (
     ExperimentConfig,
     complexity_compare,
+    config_from_dict,
     load_config,
     run_iorel_check,
     run_nmse_sweep,
@@ -67,7 +62,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.config is not None:
         ec = load_config(args.config, overrides)
     else:
-        ec = ExperimentConfig(**{k: int(v) for k, v in overrides.items()})
+        ec = config_from_dict(overrides)
     if args.small:
         ec = ec.shrink()
     return ec
@@ -156,16 +151,11 @@ def _run(args) -> int:
             print(f"aliased_below_threshold = {below}")
         return 0
     if args.command == "iorel":
-        report, channel = run_iorel_check(ec)
+        report, taps = run_iorel_check(ec)
         for key, value in report.items():
             print(f"{key} = {_fmt(float(value))}")
         if args.out:
             cfg = ec.chirp_config()
-            filt = ec.srrc()
-            lead = default_lead(filt)
-            taps = effective_taps(
-                channel, filt, cfg.N, lead, required_taps(channel, filt)
-            )
             h_u = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps)).ravel()
             row, col = np.divmod(np.arange(h_u.size), cfg.N)
             _write_csv(args.out, ("row", "col", "re", "im"), (row, col, h_u.real, h_u.imag))

@@ -75,6 +75,11 @@ class ExperimentConfig:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
         if not (math.isfinite(self.t_us) and self.t_us > 0):
             raise ValueError(f"t_us must be finite and positive, got {self.t_us}")
+        for c in ("c1", "c2"):
+            num = getattr(self, f"{c}_num")
+            if not math.isfinite(num):
+                raise ValueError(f"{c}_num must be finite, got {num}")
+            _parse_denominator(f"{c}_den", getattr(self, f"{c}_den"), self.n)
         if self.oversample < 2:
             raise ValueError(f"oversample must be >= 2, got {self.oversample}")
         if self.q < 2 or self.q % 2 != 0:
@@ -105,15 +110,12 @@ class ExperimentConfig:
     def T(self) -> float:
         return self.t_us * 1e-6
 
-    def _rational(self, num: float, den: str) -> float:
-        return num / _parse_denominator(den, self.n)
-
     def chirp_config(self) -> ChirpConfig:
         return ChirpConfig(
             N=self.n,
             T=self.T,
-            c1=self._rational(self.c1_num, self.c1_den),
-            c2=self._rational(self.c2_num, self.c2_den),
+            c1=self.c1_num / _parse_denominator("c1_den", self.c1_den, self.n),
+            c2=self.c2_num / _parse_denominator("c2_den", self.c2_den, self.n),
         )
 
     def srrc(self, beta: float | None = None, q: int | None = None) -> SrrcFilter:
@@ -157,14 +159,16 @@ def _check_sweep_value(sweep: str, v) -> None:
         raise ValueError(f"sweep_values: span sweep values must be even integers >= 2, got {v}")
 
 
-def _parse_denominator(text: str, n: int) -> float:
-    """Denominator tokens are plain numbers or multiples of N such as '4N'."""
+def _parse_denominator(key: str, text: str, n: int) -> float:
+    """Denominator tokens are finite non-zero numbers or multiples of N such as '4N'."""
     s = str(text).strip()
-    if s.upper().endswith("N"):
-        head = s[:-1].strip()
-        mult = float(head) if head else 1.0
-        return mult * n
-    return float(s)
+    try:
+        den = float(s[:-1].strip() or 1.0) * n if s.upper().endswith("N") else float(s)
+    except ValueError:
+        den = math.nan
+    if not (math.isfinite(den) and den != 0):
+        raise ValueError(f"{key} must be a finite non-zero number or multiple of N, got {text!r}")
+    return den
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -195,22 +199,32 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return config_from_dict(values)
 
 
+def _numbers(val) -> tuple:
+    return tuple(map(float, val if isinstance(val, (list, tuple)) else str(val).split(",")))
+
+
+# how config_from_dict converts a raw value of each key, and what it expects
+_CONVERSIONS = {
+    **dict.fromkeys(("n", "q", "oversample", "trials", "seed"), (int, "an integer")),
+    **dict.fromkeys(
+        ("t_us", "c1_num", "c2_num", "beta", "fc_hz", "speed_kmh"), (float, "a number")
+    ),
+    **dict.fromkeys(("c1_den", "c2_den", "profile", "sweep"), (str, "text")),
+    "sweep_values": (_numbers, "a comma-separated list of numbers"),
+}
+
+
 def config_from_dict(values: dict) -> ExperimentConfig:
+    """Convert raw values by key; one that does not convert is named with its key."""
     kwargs: dict = {}
     for key, val in values.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown configuration key: {key}")
-        if key in ("n", "q", "oversample", "trials", "seed"):
-            kwargs[key] = int(val)
-        elif key in ("t_us", "c1_num", "c2_num", "beta", "fc_hz", "speed_kmh"):
-            kwargs[key] = float(val)
-        elif key in ("c1_den", "c2_den", "profile", "sweep"):
-            kwargs[key] = str(val)
-        elif key == "sweep_values":
-            if isinstance(val, (list, tuple)):
-                kwargs[key] = tuple(float(v) for v in val)
-            else:
-                kwargs[key] = tuple(float(v) for v in str(val).split(","))
+        convert, kind = _CONVERSIONS[key]
+        try:
+            kwargs[key] = convert(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{key} must be {kind}, got {val!r}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -274,8 +288,7 @@ def _receive(
 ) -> np.ndarray:
     """Channel, then the receiver sampling ``lead`` symbols before the first path."""
     rx = apply_channel(channel, wf)
-    dt_fine = filt.dt
-    tau1 = round(channel.paths[0].delay / dt_fine) * dt_fine
+    tau1 = channel.shifts(filt.dt)[0] * filt.dt
     return correlator_receive(cfg, rx, filt, t_start=tau1 - lead * cfg.dt)
 
 
@@ -406,14 +419,15 @@ def run_ortho_experiment(ec: ExperimentConfig) -> tuple:
     return aliasing.inner_product_matrix(cfg), aliasing.predict_aliased(cfg)
 
 
-def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, DDChannel]:
+def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     """Single-realization exact-I/O diagnostic.
 
     Runs one seeded EVA trial and reports two NMSE figures: the standard
     retained-window model (finite truncation error) and the widened window
     covering the whole ambiguity support, which must sit at floating-point
     level because the tap relation is then exact.  Returns the report and
-    the channel it drew, so callers describe that same realization.
+    the (N, L) default-window ``effective_taps`` of the channel it drew, so
+    callers describe that same realization.
     """
     cfg = ec.chirp_config()
     rng = np.random.default_rng([ec.seed, 0])
@@ -422,12 +436,13 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, DDChannel]:
     filt = ec.srrc()
     nmse_window = nmse_trial(cfg, filt, channel, symbols)
     nmse_exact = nmse_trial(cfg, filt, channel, symbols, exact_window=True)
+    taps = effective_taps(channel, filt, cfg.N, default_lead(filt), required_taps(channel, filt))
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),
         "speed_kmh": ec.speed_kmh,
         "n": ec.n,
-    }, channel
+    }, taps
 
 
 def transform_multiply_count(n: int) -> float:

@@ -115,9 +115,8 @@ def default_lead(filt: SrrcFilter) -> int:
 
 def required_taps(channel: DDChannel, filt: SrrcFilter) -> int:
     """Retained tap count L = ceil(delay spread / Ts) + q + 1."""
-    dt = filt.dt
-    s = [int(round(p.delay / dt)) for p in channel.paths]
-    spread = int(np.ceil((max(s) - min(s)) / filt.O))
+    s = channel.shifts(filt.dt)
+    spread = int(np.ceil((s.max() - s.min()) / filt.O))
     return spread + filt.q + 1
 
 
@@ -146,25 +145,25 @@ def effective_taps(
 
     Returns the (n_out, n_taps) array h, where h[k', l] multiplies x[k' - l]
     and sample k' is taken at t = tau1 + (k' - D) Ts with D = lead and tau1
-    the fine-grid delay of the earliest path.  The expansion is
+    the fine-grid delay of the earliest path.  With path p's gain g_p, delay
+    tau_p and Doppler nu_p from the channel's arrays, the expansion is
     h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p + (k' - D) Ts))
     A(tau1 - tau_p + (l - D) Ts, nu_p) with every delay quantized to the fine
-    grid, so it reproduces the discrete simulation chain to floating-point
-    accuracy when the same filter is used.  Only the L lags the window reads
-    are evaluated, as one (P, L) ambiguity array, and h is the product of the
-    (N, P) Doppler tones, built by the channel's coarse-by-fine tone split,
-    with the gain-weighted ambiguity array.
+    grid (``DDChannel.shifts``), so it reproduces the discrete simulation
+    chain to floating-point accuracy when the same filter is used.  Only the
+    L lags the window reads are evaluated, as one (P, L) ambiguity array, and
+    h is the product of the (N, P) Doppler tones, built by the channel's
+    coarse-by-fine tone split, with the gain-weighted ambiguity array.
     """
     dt = filt.dt
-    shifts = np.array([int(round(p.delay / dt)) for p in channel.paths])
-    gains = np.array([p.gain for p in channel.paths], dtype=np.complex128)
-    nus = np.array([p.doppler for p in channel.paths], dtype=float)
+    shifts = channel.shifts(dt)
+    nus = channel.dopplers
     s1 = shifts.min()
     tau1 = s1 * dt
     lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * filt.O
     amb = _ambiguity_at_lags(filt, lags, nus)
     tones = _doppler_tones(nus, tau1 - shifts * dt - lead * filt.Ts, filt.Ts, n_out)
-    return tones.T @ (gains[:, None] * amb)
+    return tones.T @ (channel.gains[:, None] * amb)
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
@@ -262,18 +261,19 @@ def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> n
 def baseline_taps(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
     """Ideal-pulse literature taps: delays rounded to the symbol grid, no shaping.
 
-    Path p sits at lag l_p = round(tau_p N / T) with its gain times a Doppler
-    tone on the symbol grid referenced to the path delay,
-    h[k, l_p] = g_p exp(j 2 pi nu_p (k - l_p) T / N).  The (N, max l_p + 1)
+    Path p, with gain g_p, delay tau_p and Doppler nu_p from the channel's
+    arrays, adds at lag l_p = round(tau_p N / T) its gain times a Doppler tone
+    on the symbol grid referenced to the path delay, one path after another:
+    h[k, l_p] += g_p exp(j 2 pi nu_p (k - l_p) T / N).  The (N, max l_p + 1)
     array has the layout of ``effective_taps``: ``fold_cpp_taps`` turns it
     into the sum of chirp-periodic cyclic shifts of the literature I/O
     relation, and ``predict_output`` applies it banded in O(N L).
     """
-    lags = [int(round(p.delay / cfg.dt)) for p in channel.paths]
-    taps = np.zeros((cfg.N, max(lags) + 1), dtype=np.complex128)
+    lags = channel.shifts(cfg.dt)
+    taps = np.zeros((cfg.N, lags.max() + 1), dtype=np.complex128)
     k = np.arange(cfg.N)
-    for p, lp in zip(channel.paths, lags):
-        taps[:, lp] += p.gain * np.exp(2j * np.pi * p.doppler * cfg.dt * (k - lp))
+    for g, lp, nu in zip(channel.gains, lags, channel.dopplers):
+        taps[:, lp] += g * np.exp(2j * np.pi * nu * cfg.dt * (k - lp))
     return taps
 
 

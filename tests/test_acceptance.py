@@ -67,5 +67,6 @@ def test_criterion_12_noise_whiteness(capsys):
     _run(acceptance.criterion_12_noise_whiteness, capsys)
 
 
-def test_criterion_13_complexity(capsys):
+def test_criterion_13_complexity(capsys, monkeypatch, measured_complexity):
+    monkeypatch.setattr(acceptance, "complexity_compare", measured_complexity)
     _run(acceptance.criterion_13_complexity, capsys)

@@ -1,13 +1,15 @@
 """Unit tests for delay-Doppler channels and AWGN."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chirplab import (
     DDChannel,
-    DDPath,
     Waveform,
     add_awgn,
     apply_channel,
@@ -23,7 +25,7 @@ def _eva(rng, speed=500.0):
 
 def test_eva_zero_speed_is_lti():
     ch = _eva(np.random.default_rng(1), 0.0)
-    assert all(p.doppler == 0.0 for p in ch.paths)
+    assert np.all(ch.dopplers == 0.0)
 
 
 def test_eva_doppler_bound_and_path_count():
@@ -31,32 +33,31 @@ def test_eva_doppler_bound_and_path_count():
     # ~2315 Hz with the exact speed of light (2314.8 with c = 3e8 m/s)
     assert abs(nu_max - 2314.8) < 2.0
     ch = _eva(np.random.default_rng(2), 500.0)
-    assert len(ch.paths) == 9
-    assert all(abs(p.doppler) <= nu_max + 1e-9 for p in ch.paths)
+    assert len(ch.gains) == len(ch.delays) == len(ch.dopplers) == 9
+    assert np.all(np.abs(ch.dopplers) <= nu_max + 1e-9)
     # the bound is attained up to the drawn angles: some path sits near it
-    assert max(abs(p.doppler) for p in ch.paths) > 0.5 * nu_max
-    assert ch.paths[0].delay == 0.0
-    assert abs(ch.paths[-1].delay - 2510e-9) < 1e-12
+    assert np.max(np.abs(ch.dopplers)) > 0.5 * nu_max
+    assert ch.delays[0] == 0.0
+    assert abs(ch.delays[-1] - 2510e-9) < 1e-12
 
 
 def test_eva_reproducible_and_normalized():
     a = _eva(np.random.default_rng(3))
     b = _eva(np.random.default_rng(3))
-    for pa, pb in zip(a.paths, b.paths):
-        assert pa.gain == pb.gain and pa.doppler == pb.doppler
+    assert np.array_equal(a.gains, b.gains) and np.array_equal(a.dopplers, b.dopplers)
     # power normalization holds in expectation; check the ensemble mean
     powers = []
     for s in range(200):
         ch = _eva(np.random.default_rng(s))
-        powers.append(sum(abs(p.gain) ** 2 for p in ch.paths))
+        powers.append(np.sum(np.abs(ch.gains) ** 2))
     assert abs(np.mean(powers) - 1.0) < 0.1
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
-        DDPath(1.0 + 0j, -1e-9, 0.0)
-    with pytest.raises(ValueError):
-        DDChannel([DDPath(1.0, 2e-6, 0.0), DDPath(1.0, 1e-6, 0.0)])
+    with pytest.raises(ValueError, match="path delay must be non-negative, got -1e-09"):
+        DDChannel([1.0 + 0j], [-1e-9], [0.0])
+    with pytest.raises(ValueError, match="paths must be ordered by non-decreasing delay"):
+        DDChannel([1.0, 1.0], [2e-6, 1e-6], [0.0, 0.0])
 
 
 @pytest.mark.parametrize(
@@ -67,7 +68,80 @@ def test_channel_validation():
 )
 def test_path_rejects_non_finite_values(gain, delay, doppler, key):
     with pytest.raises(ValueError, match=f"path {key} must be finite"):
-        DDPath(gain, delay, doppler)
+        DDChannel([gain], [delay], [doppler])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    delays=st.lists(st.floats(0.0, 1e-3), min_size=1, max_size=9).map(sorted),
+    dt=st.floats(1e-10, 1e-5),
+    ties=st.lists(st.integers(0, 10**6), min_size=1, max_size=9).map(sorted),
+    exponent=st.integers(-40, -10),
+)
+def test_shifts_round_delays_to_whole_samples(delays, dt, ties, exponent):
+    """shifts(dt) is int(round(tau_p / dt)) path by path; on exact half-sample
+    ties (a power-of-two dt makes (k + 1/2) dt / dt exact) it rounds to even."""
+    ch = DDChannel(np.ones(len(delays)), delays, np.zeros(len(delays)))
+    assert ch.shifts(dt).tolist() == [int(round(d / dt)) for d in delays]
+    step = 2.0**exponent
+    halves = [(k + 0.5) * step for k in ties]
+    tied = DDChannel(np.ones(len(ties)), halves, np.zeros(len(ties)))
+    assert tied.shifts(step).tolist() == [int(round(d / step)) for d in halves]
+    assert tied.shifts(step).tolist() == [k + k % 2 for k in ties]
+
+
+@pytest.mark.parametrize(
+    "fault", ["gain", "delay", "doppler", "negative", "unordered", "ragged", "2-D", "empty"]
+)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    n_paths=st.integers(1, 9),
+    value=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_validates_once_and_stays_valid(fault, n_paths, value, where, seed):
+    """A valid channel holds read-only copies of its arrays; each kind of
+    invalid input is rejected with its message."""
+    assume(fault != "unordered" or n_paths > 1)
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "gains": rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths),
+        "delays": np.sort(rng.uniform(0.0, 5e-6, n_paths)),
+        "dopplers": rng.uniform(-5e3, 5e3, n_paths),
+    }
+    ch = DDChannel(**arrays)
+    for name, values in arrays.items():
+        held = getattr(ch, name)
+        assert np.array_equal(held, values) and held is not values
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.delays = arrays["delays"][::-1]
+    p = where % n_paths
+    name = ("gains", "delays", "dopplers")[where % 3]
+    if fault in ("gain", "delay", "doppler"):
+        arrays[fault + "s"][p] = value
+        message = f"path {fault} must be finite, got {arrays[fault + 's'][p]}"
+    elif fault == "negative":
+        arrays["delays"][p] = -1e-9
+        message = "path delay must be non-negative, got -1e-09"
+    elif fault == "unordered":
+        arrays["delays"] = arrays["delays"][::-1]
+        message = "paths must be ordered by non-decreasing delay"
+    elif fault == "ragged":
+        arrays[name] = np.append(arrays[name], arrays[name][:1 + where % 2])
+        message = "got {} gains, {} delays and {} dopplers, need one per path".format(
+            *map(len, arrays.values())
+        )
+    elif fault == "2-D":
+        arrays[name] = arrays[name].reshape(1, -1)
+        message = f"path {name} must be a 1-D array"
+    else:
+        arrays = dict.fromkeys(arrays, [])
+        message = "channel needs at least one path"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DDChannel(**arrays)
 
 
 def _random_wf(n=512, rate=1e6, seed=21):
@@ -79,14 +153,14 @@ def _random_wf(n=512, rate=1e6, seed=21):
 
 def test_apply_channel_identity_path():
     wf = _random_wf()
-    out = apply_channel(DDChannel([DDPath(1.0 + 0j, 0.0, 0.0)]), wf)
+    out = apply_channel(DDChannel([1.0 + 0j], [0.0], [0.0]), wf)
     assert np.max(np.abs(out.samples - wf.samples)) < 1e-14
 
 
 def test_apply_channel_pure_doppler():
     wf = _random_wf()
     nu = 1234.5
-    out = apply_channel(DDChannel([DDPath(1.0 + 0j, 0.0, nu)]), wf)
+    out = apply_channel(DDChannel([1.0 + 0j], [0.0], [nu]), wf)
     tone = np.exp(2j * np.pi * nu * wf.times())
     assert np.max(np.abs(out.samples - wf.samples * tone)) < 1e-12
 
@@ -94,19 +168,16 @@ def test_apply_channel_pure_doppler():
 def test_apply_channel_matches_reference_loop():
     wf = _random_wf()
     dt = 1.0 / wf.sample_rate
-    paths = [
-        DDPath(0.7 - 0.2j, 0.0, 800.0),
-        DDPath(0.3 + 0.4j, 5 * dt, -1500.0),
-    ]
-    out = apply_channel(DDChannel(paths), wf)
+    paths = [(0.7 - 0.2j, 0.0, 800.0), (0.3 + 0.4j, 5 * dt, -1500.0)]
+    out = apply_channel(DDChannel(*zip(*paths)), wf)
     ref = np.zeros(len(wf.samples) + 5, dtype=complex)
     t_out = wf.t0 + np.arange(len(ref)) * dt
-    for p in paths:
-        shift = int(round(p.delay / dt))
+    for gain, delay, doppler in paths:
+        shift = int(round(delay / dt))
         for i, x in enumerate(wf.samples):
             j = i + shift
             t = t_out[j]
-            ref[j] += p.gain * x * np.exp(2j * np.pi * p.doppler * (t - p.delay))
+            ref[j] += gain * x * np.exp(2j * np.pi * doppler * (t - delay))
     assert np.max(np.abs(out.samples - ref)) < 1e-12
 
 
@@ -125,20 +196,17 @@ def test_apply_channel_equals_per_sample_loop(n, t0, rate, paths, seed):
     grid that does not start at t = 0."""
     rng = np.random.default_rng(seed)
     wf = Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), rate, t0=t0)
-    ch = DDChannel(
-        [
-            DDPath(complex(rng.standard_normal(), rng.standard_normal()), d / rate, nu)
-            for d, nu in sorted(paths)
-        ]
-    )
+    delays, nus = zip(*sorted(paths))
+    gains = [complex(rng.standard_normal(), rng.standard_normal()) for _ in paths]
+    ch = DDChannel(gains, np.array(delays) / rate, nus)
     out = apply_channel(ch, wf)
-    shifts = [int(round(p.delay * rate)) for p in ch.paths]
+    shifts = [int(round(d * rate)) for d in ch.delays]
     ref = np.zeros(n + max(shifts), dtype=complex)
-    for p, s in zip(ch.paths, shifts):
+    for g, s, nu in zip(gains, shifts, nus):
         for i, x in enumerate(wf.samples):
-            ref[i + s] += p.gain * x * np.exp(2j * np.pi * p.doppler * (t0 + i / rate))
+            ref[i + s] += g * x * np.exp(2j * np.pi * nu * (t0 + i / rate))
     assert out.t0 == t0 and out.samples.shape == ref.shape
-    scale = sum(abs(p.gain) for p in ch.paths) * np.max(np.abs(wf.samples))
+    scale = sum(map(abs, gains)) * np.max(np.abs(wf.samples))
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * scale
 
 
@@ -165,9 +233,7 @@ def test_doppler_tones_equal_direct_exp(nus, t0, per_tone, step, count):
 def test_apply_channel_linearity():
     a = _random_wf(seed=22)
     b = _random_wf(seed=23)
-    ch = DDChannel(
-        [DDPath(0.6 + 0.1j, 0.0, 321.0), DDPath(0.2 - 0.7j, 7e-6, -999.0)]
-    )
+    ch = DDChannel([0.6 + 0.1j, 0.2 - 0.7j], [0.0, 7e-6], [321.0, -999.0])
     combined = apply_channel(
         ch, Waveform(2.0 * a.samples + 1j * b.samples, a.sample_rate, a.t0)
     )
@@ -181,9 +247,7 @@ def test_apply_channel_energy_bound_lti():
     wf = _random_wf(seed=24)
     gains = [0.8 + 0.1j, 0.3 - 0.2j, 0.1 + 0.4j]
     dt = 1.0 / wf.sample_rate
-    ch = DDChannel(
-        [DDPath(g, i * 3 * dt, 0.0) for i, g in enumerate(gains)]
-    )
+    ch = DDChannel(gains, 3 * dt * np.arange(3), np.zeros(3))
     out = apply_channel(ch, wf)
     bound = sum(abs(g) for g in gains) ** 2 * np.sum(np.abs(wf.samples) ** 2)
     assert np.sum(np.abs(out.samples) ** 2) <= bound * (1.0 + 1e-12)

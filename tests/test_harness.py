@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
+from chirplab.receiver import default_lead, effective_taps, required_taps
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
@@ -65,11 +66,25 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "key, value",
     [("n", 63), ("n", 0), ("t_us", float("nan")), ("t_us", float("inf")),
-     ("t_us", 0.0), ("t_us", -1.0), ("oversample", 1)],
+     ("t_us", 0.0), ("t_us", -1.0), ("oversample", 1),
+     ("c1_den", "0"), ("c2_den", "0N"), ("c1_den", "abc"), ("c1_num", "inf"),
+     ("n", "3.5"), ("seed", "1e3"), ("sweep_values", "0,,5")],
 )
 def test_config_rejects_bad_value_naming_key(key, value):
+    """Raw text is converted by key first, and a value that does not convert
+    is named with its key; typed values reach the configuration's own checks."""
     with pytest.raises(ValueError, match=rf"^{key} .*{value}"):
-        ExperimentConfig(**{key: value})
+        config_from_dict({key: value})
+    if not isinstance(value, str):
+        with pytest.raises(ValueError, match=rf"^{key} .*{value}"):
+            ExperimentConfig(**{key: value})
+
+
+def test_cli_zero_denominator_is_a_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path, "c1_den = 0\n")
+    assert cli.main(["psd", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: c1_den must be a finite non-zero number or multiple of N, got '0'\n"
 
 
 def test_config_rejects_negative_seed(capsys):
@@ -335,8 +350,13 @@ def test_nmse_sweep_equals_per_point_oracle(case, half_n, trials, seed):
 
 def test_run_iorel_check_reports_small_errors():
     ec = ExperimentConfig(n=64, trials=1, oversample=8, seed=11)
-    report, channel = run_iorel_check(ec)
-    assert len(channel.paths) == 9
+    report, taps = run_iorel_check(ec)
+    # the taps are the default window of the one nine-path channel it drew
+    (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
+    assert len(channel.gains) == 9
+    filt = ec.srrc()
+    want = effective_taps(channel, filt, 64, default_lead(filt), required_taps(channel, filt))
+    assert np.array_equal(taps, want)
     assert report["nmse_model_db"] < -40.0
     assert report["nmse_exact_db"] < -200.0
 
@@ -586,7 +606,8 @@ def test_load_config_round_trip(tmp_path_factory, values):
     assert load_config(path) == ec
 
 
-def test_cli_complexity(capsys):
+def test_cli_complexity(capsys, monkeypatch, measured_complexity):
+    monkeypatch.setattr(cli, "complexity_compare", measured_complexity)
     assert cli.main(["complexity", "--n", "1024", "--n-od", "32"]) == 0
     captured = capsys.readouterr()
     assert "count_ratio = 2" in captured.out

@@ -9,7 +9,6 @@ from scipy.signal import fftconvolve
 from chirplab import (
     ChirpConfig,
     DDChannel,
-    DDPath,
     baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,
@@ -48,24 +47,33 @@ def _ambiguity_table(filt, nu):
     return fftconvolve(a, b[::-1]) * filt.dt
 
 
+def _draw_paths(rng, count):
+    """Per path, in turn: a complex Gaussian gain, then a Doppler in [-5, 5] kHz."""
+    draws = [
+        (complex(rng.standard_normal() + 1j * rng.standard_normal()), rng.uniform(-5e3, 5e3))
+        for _ in range(count)
+    ]
+    return [g for g, _ in draws], [nu for _, nu in draws]
+
+
 def _taps_from_tables(channel, filt, n_out, lead, n_taps):
     """Oracle taps: per path, gather the window lags from the full table."""
     dt = filt.dt
-    shifts = [int(round(p.delay / dt)) for p in channel.paths]
+    shifts = [int(round(d / dt)) for d in channel.delays]
     s1 = min(shifts)
     tau1 = s1 * dt
     k = np.arange(n_out)
     ell = np.arange(n_taps)
     m = len(filt.taps)
     h = np.zeros((n_out, n_taps), dtype=np.complex128)
-    for p, sp in zip(channel.paths, shifts):
-        table = _ambiguity_table(filt, p.doppler)
+    for g, sp, nu in zip(channel.gains, shifts, channel.dopplers):
+        table = _ambiguity_table(filt, nu)
         lags = (s1 - sp) + (ell - lead) * filt.O
         amb = np.zeros(n_taps, dtype=np.complex128)
         inside = np.abs(lags) < m
         amb[inside] = table[lags[inside] + m - 1]
-        phase = np.exp(2j * np.pi * p.doppler * (tau1 - sp * dt + (k - lead) * filt.Ts))
-        h += p.gain * np.outer(phase, amb)
+        phase = np.exp(2j * np.pi * nu * (tau1 - sp * dt + (k - lead) * filt.Ts))
+        h += g * np.outer(phase, amb)
     return h
 
 
@@ -190,7 +198,7 @@ def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, cou
 def test_effective_taps_single_clean_path_is_near_impulse():
     cfg = _cfg(64)
     filt = _filt(cfg)
-    ch = DDChannel([DDPath(1.0 + 0j, 0.0, 0.0)])
+    ch = DDChannel([1.0 + 0j], [0.0], [0.0])
     lead = default_lead(filt)
     taps = effective_taps(ch, filt, cfg.N, lead, required_taps(ch, filt))
     assert abs(taps[0, lead] - 1.0) < 1e-2
@@ -201,9 +209,7 @@ def test_effective_taps_single_clean_path_is_near_impulse():
 def test_effective_taps_lti_rows_identical():
     cfg = _cfg(64)
     filt = _filt(cfg)
-    ch = DDChannel(
-        [DDPath(0.9 + 0.1j, 0.0, 0.0), DDPath(0.2 - 0.4j, 2.5 * cfg.dt, 0.0)]
-    )
+    ch = DDChannel([0.9 + 0.1j, 0.2 - 0.4j], [0.0, 2.5 * cfg.dt], [0.0, 0.0])
     taps = effective_taps(
         ch, filt, cfg.N, default_lead(filt), required_taps(ch, filt)
     )
@@ -219,13 +225,7 @@ def test_effective_taps_matches_impulse_probe():
     filt = _filt(cfg, o=8)
     rng = np.random.default_rng(32)
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(6)
-    ch = DDChannel(
-        [
-            DDPath(complex(gains[0]), 0.0, 1800.0),
-            DDPath(complex(gains[1]), 1.3 * cfg.dt, -900.0),
-            DDPath(complex(gains[2]), 3.8 * cfg.dt, 2300.0),
-        ]
-    )
+    ch = DDChannel(gains, np.array([0.0, 1.3, 3.8]) * cfg.dt, [1800.0, -900.0, 2300.0])
     lead = default_lead(filt)
     n_taps = required_taps(ch, filt)
     taps = effective_taps(ch, filt, cfg.N, lead, n_taps)
@@ -285,23 +285,15 @@ def test_lag_trimmed_taps_equal_full_table_gather(
     cfg = _cfg(16)
     filt = design_srrc(beta, 2 * half_q, o, cfg.dt)
     rng = np.random.default_rng(seed)
-    ch = DDChannel(
-        [
-            DDPath(
-                complex(rng.standard_normal() + 1j * rng.standard_normal()),
-                d * cfg.dt,
-                float(rng.uniform(-5e3, 5e3)),
-            )
-            for d in sorted(delays)
-        ]
-    )
+    gains, nus = _draw_paths(rng, len(delays))
+    ch = DDChannel(gains, np.sort(delays) * cfg.dt, nus)
     lead = full_lead(filt) + extra_lead
     n_taps = max(1, full_taps(ch, filt) + extra_lead + extra_taps)
     got = effective_taps(ch, filt, cfg.N, lead, n_taps)
     want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
     # |A| <= A(0, 0) = 1 for the unit-energy pulse, so every tap is at most
     # sum |g_p|; that is the scale of the oracle's rounding error too
-    scale = sum(abs(p.gain) for p in ch.paths)
+    scale = np.sum(np.abs(ch.gains))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
@@ -390,23 +382,23 @@ def build_baseline(cfg, channel):
     n = cfg.N
     h_mat = np.zeros((n, n), dtype=np.complex128)
     k = np.arange(n)
-    for p in channel.paths:
-        lp = int(round(p.delay / cfg.dt))
+    for g, tau, nu in zip(channel.gains, channel.delays, channel.dopplers):
+        lp = int(round(tau / cfg.dt))
         col = np.mod(k - lp, n)
-        tone = np.exp(2j * np.pi * p.doppler * cfg.dt * (k - lp))
+        tone = np.exp(2j * np.pi * nu * cfg.dt * (k - lp))
         phase = np.where(k - lp >= 0, 1.0, cpp_wrap_phase(cfg, k - lp))
-        h_mat[k, col] += p.gain * tone * phase
+        h_mat[k, col] += g * tone * phase
     return h_mat
 
 
 def test_baseline_identity_and_cyclic_shift():
     cfg = _cfg(16)
-    ident = baseline_taps(cfg, DDChannel([DDPath(1.0 + 0j, 0.0, 0.0)]))
+    ident = baseline_taps(cfg, DDChannel([1.0 + 0j], [0.0], [0.0]))
     assert ident.shape == (16, 1)
     assert np.max(np.abs(fold_cpp_taps(cfg, ident) - np.eye(16))) < 1e-14
 
     cfg0 = ChirpConfig(N=16, T=16e-6, c1=0.0, c2=0.0)
-    shifted = baseline_taps(cfg0, DDChannel([DDPath(1.0 + 0j, 2 * cfg0.dt, 0.0)]))
+    shifted = baseline_taps(cfg0, DDChannel([1.0 + 0j], [2 * cfg0.dt], [0.0]))
     assert shifted.shape == (16, 3)
     # y[k] = x[k - 2]: ones at (k, k - 2 mod N)
     perm = np.roll(np.eye(16), -2, axis=1)
@@ -416,17 +408,14 @@ def test_baseline_identity_and_cyclic_shift():
 def test_baseline_matches_time_domain_convolution():
     cfg = _cfg(16)
     rng = np.random.default_rng(35)
-    paths = [
-        DDPath(complex(rng.standard_normal() + 1j * rng.standard_normal()), l * cfg.dt, nu)
-        for l, nu in ((0, 700.0), (2, -300.0), (5, 1100.0))
-    ]
-    channel = DDChannel(paths)
+    gains = [complex(rng.standard_normal() + 1j * rng.standard_normal()) for _ in range(3)]
+    lags, nus = (0, 2, 5), (700.0, -300.0, 1100.0)
+    channel = DDChannel(gains, np.array(lags) * cfg.dt, nus)
     x = rng.standard_normal(cfg.N) + 1j * rng.standard_normal(cfg.N)
     # direct loop over the CPP-consistent sequence: x[-l] = x[N-l] * phase
     y_ref = np.zeros(cfg.N, dtype=complex)
     for k in range(cfg.N):
-        for p in paths:
-            l_p = int(round(p.delay / cfg.dt))
+        for g, l_p, nu in zip(gains, lags, nus):
             idx = k - l_p
             if idx >= 0:
                 xv = x[idx]
@@ -434,7 +423,7 @@ def test_baseline_matches_time_domain_convolution():
                 xv = x[cfg.N + idx] * np.exp(
                     -2j * np.pi * cfg.c1 * (cfg.N**2 + 2.0 * cfg.N * idx)
                 )
-            y_ref[k] += p.gain * np.exp(2j * np.pi * p.doppler * cfg.dt * idx) * xv
+            y_ref[k] += g * np.exp(2j * np.pi * nu * cfg.dt * idx) * xv
     assert np.max(np.abs(build_baseline(cfg, channel) @ x - y_ref)) < 1e-12
     assert np.max(np.abs(fold_cpp_taps(cfg, baseline_taps(cfg, channel)) @ x - y_ref)) < 1e-12
 
@@ -454,19 +443,11 @@ def test_banded_baseline_equals_dense_oracle(half_n, c1, lags, seed):
     n = 2 * half_n
     cfg = ChirpConfig(N=n, T=n * 1e-6, c1=c1, c2=c1 / 3.0)
     rng = np.random.default_rng(seed)
-    channel = DDChannel(
-        [
-            DDPath(
-                complex(rng.standard_normal() + 1j * rng.standard_normal()),
-                f * (n - 1) * cfg.dt,
-                float(rng.uniform(-5e3, 5e3)),
-            )
-            for f in sorted(lags)
-        ]
-    )
+    gains, nus = _draw_paths(rng, len(lags))
+    channel = DDChannel(gains, np.sort(lags) * (n - 1) * cfg.dt, nus)
     dense = build_baseline(cfg, channel)
     taps = baseline_taps(cfg, channel)
-    scale = sum(abs(p.gain) for p in channel.paths)
+    scale = np.sum(np.abs(channel.gains))
     assert np.max(np.abs(fold_cpp_taps(cfg, taps) - dense)) <= 1e-12 * scale
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     want = demodulate(cfg, dense @ modulate(cfg, x))
@@ -478,7 +459,7 @@ def test_baseline_rejects_delay_of_a_frame():
     """A path delay of T or more needs a shift by N or more symbols, which
     cannot fold through one frame's prefix."""
     cfg = _cfg(8)
-    taps = baseline_taps(cfg, DDChannel([DDPath(1.0 + 0j, 0.0, 0.0), DDPath(0.5, cfg.T, 0.0)]))
+    taps = baseline_taps(cfg, DDChannel([1.0 + 0j, 0.5], [0.0, cfg.T], [0.0, 0.0]))
     assert taps.shape == (8, 9)
     with pytest.raises(ValueError, match="exceeds the frame length"):
         fold_cpp_taps(cfg, taps)
@@ -490,12 +471,7 @@ def test_exact_window_io_relation_is_machine_precision():
     cfg = _cfg(64)
     filt = _filt(cfg, o=8)
     rng = np.random.default_rng(36)
-    ch = DDChannel(
-        [
-            DDPath(0.8 + 0.1j, 0.0, 1500.0),
-            DDPath(0.3 - 0.5j, 2.7 * cfg.dt, -2100.0),
-        ]
-    )
+    ch = DDChannel([0.8 + 0.1j, 0.3 - 0.5j], [0.0, 2.7 * cfg.dt], [1500.0, -2100.0])
     symbols = qam4_symbols(cfg.N, rng)
     nmse = nmse_trial(cfg, filt, ch, symbols, exact_window=True)
     assert nmse < 1e-20
@@ -520,12 +496,9 @@ def test_exact_window_io_relation_for_random_channels(half_n, o, half_q, beta, p
     cfg = _cfg(n)
     filt = design_srrc(beta, 2 * half_q, o, cfg.dt)
     rng = np.random.default_rng(seed)
-    ch = DDChannel(
-        [
-            DDPath(complex(rng.standard_normal(), rng.standard_normal()), s * filt.dt, nu)
-            for s, nu in sorted(paths)
-        ]
-    )
+    shifts, nus = zip(*sorted(paths))
+    gains = [complex(rng.standard_normal(), rng.standard_normal()) for _ in paths]
+    ch = DDChannel(gains, np.array(shifts) * filt.dt, nus)
     symbols = qam4_symbols(cfg.N, rng)
     assert nmse_trial(cfg, filt, ch, symbols, exact_window=True) < 1e-20
 
@@ -534,12 +507,7 @@ def test_default_window_io_relation_is_accurate():
     cfg = _cfg(256)
     filt = _filt(cfg)
     rng = np.random.default_rng(37)
-    ch = DDChannel(
-        [
-            DDPath(0.8 + 0.1j, 0.0, 2000.0),
-            DDPath(0.3 - 0.5j, 2.2 * cfg.dt, -1400.0),
-        ]
-    )
+    ch = DDChannel([0.8 + 0.1j, 0.3 - 0.5j], [0.0, 2.2 * cfg.dt], [2000.0, -1400.0])
     symbols = qam4_symbols(cfg.N, rng)
     nmse = nmse_trial(cfg, filt, ch, symbols)
     assert nmse < 10 ** (-40 / 10.0)
@@ -548,7 +516,7 @@ def test_default_window_io_relation_is_accurate():
 def test_window_helpers_consistent():
     cfg = _cfg(64)
     filt = _filt(cfg)
-    ch = DDChannel([DDPath(1.0 + 0j, 0.0, 0.0), DDPath(0.5, 3.2 * cfg.dt, 0.0)])
+    ch = DDChannel([1.0 + 0j, 0.5], [0.0, 3.2 * cfg.dt], [0.0, 0.0])
     assert default_lead(filt) == filt.q // 2
     assert full_lead(filt) == filt.q
     assert required_taps(ch, filt) == 4 + filt.q + 1
