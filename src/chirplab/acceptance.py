@@ -238,7 +238,7 @@ def criterion_06_tap_formula(small: bool = False) -> CriterionResult:
     filt = ec.srrc()
     lead = default_lead(filt)
     n_taps = required_taps(channel, filt)
-    model = effective_taps(channel, filt, n, lead, n_taps)
+    model = effective_taps([channel], filt, n, lead, n_taps)[0]
     oracle = _impulse_probe_taps(cfg, filt, channel, lead, n_taps)
     mask = np.abs(model) > 1e-4
     rel = np.abs(model[mask] - oracle[mask]) / np.abs(model[mask])
@@ -337,7 +337,7 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
     def gap(dopplers):
         channel = DDChannel(gains, delays, dopplers)
         n_taps = required_taps(channel, filt)
-        taps = effective_taps(channel, filt, n, lead, n_taps)
+        taps = effective_taps([channel], filt, n, lead, n_taps)[0]
         hu_mf = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
         shifted = DDChannel(gains, delays + lead * cfg.dt, dopplers)
         hu_base = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, baseline_taps(cfg, shifted)))

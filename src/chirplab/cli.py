@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation error, 2 acceptance failure in selftest.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -34,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # built on the first call, not at import, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chirplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

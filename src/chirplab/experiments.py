@@ -13,17 +13,23 @@ channel and symbol draws (common random numbers), which smooths the curves.
 So the NMSE sweep runs trials in the outer loop: it draws each trial once
 (one EVA draw, seen at every speed of a speed sweep), designs each distinct
 filter once per sweep, and each construction does the work that points
-share once per trial.  The waveform chain modulates once and prefix-extends
-and shapes once per run of points with the same filter and tap count (all
-of a speed sweep); the tap model modulates and prefix-extends once per tap
-count, for the stacked taps of those points.
+share once per trial.  A run is a stretch of points with the same filter,
+tap window and path delays: all of a speed sweep, whose channels differ only
+in their Dopplers, and one point of a roll-off or span sweep, which changes
+the filter at every point.  The waveform chain modulates once per trial,
+prefix-extends and shapes once per run, then passes the frame through each
+point's channel.  The tap model builds the run's (S, N, L) stack of taps in
+one ``effective_taps`` call and modulates and prefix-extends once for the
+whole stack.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -43,6 +49,7 @@ from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_i
 from . import aliasing
 
 SWEEP_KINDS = ("speed", "rolloff", "span")
+INTEGER_KEYS = ("n", "q", "oversample", "trials", "seed")
 
 DEFAULT_SPEEDS = tuple(float(v) for v in range(0, 501, 50))
 DEFAULT_ROLLOFFS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
@@ -71,6 +78,10 @@ class ExperimentConfig:
     sweep_values: tuple | None = None
 
     def __post_init__(self) -> None:
+        for key in INTEGER_KEYS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
         if not (math.isfinite(self.t_us) and self.t_us > 0):
@@ -203,9 +214,17 @@ def _numbers(val) -> tuple:
     return tuple(map(float, val if isinstance(val, (list, tuple)) else str(val).split(",")))
 
 
+def _integer(val) -> int:
+    """Text or an integral number as an int; a bool or a fractional float is refused
+    rather than truncated."""
+    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
+        raise ValueError
+    return int(val)
+
+
 # how config_from_dict converts a raw value of each key, and what it expects
 _CONVERSIONS = {
-    **dict.fromkeys(("n", "q", "oversample", "trials", "seed"), (int, "an integer")),
+    **dict.fromkeys(INTEGER_KEYS, (_integer, "an integer")),
     **dict.fromkeys(
         ("t_us", "c1_num", "c2_num", "beta", "fc_hz", "speed_kmh"), (float, "a number")
     ),
@@ -318,10 +337,12 @@ def _nmse_points(
 ) -> np.ndarray:
     """``nmse_trial`` of one frame of symbols at each point (filts[i], channels[i]).
 
-    The waveform chain modulates once and transmits once per run of points
-    with the same filter object and tap count; the tap model modulates and
-    prefix-extends once per tap count (``predict_output`` on stacked taps).
-    Neither reads anything the other computed.
+    Consecutive points with the same filter object, window (lead and tap
+    count) and path delays form a run; all of a speed sweep is one run.  The
+    waveform chain modulates once, transmits once per run and receives point
+    by point.  The tap model builds each run's (S, N, L)
+    tap stack in one ``effective_taps`` call and applies it in one
+    ``predict_output`` call.  Neither reads anything the other computed.
     """
     windows = [
         (full_lead(f), full_taps(c, f)) if exact_window
@@ -330,21 +351,19 @@ def _nmse_points(
     ]
     x = modulate(cfg, symbols)
     y_sim = np.empty((len(filts), cfg.N), dtype=np.complex128)
-    sent = None  # (filter, tap count, waveform) of the last transmitted frame
-    for i, (filt, channel, (lead, n_taps)) in enumerate(zip(filts, channels, windows)):
-        if sent is None or sent[0] is not filt or sent[1] != n_taps:
-            sent = (filt, n_taps, _transmit(cfg, filt, x, n_taps))
-        y_sim[i] = _receive(cfg, filt, channel, sent[2], lead)
     y_pred = np.empty_like(y_sim)
-    for n_taps in dict.fromkeys(n for _, n in windows):
-        idx = [i for i, (_, n) in enumerate(windows) if n == n_taps]
-        # filled point by point: stacking a list would hold every point's taps
-        # twice, and at paper scale the allocator then maps and faults in those
-        # megabytes afresh on every trial
-        taps = np.empty((len(idx), cfg.N, n_taps), dtype=np.complex128)
-        for j, i in enumerate(idx):
-            taps[j] = effective_taps(channels[i], filts[i], cfg.N, windows[i][0], n_taps)
-        y_pred[idx] = predict_output(cfg, taps, symbols)
+
+    def run_key(i):
+        return id(filts[i]), windows[i], channels[i].delays.tobytes()
+
+    for _, run in groupby(range(len(filts)), key=run_key):
+        run = list(run)
+        filt, (lead, n_taps) = filts[run[0]], windows[run[0]]
+        wf = _transmit(cfg, filt, x, n_taps)
+        for i in run:
+            y_sim[i] = _receive(cfg, filt, channels[i], wf, lead)
+        taps = effective_taps([channels[i] for i in run], filt, cfg.N, lead, n_taps)
+        y_pred[run[0] : run[-1] + 1] = predict_output(cfg, taps, symbols)
     return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
 
 
@@ -436,7 +455,8 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     filt = ec.srrc()
     nmse_window = nmse_trial(cfg, filt, channel, symbols)
     nmse_exact = nmse_trial(cfg, filt, channel, symbols, exact_window=True)
-    taps = effective_taps(channel, filt, cfg.N, default_lead(filt), required_taps(channel, filt))
+    lead, n_taps = default_lead(filt), required_taps(channel, filt)
+    taps = effective_taps([channel], filt, cfg.N, lead, n_taps)[0]
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),

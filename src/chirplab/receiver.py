@@ -14,10 +14,13 @@ output obeys an exact linear tap relation
 
 with taps built from the pulse cross-ambiguity function.  The model only
 reads the L lags of the ambiguity function that the retained window needs,
-for all paths at once, and predicts a frame by applying the banded taps to
-the prefix-extended frame, which costs O(N L) and never forms an N x N
-matrix.  Folding the taps through the chirp-periodic prefix yields the dense
-N x N effective matrix H, and conjugating by the transform pair yields the
+for all paths at once.  Those lags depend on the path delays alone, so
+``effective_taps`` takes S channels that share their delays (the points of
+a speed sweep) and returns their (S, N, L) stack of taps from one gather of
+the pulse.  A frame is predicted by applying the banded taps to the
+prefix-extended frame, which costs O(N L) per stacked channel and never
+forms an N x N matrix.  Folding the taps through the chirp-periodic prefix
+yields the dense N x N effective matrix H, and conjugating by the transform pair yields the
 chirp-domain matrix H_u that an equalizer would see; those matrices are
 built only where a matrix is the result.  The literature baseline (ideal
 pulses, delays on the symbol grid) is given as banded taps of the same
@@ -25,6 +28,8 @@ layout, so it goes through the same fold and the same banded prediction.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,24 +90,6 @@ def sample_matched_filter(
     return out
 
 
-def _ambiguity_at_lags(filt: SrrcFilter, lags: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """Pulse cross-ambiguity A(tau, nu) = int a(u + tau) a*(u) e^{j2 pi nu u} du.
-
-    Evaluated at tau = lags[p, l] * dt, nu = nus[p] for a (P, L) array of
-    integer fine-grid lags, as the Riemann sum on the filter tap grid:
-
-    A[p, l] = dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u}; lags with
-    |lag| >= M (the tap count) have no overlap and give exactly 0.
-    """
-    a = filt.taps
-    m = len(a)
-    b = np.conj(a) * np.exp(2j * np.pi * np.multiply.outer(nus, filt.time_grid()))
-    # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
-    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
-    shifted = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)]
-    return np.einsum("plu,pu->pl", shifted, b) * filt.dt
-
-
 def default_lead(filt: SrrcFilter) -> int:
     """Sampling lead of half the filter span, in symbol intervals.
 
@@ -135,7 +122,7 @@ def full_taps(channel: DDChannel, filt: SrrcFilter) -> int:
 
 
 def effective_taps(
-    channel: DDChannel,
+    channels: Sequence[DDChannel],
     filt: SrrcFilter,
     n_out: int,
     lead: int,
@@ -143,27 +130,50 @@ def effective_taps(
 ) -> np.ndarray:
     """Exact taps of shape -> channel -> matched filter -> base-rate sampling.
 
-    Returns the (n_out, n_taps) array h, where h[k', l] multiplies x[k' - l]
-    and sample k' is taken at t = tau1 + (k' - D) Ts with D = lead and tau1
-    the fine-grid delay of the earliest path.  With path p's gain g_p, delay
-    tau_p and Doppler nu_p from the channel's arrays, the expansion is
+    Returns the (S, n_out, n_taps) stack of the S channels' taps h, where
+    h[k', l] multiplies x[k' - l] and sample k' is taken at
+    t = tau1 + (k' - D) Ts with D = lead and tau1 the fine-grid delay of the
+    earliest path.  The channels must share their delays (a speed sweep's
+    channels do); their gains and Dopplers may differ.  With path p's gain
+    g_p, delay tau_p and Doppler nu_p from a channel's arrays, the expansion is
     h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p + (k' - D) Ts))
-    A(tau1 - tau_p + (l - D) Ts, nu_p) with every delay quantized to the fine
-    grid (``DDChannel.shifts``), so it reproduces the discrete simulation
-    chain to floating-point accuracy when the same filter is used.  Only the
-    L lags the window reads are evaluated, as one (P, L) ambiguity array, and
-    h is the product of the (N, P) Doppler tones, built by the channel's
-    coarse-by-fine tone split, with the gain-weighted ambiguity array.
+    A(tau1 - tau_p + (l - D) Ts, nu_p), with A(tau, nu) =
+    int a(u + tau) a*(u) e^{j2 pi nu u} du the pulse cross-ambiguity function
+    and every delay quantized to the fine grid (``DDChannel.shifts``), so it
+    reproduces the discrete simulation chain to floating-point accuracy when
+    the same filter is used.
+
+    A is the Riemann sum dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u} on
+    the filter tap grid, evaluated only at the (P, L) lags the window reads;
+    lags with |lag| >= M (the tap count) have no overlap and give exactly 0.
+    The lags depend on the delays alone, so the (P, L, M) gather of shifted
+    pulses is built once and multiplies every channel's Doppler-weighted
+    conjugate pulse in one batched product.  h is then one batched product of
+    the (S, N, P) symbol-rate Doppler tones with the gain-weighted ambiguity
+    values; both sets of tones use the channel's coarse-by-fine tone split.
     """
+    delays = channels[0].delays
+    if any(not np.array_equal(c.delays, delays) for c in channels[1:]):
+        raise ValueError("channels must share their path delays")
     dt = filt.dt
-    shifts = channel.shifts(dt)
-    nus = channel.dopplers
+    shifts = channels[0].shifts(dt)
+    nus = np.concatenate([c.dopplers for c in channels])  # (S P,), channel-major
+    gains = np.array([c.gains for c in channels])
     s1 = shifts.min()
-    tau1 = s1 * dt
     lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * filt.O
-    amb = _ambiguity_at_lags(filt, lags, nus)
-    tones = _doppler_tones(nus, tau1 - shifts * dt - lead * filt.Ts, filt.Ts, n_out)
-    return tones.T @ (channel.gains[:, None] * amb)
+    a = filt.taps
+    m = len(a)
+    # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
+    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
+    shifted = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)]
+    n_ch, n_paths = len(channels), len(shifts)
+    # each path's conjugate pulse times its Doppler tone on the tap grid, (P, M, S)
+    b = np.conj(a) * _doppler_tones(nus, -filt.center * dt, dt, m)
+    b = b.reshape(n_ch, n_paths, m).transpose(1, 2, 0)
+    amb = (shifted @ b).transpose(2, 0, 1) * (gains[:, :, None] * dt)  # (S, P, L)
+    t0 = np.tile(s1 * dt - shifts * dt - lead * filt.Ts, n_ch)
+    tones = _doppler_tones(nus, t0, filt.Ts, n_out).reshape(n_ch, n_paths, n_out)
+    return tones.transpose(0, 2, 1) @ amb
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:

@@ -71,9 +71,6 @@ class SrrcFilter:
         """Index of the t = 0 tap."""
         return self.q * self.O // 2
 
-    def time_grid(self) -> np.ndarray:
-        return (np.arange(len(self.taps)) - self.center) * self.dt
-
 
 def _srrc_impulse(beta: float, t_over_ts: np.ndarray) -> np.ndarray:
     """Unit-symbol-interval SRRC impulse response with singular points filled."""

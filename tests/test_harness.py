@@ -68,7 +68,9 @@ def test_config_validation():
     [("n", 63), ("n", 0), ("t_us", float("nan")), ("t_us", float("inf")),
      ("t_us", 0.0), ("t_us", -1.0), ("oversample", 1),
      ("c1_den", "0"), ("c2_den", "0N"), ("c1_den", "abc"), ("c1_num", "inf"),
-     ("n", "3.5"), ("seed", "1e3"), ("sweep_values", "0,,5")],
+     ("n", "3.5"), ("seed", "1e3"), ("sweep_values", "0,,5"),
+     ("n", 64.5), ("trials", 2.9), ("seed", 1.7), ("q", float("nan")),
+     ("oversample", 8.25), ("n", True), ("trials", True), ("seed", False)],
 )
 def test_config_rejects_bad_value_naming_key(key, value):
     """Raw text is converted by key first, and a value that does not convert
@@ -355,7 +357,8 @@ def test_run_iorel_check_reports_small_errors():
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
     assert len(channel.gains) == 9
     filt = ec.srrc()
-    want = effective_taps(channel, filt, 64, default_lead(filt), required_taps(channel, filt))
+    lead, n_taps = default_lead(filt), required_taps(channel, filt)
+    want = effective_taps([channel], filt, 64, lead, n_taps)[0]
     assert np.array_equal(taps, want)
     assert report["nmse_model_db"] < -40.0
     assert report["nmse_exact_db"] < -200.0
@@ -373,6 +376,29 @@ def test_transform_multiply_count_and_ratio():
 
 def test_cli_unknown_subcommand_exits_one(capsys):
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_cli_reuses_one_parser_as_if_fresh(monkeypatch, capsys):
+    """The parser is built once per process; each call, also one after a parse
+    error, gets the arguments a freshly built parser would give it."""
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)) or 0)
+    calls = [
+        ["nmse", "--small", "--seed", "3", "--out", "a.csv"],
+        ["nmse", "--trials"],
+        ["complexity", "--n", "64"],
+        ["frobnicate"],
+        ["psd"],
+        ["nmse", "--bogus"],
+        ["iorel", "--config", "x.cfg", "--trials", "2"],
+    ]
+    assert [cli.main(argv) for argv in calls] == [0, 1, 0, 1, 0, 1, 0]
+    assert "expected one argument" in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
+    fresh = [vars(cli._build_parser.__wrapped__().parse_args(calls[i])) for i in (0, 2, 4, 6)]
+    assert seen == fresh
+    assert seen[2] == {"command": "psd", "config": None, "seed": None, "trials": None,
+                       "out": None, "small": False}
 
 
 def test_cli_missing_config_names_path(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from chirplab import (
@@ -26,7 +27,7 @@ from chirplab import (
     shape,
 )
 from chirplab.experiments import nmse_trial, qam4_symbols
-from chirplab.receiver import _ambiguity_at_lags, correlator_receive, cpp_wrap_phase
+from chirplab.receiver import correlator_receive, cpp_wrap_phase
 from chirplab.transforms import idaft_matrix
 from chirplab.waveform import Waveform
 
@@ -40,10 +41,15 @@ def _filt(cfg, beta=0.2, q=12, o=16):
     return design_srrc(beta, q, o, cfg.dt)
 
 
+def _time_grid(filt):
+    """Time of each filter tap, t = 0 at the center tap."""
+    return (np.arange(len(filt.taps)) - filt.center) * filt.dt
+
+
 def _ambiguity_table(filt, nu):
     """Oracle: A(s * dt, nu) for every integer lag s = -(M-1) .. M-1 at once."""
     a = filt.taps
-    b = np.conj(a) * np.exp(2j * np.pi * nu * filt.time_grid())
+    b = np.conj(a) * np.exp(2j * np.pi * nu * _time_grid(filt))
     return fftconvolve(a, b[::-1]) * filt.dt
 
 
@@ -89,6 +95,18 @@ def _sample_base_rate(wf, t_start, count, ts):
     first = int(round((t_start - wf.t0) * wf.sample_rate))
     step = int(round(ts * wf.sample_rate))
     return wf.samples[first : first + step * count : step]
+
+
+def _ambiguity_at_lags(filt, lags, nus):
+    """Oracle: A(lags[p, l] * dt, nus[p]) for a (P, L) array of integer lags,
+    one path's conjugate pulse and Doppler tone at a time; lags with
+    |lag| >= M have no overlap and give exactly 0."""
+    a = filt.taps
+    m = len(a)
+    b = np.conj(a) * np.exp(2j * np.pi * np.multiply.outer(nus, _time_grid(filt)))
+    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
+    shifted = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)]
+    return np.einsum("plu,pu->pl", shifted, b) * filt.dt
 
 
 def _ambiguity(filt, lag, nu):
@@ -200,7 +218,7 @@ def test_effective_taps_single_clean_path_is_near_impulse():
     filt = _filt(cfg)
     ch = DDChannel([1.0 + 0j], [0.0], [0.0])
     lead = default_lead(filt)
-    taps = effective_taps(ch, filt, cfg.N, lead, required_taps(ch, filt))
+    taps = effective_taps([ch], filt, cfg.N, lead, required_taps(ch, filt))[0]
     assert abs(taps[0, lead] - 1.0) < 1e-2
     others = np.delete(taps[0], lead)
     assert np.max(np.abs(others)) < 1e-2
@@ -211,8 +229,8 @@ def test_effective_taps_lti_rows_identical():
     filt = _filt(cfg)
     ch = DDChannel([0.9 + 0.1j, 0.2 - 0.4j], [0.0, 2.5 * cfg.dt], [0.0, 0.0])
     taps = effective_taps(
-        ch, filt, cfg.N, default_lead(filt), required_taps(ch, filt)
-    )
+        [ch], filt, cfg.N, default_lead(filt), required_taps(ch, filt)
+    )[0]
     spread = np.max(np.abs(taps - taps[0][None, :]))
     assert spread < 1e-12
 
@@ -228,7 +246,7 @@ def test_effective_taps_matches_impulse_probe():
     ch = DDChannel(gains, np.array([0.0, 1.3, 3.8]) * cfg.dt, [1800.0, -900.0, 2300.0])
     lead = default_lead(filt)
     n_taps = required_taps(ch, filt)
-    taps = effective_taps(ch, filt, cfg.N, lead, n_taps)
+    taps = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
     oracle = _impulse_probe_taps(cfg, filt, ch, lead, n_taps)
     mask = np.abs(oracle) > 1e-4
     rel = np.abs(taps[mask] - oracle[mask]) / np.abs(oracle[mask])
@@ -289,12 +307,53 @@ def test_lag_trimmed_taps_equal_full_table_gather(
     ch = DDChannel(gains, np.sort(delays) * cfg.dt, nus)
     lead = full_lead(filt) + extra_lead
     n_taps = max(1, full_taps(ch, filt) + extra_lead + extra_taps)
-    got = effective_taps(ch, filt, cfg.N, lead, n_taps)
+    got = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
     want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
     # |A| <= A(0, 0) = 1 for the unit-energy pulse, so every tap is at most
     # sum |g_p|; that is the scale of the oracle's rounding error too
     scale = np.sum(np.abs(ch.gains))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_q=st.integers(1, 4),
+    o=st.integers(2, 8),
+    delays=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+    count=st.integers(1, 4),
+    extra_lead=st.integers(0, 3),
+    extra_taps=st.integers(-3, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_taps_equal_per_channel_oracle(
+    half_q, o, delays, count, extra_lead, extra_taps, seed
+):
+    """S channels on shared delays with their own gains and Dopplers: row s of
+    the stack is channel s's taps, gathered path by path from full tables."""
+    cfg = _cfg(16)
+    filt = design_srrc(0.25, 2 * half_q, o, cfg.dt)
+    rng = np.random.default_rng(seed)
+    delays = np.sort(delays) * cfg.dt
+    channels = []
+    for _ in range(count):
+        gains, nus = _draw_paths(rng, len(delays))
+        channels.append(DDChannel(gains, delays, nus))
+    lead = default_lead(filt) + extra_lead
+    n_taps = max(1, required_taps(channels[0], filt) + extra_lead + extra_taps)
+    got = effective_taps(channels, filt, cfg.N, lead, n_taps)
+    assert got.shape == (count, cfg.N, n_taps)
+    for taps, ch in zip(got, channels):
+        want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
+        assert np.max(np.abs(taps - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
+
+
+def test_stacked_taps_reject_channels_with_different_delays():
+    cfg = _cfg(16)
+    filt = _filt(cfg, q=4, o=4)
+    a = DDChannel([1.0, 0.5j], [0.0, 1.0 * cfg.dt], [100.0, -50.0])
+    b = DDChannel([1.0, 0.5j], [0.0, 1.5 * cfg.dt], [100.0, -50.0])
+    with pytest.raises(ValueError, match="delays"):
+        effective_taps([a, b], filt, cfg.N, default_lead(filt), required_taps(b, filt))
 
 
 def test_fold_cpp_taps_structure():
