@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 acceptance failure in selftest.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 
 import numpy as np
@@ -35,7 +34,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@functools.cache  # built on the first call, not at import, then reused
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chirplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

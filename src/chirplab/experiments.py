@@ -18,9 +18,10 @@ tap window and path delays: all of a speed sweep, whose channels differ only
 in their Dopplers, and one point of a roll-off or span sweep, which changes
 the filter at every point.  The waveform chain modulates once per trial,
 prefix-extends and shapes once per run, then passes the frame through each
-point's channel.  The tap model builds the run's (S, N, L) stack of taps in
-one ``effective_taps`` call and modulates and prefix-extends once for the
-whole stack.
+point's channel.  The tap model builds each run's (S, N, L) stack of taps in
+one ``effective_taps`` call, and modulates and prefix-extends once per tap
+count for the stacked taps of all points with that count: once per trial in
+a speed or roll-off sweep, once per point in a span sweep.
 """
 
 from __future__ import annotations
@@ -214,12 +215,10 @@ def _numbers(val) -> tuple:
     return tuple(map(float, val if isinstance(val, (list, tuple)) else str(val).split(",")))
 
 
-def _integer(val) -> int:
-    """Text or an integral number as an int; a bool or a fractional float is refused
-    rather than truncated."""
-    if isinstance(val, bool) or (isinstance(val, float) and not val.is_integer()):
-        raise ValueError
-    return int(val)
+def _integer(val):
+    """Text as an int; a typed value is passed on unconverted, so that
+    ``ExperimentConfig`` refuses a bool or a float rather than truncating it."""
+    return int(val) if isinstance(val, str) else val
 
 
 # how config_from_dict converts a raw value of each key, and what it expects
@@ -338,11 +337,13 @@ def _nmse_points(
     """``nmse_trial`` of one frame of symbols at each point (filts[i], channels[i]).
 
     Consecutive points with the same filter object, window (lead and tap
-    count) and path delays form a run; all of a speed sweep is one run.  The
-    waveform chain modulates once, transmits once per run and receives point
-    by point.  The tap model builds each run's (S, N, L)
-    tap stack in one ``effective_taps`` call and applies it in one
-    ``predict_output`` call.  Neither reads anything the other computed.
+    count) and path delays form a run; all of a speed sweep is one run, and
+    each point of a roll-off or span sweep is a run of its own.  The waveform
+    chain modulates once, transmits once per run and receives point by point.
+    The tap model builds each run's (S, N, L) tap stack in one
+    ``effective_taps`` call and applies the stacks of all points with one tap
+    count in one ``predict_output`` call (all of a speed or roll-off sweep).
+    Neither reads anything the other computed.
     """
     windows = [
         (full_lead(f), full_taps(c, f)) if exact_window
@@ -356,14 +357,30 @@ def _nmse_points(
     def run_key(i):
         return id(filts[i]), windows[i], channels[i].delays.tobytes()
 
-    for _, run in groupby(range(len(filts)), key=run_key):
-        run = list(run)
+    def run_taps(run):
+        return effective_taps([channels[i] for i in run], filts[run[0]], cfg.N, *windows[run[0]])
+
+    runs = [list(run) for _, run in groupby(range(len(filts)), key=run_key)]
+    for run in runs:
         filt, (lead, n_taps) = filts[run[0]], windows[run[0]]
         wf = _transmit(cfg, filt, x, n_taps)
         for i in run:
             y_sim[i] = _receive(cfg, filt, channels[i], wf, lead)
-        taps = effective_taps([channels[i] for i in run], filt, cfg.N, lead, n_taps)
-        y_pred[run[0] : run[-1] + 1] = predict_output(cfg, taps, symbols)
+    for n_taps in dict.fromkeys(n for _, n in windows):
+        group = [run for run in runs if windows[run[0]][1] == n_taps]
+        idx = [i for run in group for i in run]
+        if len(group) == 1:  # all of a speed sweep: the run's stack as it is
+            taps = run_taps(group[0])
+        else:
+            # filled run by run: concatenating the stacks would hold every tap
+            # twice, and at paper scale the allocator then maps and faults in
+            # those megabytes afresh on every trial
+            taps = np.empty((len(idx), cfg.N, n_taps), dtype=np.complex128)
+            j = 0
+            for run in group:
+                taps[j : j + len(run)] = run_taps(run)
+                j += len(run)
+        y_pred[idx] = predict_output(cfg, taps, symbols)
     return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
 
 

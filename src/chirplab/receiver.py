@@ -163,14 +163,16 @@ def effective_taps(
     lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * filt.O
     a = filt.taps
     m = len(a)
-    # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
-    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
-    shifted = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)]
     n_ch, n_paths = len(channels), len(shifts)
     # each path's conjugate pulse times its Doppler tone on the tap grid, (P, M, S)
     b = np.conj(a) * _doppler_tones(nus, -filt.center * dt, dt, m)
     b = b.reshape(n_ch, n_paths, m).transpose(1, 2, 0)
-    amb = (shifted @ b).transpose(2, 0, 1) * (gains[:, :, None] * dt)  # (S, P, L)
+    # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
+    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
+    # the (P, L, M) gather is a temporary: freed before the tones are allocated,
+    # the heap reuses its pages instead of mapping and faulting in fresh ones
+    shifted_b = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)] @ b
+    amb = shifted_b.transpose(2, 0, 1) * (gains[:, :, None] * dt)  # (S, P, L)
     t0 = np.tile(s1 * dt - shifts * dt - lead * filt.Ts, n_ch)
     tones = _doppler_tones(nus, t0, filt.Ts, n_out).reshape(n_ch, n_paths, n_out)
     return tones.transpose(0, 2, 1) @ amb

@@ -378,29 +378,6 @@ def test_cli_unknown_subcommand_exits_one(capsys):
     assert cli.main(["frobnicate"]) == 1
 
 
-def test_cli_reuses_one_parser_as_if_fresh(monkeypatch, capsys):
-    """The parser is built once per process; each call, also one after a parse
-    error, gets the arguments a freshly built parser would give it."""
-    seen = []
-    monkeypatch.setattr(cli, "_run", lambda args: seen.append(vars(args)) or 0)
-    calls = [
-        ["nmse", "--small", "--seed", "3", "--out", "a.csv"],
-        ["nmse", "--trials"],
-        ["complexity", "--n", "64"],
-        ["frobnicate"],
-        ["psd"],
-        ["nmse", "--bogus"],
-        ["iorel", "--config", "x.cfg", "--trials", "2"],
-    ]
-    assert [cli.main(argv) for argv in calls] == [0, 1, 0, 1, 0, 1, 0]
-    assert "expected one argument" in capsys.readouterr().err
-    assert cli._build_parser() is cli._build_parser()
-    fresh = [vars(cli._build_parser.__wrapped__().parse_args(calls[i])) for i in (0, 2, 4, 6)]
-    assert seen == fresh
-    assert seen[2] == {"command": "psd", "config": None, "seed": None, "trials": None,
-                       "out": None, "small": False}
-
-
 def test_cli_missing_config_names_path(capsys):
     rc = cli.main(["nmse", "--config", "/nonexistent/path.cfg"])
     captured = capsys.readouterr()
