@@ -20,9 +20,9 @@ a speed sweep) and returns their (S, N, L) stack of taps from one gather of
 the pulse.  A frame is predicted by applying the banded taps to the
 prefix-extended frame, which costs O(N L) per stacked channel and never
 forms an N x N matrix.  Folding the taps through the chirp-periodic prefix
-yields the dense N x N effective matrix H, and conjugating by the transform pair yields the
-chirp-domain matrix H_u that an equalizer would see; those matrices are
-built only where a matrix is the result.  The literature baseline (ideal
+yields the dense N x N effective matrix H, and conjugating by the transform
+pair yields the chirp-domain matrix H_u that an equalizer would see; those
+matrices are built only where a matrix is the result.  The literature baseline (ideal
 pulses, delays on the symbol grid) is given as banded taps of the same
 layout, so it goes through the same fold and the same banded prediction.
 """
@@ -169,8 +169,8 @@ def effective_taps(
     b = b.reshape(n_ch, n_paths, m).transpose(1, 2, 0)
     # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
     a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
-    # the (P, L, M) gather is a temporary: freed before the tones are allocated,
-    # the heap reuses its pages instead of mapping and faulting in fresh ones
+    # the (P, L, M) gather is a temporary, freed before the tones are allocated:
+    # held to the end of the call, it made every call fault in fresh pages
     shifted_b = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)] @ b
     amb = shifted_b.transpose(2, 0, 1) * (gains[:, :, None] * dt)  # (S, P, L)
     t0 = np.tile(s1 * dt - shifts * dt - lead * filt.Ts, n_ch)
