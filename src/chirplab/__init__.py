@@ -46,15 +46,11 @@ from .receiver import (
     baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,
-    correlator_receive,
-    default_lead,
     effective_taps,
     fold_cpp_taps,
-    full_lead,
-    full_taps,
     predict_output,
-    required_taps,
     sample_matched_filter,
+    tap_window,
 )
 from .experiments import (
     ExperimentConfig,

@@ -28,11 +28,10 @@ from .receiver import (
     cpp_wrap_phase,
     chirp_domain_from_taps,
     chirp_domain_matrix,
-    default_lead,
     effective_taps,
     fold_cpp_taps,
-    required_taps,
     sample_matched_filter,
+    tap_window,
 )
 from .transforms import (
     ChirpConfig,
@@ -236,8 +235,7 @@ def criterion_06_tap_formula(small: bool = False) -> CriterionResult:
     rng = np.random.default_rng(606)
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
     filt = ec.srrc()
-    lead = default_lead(filt)
-    n_taps = required_taps(channel, filt)
+    lead, n_taps = tap_window(channel, filt)
     model = effective_taps([channel], filt, n, lead, n_taps)[0]
     oracle = _impulse_probe_taps(cfg, filt, channel, lead, n_taps)
     mask = np.abs(model) > 1e-4
@@ -332,11 +330,10 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(6.0)
     delays = np.array([0.0, 2 * cfg.dt, 5 * cfg.dt])
     dopplers_on = [2314.8, -1523.0, 842.0]
-    lead = default_lead(filt)
 
     def gap(dopplers):
         channel = DDChannel(gains, delays, dopplers)
-        n_taps = required_taps(channel, filt)
+        lead, n_taps = tap_window(channel, filt)
         taps = effective_taps([channel], filt, n, lead, n_taps)[0]
         hu_mf = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
         shifted = DDChannel(gains, delays + lead * cfg.dt, dopplers)
@@ -397,7 +394,7 @@ def criterion_12_noise_whiteness(small: bool = False) -> CriterionResult:
 
 def criterion_13_complexity(small: bool = False) -> CriterionResult:
     """Multiply-count ratio and measured transform scaling."""
-    report = complexity_compare(1024, 32, measure=True)
+    report = complexity_compare(1024, 32)
     ratio_ok = abs(report["count_ratio"] - 2.0) < 1e-12
     slope = report["loglog_slope"]
     slope_ok = 1.0 <= slope <= 1.25

@@ -102,7 +102,7 @@ def _run(args) -> int:
         return 2 if failed else 0
 
     if args.command == "complexity":
-        report = complexity_compare(args.n, args.n_od, measure=True)
+        report = complexity_compare(args.n, args.n_od)
         for key in ("n", "n_od", "count_full", "count_bank", "count_ratio"):
             print(f"{key} = {_fmt(report[key])}")
         for size, sec in zip(report["measured_sizes"], report["measured_seconds"]):

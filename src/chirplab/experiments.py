@@ -3,8 +3,9 @@
 The drivers return arrays and small result records; ``chirplab.cli`` is the
 only module that writes them to files.  The NMSE compares two independent
 constructions: the waveform chain (simulate_frame: modulate, prefix,
-shaping, channel, then ``receiver.correlator_receive``) and the tap model
-(effective_taps -> predict_output).
+shaping, channel, then the sampled matched filter and ``demodulate``) and
+the tap model (effective_taps -> predict_output), with the sampling lead
+and tap count of ``receiver.tap_window``.
 
 Every driver is deterministic given the configuration and master seed; the
 per-trial random streams are derived as default_rng([seed, trial]).  The
@@ -13,15 +14,17 @@ channel and symbol draws (common random numbers), which smooths the curves.
 So the NMSE sweep runs trials in the outer loop: it draws each trial once
 (one EVA draw, seen at every speed of a speed sweep), designs each distinct
 filter once per sweep, and each construction does the work that points
-share once per trial.  A run is a stretch of points with the same filter,
-tap window and path delays: all of a speed sweep, whose channels differ only
-in their Dopplers, and one point of a roll-off or span sweep, which changes
-the filter at every point.  The waveform chain modulates once per trial,
-prefix-extends and shapes once per run, then passes the frame through each
-point's channel.  The tap model builds each run's (S, N, L) stack of taps in
-one ``effective_taps`` call, and modulates and prefix-extends once per tap
-count for the stacked taps of all points with that count: once per trial in
-a speed or roll-off sweep, once per point in a span sweep.
+share once per trial.  A run is a stretch of points with the same filter
+object: all of a speed sweep, whose channels differ only in their Dopplers,
+and one point of a roll-off or span sweep, which changes the filter at every
+point.  A trial's channels share one set of path delays, so a run has one
+tap window, computed once from its first channel.  The waveform chain
+modulates once per trial, prefix-extends and shapes once per run, then
+passes the frame through each point's channel.  The tap model builds each
+run's (S, N, L) stack of taps in one ``effective_taps`` call, and modulates
+and prefix-extends once per tap count for the stacked taps of all points
+with that count: once per trial in a speed or roll-off sweep, once per point
+in a span sweep.
 """
 
 from __future__ import annotations
@@ -35,17 +38,9 @@ from itertools import groupby
 import numpy as np
 
 from .channel import DDChannel, apply_channel, make_eva_channels
-from .receiver import (
-    correlator_receive,
-    default_lead,
-    effective_taps,
-    full_lead,
-    full_taps,
-    predict_output,
-    required_taps,
-)
+from .receiver import effective_taps, predict_output, sample_matched_filter, tap_window
 from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
-from .transforms import ChirpConfig, modulate
+from .transforms import ChirpConfig, demodulate, modulate
 from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_ideal
 from . import aliasing
 
@@ -280,12 +275,11 @@ def simulate_frame(
 ) -> np.ndarray:
     """Full waveform chain: returns the received chirp-domain frame.
 
-    modulate -> chirp-periodic prefix -> pulse shaping -> channel ->
-    ``correlator_receive`` (matched filter, base-rate sampling with the given
-    symbol lead, forward transform).  The prefix length is n_taps - 1 so the
-    folded tap relation is exact.  The NMSE sweep runs the same two halves,
-    ``_transmit`` and ``_receive``, sharing one transmitted frame between
-    points.
+    modulate -> chirp-periodic prefix -> pulse shaping -> channel -> matched
+    filter sampled at the base rate with the given symbol lead -> forward
+    transform.  The prefix length is n_taps - 1 so the folded tap relation
+    is exact.  The NMSE sweep runs the same two halves, ``_transmit`` and
+    ``_receive``, sharing one transmitted frame between points.
     """
     wf = _transmit(cfg, filt, modulate(cfg, symbols), n_taps)
     return _receive(cfg, filt, channel, wf, lead)
@@ -294,10 +288,6 @@ def simulate_frame(
 def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) -> Waveform:
     """Prefix-extend a modulated frame by n_taps - 1 samples and shape it."""
     l_cpp = n_taps - 1
-    if not 1 <= l_cpp < cfg.N:
-        raise ValueError(
-            f"prefix length {l_cpp} outside [1, {cfg.N}); reduce the tap span"
-        )
     return shape(cfg, add_cpp(cfg, x, l_cpp), filt, t_first=-l_cpp * cfg.dt)
 
 
@@ -307,7 +297,7 @@ def _receive(
     """Channel, then the receiver sampling ``lead`` symbols before the first path."""
     rx = apply_channel(channel, wf)
     tau1 = channel.shifts(filt.dt)[0] * filt.dt
-    return correlator_receive(cfg, rx, filt, t_start=tau1 - lead * cfg.dt)
+    return demodulate(cfg, sample_matched_filter(rx, filt, tau1 - lead * cfg.dt, cfg.N))
 
 
 def nmse_trial(
@@ -319,10 +309,10 @@ def nmse_trial(
 ) -> float:
     """One-frame NMSE between the waveform simulation and the tap model.
 
-    With the default window (lead q/2, L = spread + q + 1) the model drops
+    The tap model keeps the window of ``tap_window``: by default it drops
     the far acausal/causal ambiguity tails and the NMSE measures that
-    truncation.  ``exact_window=True`` widens the window to cover the full
-    ambiguity support, which drives the NMSE to floating-point level.
+    truncation; ``exact_window=True`` selects the exact window, which drives
+    the NMSE to floating-point level.
     """
     return float(_nmse_points(cfg, [filt], [channel], symbols, exact_window)[0])
 
@@ -336,49 +326,45 @@ def _nmse_points(
 ) -> np.ndarray:
     """``nmse_trial`` of one frame of symbols at each point (filts[i], channels[i]).
 
-    Consecutive points with the same filter object, window (lead and tap
-    count) and path delays form a run; all of a speed sweep is one run, and
-    each point of a roll-off or span sweep is a run of its own.  The waveform
-    chain modulates once, transmits once per run and receives point by point.
+    Consecutive points with the same filter object form a run; all of a
+    speed sweep is one run, and each point of a roll-off or span sweep is a
+    run of its own.  The points of a run share their path delays, hence one
+    tap window, taken from the run's first channel.  The waveform chain
+    modulates once, transmits once per run and receives point by point.
     The tap model builds each run's (S, N, L) tap stack in one
     ``effective_taps`` call and applies the stacks of all points with one tap
     count in one ``predict_output`` call (all of a speed or roll-off sweep).
     Neither reads anything the other computed.
     """
-    windows = [
-        (full_lead(f), full_taps(c, f)) if exact_window
-        else (default_lead(f), required_taps(c, f))
-        for f, c in zip(filts, channels)
-    ]
     x = modulate(cfg, symbols)
     y_sim = np.empty((len(filts), cfg.N), dtype=np.complex128)
     y_pred = np.empty_like(y_sim)
-
-    def run_key(i):
-        return id(filts[i]), windows[i], channels[i].delays.tobytes()
-
-    def run_taps(run):
-        return effective_taps([channels[i] for i in run], filts[run[0]], cfg.N, *windows[run[0]])
-
-    runs = [list(run) for _, run in groupby(range(len(filts)), key=run_key)]
-    for run in runs:
-        filt, (lead, n_taps) = filts[run[0]], windows[run[0]]
+    runs = []  # (point indices, lead, tap count)
+    for _, run in groupby(range(len(filts)), key=lambda i: id(filts[i])):
+        run = list(run)
+        filt = filts[run[0]]
+        lead, n_taps = tap_window(channels[run[0]], filt, exact_window)
         wf = _transmit(cfg, filt, x, n_taps)
         for i in run:
             y_sim[i] = _receive(cfg, filt, channels[i], wf, lead)
-    for n_taps in dict.fromkeys(n for _, n in windows):
-        group = [run for run in runs if windows[run[0]][1] == n_taps]
-        idx = [i for run in group for i in run]
+        runs.append((run, lead, n_taps))
+
+    def run_taps(run, lead, n_taps):
+        return effective_taps([channels[i] for i in run], filts[run[0]], cfg.N, lead, n_taps)
+
+    for n_taps in dict.fromkeys(n for _, _, n in runs):
+        group = [(run, lead) for run, lead, n in runs if n == n_taps]
+        idx = [i for run, _ in group for i in run]
         if len(group) == 1:  # all of a speed sweep: the run's stack as it is
-            taps = run_taps(group[0])
+            taps = run_taps(*group[0], n_taps)
         else:
             # filled run by run: concatenating the stacks would hold every tap
             # twice, and at paper scale the allocator then maps and faults in
             # those megabytes afresh on every trial
             taps = np.empty((len(idx), cfg.N, n_taps), dtype=np.complex128)
             j = 0
-            for run in group:
-                taps[j : j + len(run)] = run_taps(run)
+            for run, lead in group:
+                taps[j : j + len(run)] = run_taps(run, lead, n_taps)
                 j += len(run)
         y_pred[idx] = predict_output(cfg, taps, symbols)
     return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
@@ -412,14 +398,17 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
         drawn = dict(zip(distinct, make_eva_channels(ec.fc_hz, distinct, rng)))
         symbols = qam4_symbols(cfg.N, rng)
         samples[:, t] = _nmse_points(cfg, filts, [drawn[v] for v in speeds], symbols)
-    means = np.empty(len(points))
-    errs = np.empty(len(points))
-    for i, row in enumerate(samples):
-        mean = row.mean()
-        stderr = row.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
-        means[i] = 10.0 * np.log10(mean)
-        errs[i] = (10.0 / np.log(10.0)) * stderr / mean
-    return SweepResult(sweep=ec.sweep, values=points, nmse_db=means, stderr_db=errs)
+    mean = samples.mean(axis=1)
+    if ec.trials > 1:
+        stderr = samples.std(axis=1, ddof=1) / np.sqrt(ec.trials)
+    else:
+        stderr = np.zeros(len(points))
+    return SweepResult(
+        sweep=ec.sweep,
+        values=points,
+        nmse_db=10.0 * np.log10(mean),
+        stderr_db=(10.0 / np.log(10.0)) * stderr / mean,
+    )
 
 
 def run_psd_experiment(ec: ExperimentConfig) -> tuple[PsdCurve, PsdCurve, float]:
@@ -472,8 +461,7 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     filt = ec.srrc()
     nmse_window = nmse_trial(cfg, filt, channel, symbols)
     nmse_exact = nmse_trial(cfg, filt, channel, symbols, exact_window=True)
-    lead, n_taps = default_lead(filt), required_taps(channel, filt)
-    taps = effective_taps([channel], filt, cfg.N, lead, n_taps)[0]
+    taps = effective_taps([channel], filt, cfg.N, *tap_window(channel, filt))[0]
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),
@@ -508,7 +496,7 @@ def measure_transform_time(n: int) -> float:
     return best / batch
 
 
-def complexity_compare(n: int, n_od: int, measure: bool = True) -> dict:
+def complexity_compare(n: int, n_od: int) -> dict:
     """Transform-stage multiply counts for the monolithic chirp transform at
     size n versus a bank of n/n_od transforms of size n_od, plus a measured
     wall-clock scaling check of this package's own fast transform."""
@@ -524,21 +512,20 @@ def complexity_compare(n: int, n_od: int, measure: bool = True) -> dict:
         "count_bank": count_bank,
         "count_ratio": count_full / count_bank if count_bank else float("inf"),
     }
-    if measure:
-        # Shared machines make single timing sweeps noisy; take the median
-        # slope over a few interleaved passes so one slow pass cannot tilt
-        # the fit.
-        sizes = [256, 1024, 4096]
-        passes = []
-        for _ in range(3):
-            times = [measure_transform_time(s) for s in sizes]
-            passes.append(times)
-        slopes = [
-            float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
-            for times in passes
-        ]
-        order = int(np.argsort(slopes)[len(slopes) // 2])
-        report["measured_sizes"] = sizes
-        report["measured_seconds"] = passes[order]
-        report["loglog_slope"] = slopes[order]
+    # Shared machines make single timing sweeps noisy; take the median
+    # slope over a few interleaved passes so one slow pass cannot tilt
+    # the fit.
+    sizes = [256, 1024, 4096]
+    passes = []
+    for _ in range(3):
+        times = [measure_transform_time(s) for s in sizes]
+        passes.append(times)
+    slopes = [
+        float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+        for times in passes
+    ]
+    order = int(np.argsort(slopes)[len(slopes) // 2])
+    report["measured_sizes"] = sizes
+    report["measured_seconds"] = passes[order]
+    report["loglog_slope"] = slopes[order]
     return report

@@ -1,9 +1,10 @@
 """Matched-filter reception and effective-channel models.
 
-The receive chain (correlator_receive, the receiver of the simulated
-waveform chain) is: the matched filter against the shaping pulse, sampled
-at the base rate with a fixed symbol lead, then the forward chirp
-transform.  ``sample_matched_filter`` evaluates the matched-filter output
+The receiver of the simulated waveform chain is the matched filter against
+the shaping pulse, sampled at the base rate with a fixed symbol lead, then
+the forward chirp transform (``demodulate``); it is algebraically a bank of
+correlators with the shaped transform columns, which the tests keep as its
+oracle.  ``sample_matched_filter`` evaluates the matched-filter output
 only at those N instants, as a polyphase decimator (one product of the
 waveform, folded into rows of O samples, with the conjugated taps, then a
 sum of shifted diagonals), so the fine-grid correlation is never formed.
@@ -12,8 +13,9 @@ output obeys an exact linear tap relation
 
     y[k'] = sum_l h[k', l] x[k' - l],
 
-with taps built from the pulse cross-ambiguity function.  The model only
-reads the L lags of the ambiguity function that the retained window needs,
+with taps built from the pulse cross-ambiguity function.  ``tap_window`` is
+the one rule for the retained window (sampling lead and tap count).  The
+model only reads the L lags of the ambiguity function that the window needs,
 for all paths at once.  Those lags depend on the path delays alone, so
 ``effective_taps`` takes S channels that share their delays (the points of
 a speed sweep) and returns their (S, N, L) stack of taps from one gather of
@@ -90,35 +92,24 @@ def sample_matched_filter(
     return out
 
 
-def default_lead(filt: SrrcFilter) -> int:
-    """Sampling lead of half the filter span, in symbol intervals.
+def tap_window(channel: DDChannel, filt: SrrcFilter, exact: bool = False) -> tuple[int, int]:
+    """Retained tap window (lead D, tap count L) of ``effective_taps``.
 
-    With this lead the retained window [0, L) keeps roughly q/2 symbol
-    intervals of acausal ambiguity support around each path; the remainder
-    (tiny pulse-tail correlations) is the deliberate model truncation.
+    The default window samples D = q/2 symbol intervals before the first
+    path and keeps L = ceil(delay spread / Ts) + q + 1 taps.  So the window
+    [0, L) keeps roughly q/2 symbol intervals of acausal ambiguity support
+    around each path; the remainder (tiny pulse-tail correlations) is the
+    deliberate model truncation that the NMSE measures.  ``exact=True``
+    widens the window to D = q and L + q taps, which covers the whole
+    ambiguity support and captures every nonzero tap, so the tap relation
+    reproduces the waveform chain to floating-point accuracy; it is the
+    check that the relation is exact.
     """
-    return filt.q // 2
-
-
-def required_taps(channel: DDChannel, filt: SrrcFilter) -> int:
-    """Retained tap count L = ceil(delay spread / Ts) + q + 1."""
     s = channel.shifts(filt.dt)
-    spread = int(np.ceil((s.max() - s.min()) / filt.O))
-    return spread + filt.q + 1
-
-
-def full_lead(filt: SrrcFilter) -> int:
-    """Sampling lead covering the whole acausal ambiguity support."""
-    return filt.q
-
-
-def full_taps(channel: DDChannel, filt: SrrcFilter) -> int:
-    """Tap count that, with ``full_lead``, captures every nonzero tap.
-
-    With this window the tap relation reproduces the waveform chain to
-    floating-point accuracy; used for exactness checks.
-    """
-    return required_taps(channel, filt) + filt.q
+    n_taps = int(np.ceil((s.max() - s.min()) / filt.O)) + filt.q + 1
+    if exact:
+        return filt.q, n_taps + filt.q
+    return filt.q // 2, n_taps
 
 
 def effective_taps(
@@ -287,21 +278,3 @@ def baseline_taps(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
     for g, lp, nu in zip(channel.gains, lags, channel.dopplers):
         taps[:, lp] += g * np.exp(2j * np.pi * nu * cfg.dt * (k - lp))
     return taps
-
-
-def correlator_receive(
-    cfg: ChirpConfig,
-    wf: Waveform,
-    filt: SrrcFilter,
-    t_start: float = 0.0,
-) -> np.ndarray:
-    """Bank-of-correlators receiver: project onto the shaped transform columns.
-
-    Y[n] = dt * sum_i r[i] conj(s_n[i]) with s_n the pulse-shaped inverse
-    transform column whose first symbol sits at t_start.  Algebraically equal
-    to matched filtering, base-rate sampling at t_start and a forward
-    transform, which is how it is computed and how the simulated waveform
-    chain receives every frame; the literal correlator bank is the test
-    oracle.
-    """
-    return demodulate(cfg, sample_matched_filter(wf, filt, t_start, cfg.N))

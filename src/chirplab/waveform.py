@@ -178,7 +178,7 @@ def add_cpp(cfg: ChirpConfig, seq: np.ndarray, l_cpp: int) -> np.ndarray:
     if seq.shape != (cfg.N,):
         raise ValueError(f"expected a length-{cfg.N} frame, got {seq.shape}")
     if not 1 <= l_cpp < cfg.N:
-        raise ValueError(f"l_cpp must lie in [1, {cfg.N}), got {l_cpp}")
+        raise ValueError(f"prefix length {l_cpp} outside [1, {cfg.N}); reduce the tap span")
     k = np.arange(-l_cpp, 0)
     phase = np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
     return np.concatenate([seq[cfg.N + k] * phase, seq])

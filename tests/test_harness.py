@@ -1,6 +1,7 @@
 """Unit tests for configuration parsing, experiment drivers and the CLI."""
 
 import csv
+import re
 from types import ModuleType
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
-from chirplab.receiver import default_lead, effective_taps, required_taps
+from chirplab.receiver import effective_taps, tap_window
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
@@ -357,21 +358,26 @@ def test_run_iorel_check_reports_small_errors():
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
     assert len(channel.gains) == 9
     filt = ec.srrc()
-    lead, n_taps = default_lead(filt), required_taps(channel, filt)
-    want = effective_taps([channel], filt, 64, lead, n_taps)[0]
+    want = effective_taps([channel], filt, 64, *tap_window(channel, filt))[0]
     assert np.array_equal(taps, want)
     assert report["nmse_model_db"] < -40.0
     assert report["nmse_exact_db"] < -200.0
 
 
-def test_transform_multiply_count_and_ratio():
+def test_transform_multiply_count_and_ratio(monkeypatch):
     assert transform_multiply_count(1024) == 512 * 10
-    report = complexity_compare(1024, 32, measure=False)
+    # an exact N log N cost: the fitted slope is that of n log n over the sizes
+    monkeypatch.setattr(experiments, "measure_transform_time", lambda n: 1e-9 * n * np.log(n))
+    report = complexity_compare(1024, 32)
     assert report["count_ratio"] == 2.0
-    report = complexity_compare(1024, 1024, measure=False)
+    sizes = np.array(report["measured_sizes"])
+    want = np.polyfit(np.log(sizes), np.log(sizes * np.log(sizes)), 1)[0]
+    assert abs(report["loglog_slope"] - want) < 1e-12
+    assert report["measured_seconds"] == [1e-9 * n * np.log(n) for n in sizes]
+    report = complexity_compare(1024, 1024)
     assert report["count_ratio"] == 1.0
     with pytest.raises(ValueError):
-        complexity_compare(1024, 33, measure=False)
+        complexity_compare(1024, 33)
 
 
 def test_cli_unknown_subcommand_exits_one(capsys):
@@ -407,6 +413,13 @@ def test_cli_nmse_writes_csv_and_is_deterministic(tmp_path, capsys):
     assert cli.main(["nmse", "--config", str(path), "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     assert out1.read_text().splitlines()[0] == "sweep_value,nmse_db,stderr_db"
+
+
+def test_cli_nmse_rejects_a_tap_span_longer_than_the_frame(tmp_path, capsys):
+    path = _write_config(tmp_path, "n = 16\nq = 16\noversample = 4\ntrials = 1\n")
+    assert cli.main(["nmse", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"prefix length \d+ outside \[1, 16\); reduce the tap span", err), err
 
 
 def test_cli_psd_writes_both_curves(tmp_path, capsys):

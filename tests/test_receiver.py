@@ -13,21 +13,18 @@ from chirplab import (
     baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,
-    default_lead,
     design_srrc,
     effective_taps,
     fold_cpp_taps,
-    full_lead,
-    full_taps,
     demodulate,
     modulate,
     predict_output,
-    required_taps,
     sample_matched_filter,
     shape,
+    tap_window,
 )
 from chirplab.experiments import nmse_trial, qam4_symbols
-from chirplab.receiver import correlator_receive, cpp_wrap_phase
+from chirplab.receiver import cpp_wrap_phase
 from chirplab.transforms import idaft_matrix
 from chirplab.waveform import Waveform
 
@@ -217,8 +214,8 @@ def test_effective_taps_single_clean_path_is_near_impulse():
     cfg = _cfg(64)
     filt = _filt(cfg)
     ch = DDChannel([1.0 + 0j], [0.0], [0.0])
-    lead = default_lead(filt)
-    taps = effective_taps([ch], filt, cfg.N, lead, required_taps(ch, filt))[0]
+    lead, n_taps = tap_window(ch, filt)
+    taps = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
     assert abs(taps[0, lead] - 1.0) < 1e-2
     others = np.delete(taps[0], lead)
     assert np.max(np.abs(others)) < 1e-2
@@ -228,9 +225,7 @@ def test_effective_taps_lti_rows_identical():
     cfg = _cfg(64)
     filt = _filt(cfg)
     ch = DDChannel([0.9 + 0.1j, 0.2 - 0.4j], [0.0, 2.5 * cfg.dt], [0.0, 0.0])
-    taps = effective_taps(
-        [ch], filt, cfg.N, default_lead(filt), required_taps(ch, filt)
-    )[0]
+    taps = effective_taps([ch], filt, cfg.N, *tap_window(ch, filt))[0]
     spread = np.max(np.abs(taps - taps[0][None, :]))
     assert spread < 1e-12
 
@@ -244,8 +239,7 @@ def test_effective_taps_matches_impulse_probe():
     rng = np.random.default_rng(32)
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(6)
     ch = DDChannel(gains, np.array([0.0, 1.3, 3.8]) * cfg.dt, [1800.0, -900.0, 2300.0])
-    lead = default_lead(filt)
-    n_taps = required_taps(ch, filt)
+    lead, n_taps = tap_window(ch, filt)
     taps = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
     oracle = _impulse_probe_taps(cfg, filt, ch, lead, n_taps)
     mask = np.abs(oracle) > 1e-4
@@ -305,8 +299,8 @@ def test_lag_trimmed_taps_equal_full_table_gather(
     rng = np.random.default_rng(seed)
     gains, nus = _draw_paths(rng, len(delays))
     ch = DDChannel(gains, np.sort(delays) * cfg.dt, nus)
-    lead = full_lead(filt) + extra_lead
-    n_taps = max(1, full_taps(ch, filt) + extra_lead + extra_taps)
+    lead, n_taps = tap_window(ch, filt, exact=True)
+    lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
     got = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
     want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
     # |A| <= A(0, 0) = 1 for the unit-energy pulse, so every tap is at most
@@ -338,8 +332,8 @@ def test_stacked_taps_equal_per_channel_oracle(
     for _ in range(count):
         gains, nus = _draw_paths(rng, len(delays))
         channels.append(DDChannel(gains, delays, nus))
-    lead = default_lead(filt) + extra_lead
-    n_taps = max(1, required_taps(channels[0], filt) + extra_lead + extra_taps)
+    lead, n_taps = tap_window(channels[0], filt)
+    lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
     got = effective_taps(channels, filt, cfg.N, lead, n_taps)
     assert got.shape == (count, cfg.N, n_taps)
     for taps, ch in zip(got, channels):
@@ -353,7 +347,7 @@ def test_stacked_taps_reject_channels_with_different_delays():
     a = DDChannel([1.0, 0.5j], [0.0, 1.0 * cfg.dt], [100.0, -50.0])
     b = DDChannel([1.0, 0.5j], [0.0, 1.5 * cfg.dt], [100.0, -50.0])
     with pytest.raises(ValueError, match="delays"):
-        effective_taps([a, b], filt, cfg.N, default_lead(filt), required_taps(b, filt))
+        effective_taps([a, b], filt, cfg.N, *tap_window(b, filt))
 
 
 def test_fold_cpp_taps_structure():
@@ -572,14 +566,12 @@ def test_default_window_io_relation_is_accurate():
     assert nmse < 10 ** (-40 / 10.0)
 
 
-def test_window_helpers_consistent():
+def test_tap_window():
     cfg = _cfg(64)
     filt = _filt(cfg)
     ch = DDChannel([1.0 + 0j, 0.5], [0.0, 3.2 * cfg.dt], [0.0, 0.0])
-    assert default_lead(filt) == filt.q // 2
-    assert full_lead(filt) == filt.q
-    assert required_taps(ch, filt) == 4 + filt.q + 1
-    assert full_taps(ch, filt) == 4 + 2 * filt.q + 1
+    assert tap_window(ch, filt) == (filt.q // 2, 4 + filt.q + 1)
+    assert tap_window(ch, filt, exact=True) == (filt.q, 4 + 2 * filt.q + 1)
 
 
 def _correlator_receive_direct(cfg, wf, filt, t_start=0.0):
@@ -608,12 +600,11 @@ def test_correlator_receiver_equivalence():
     rng = np.random.default_rng(38)
     x = qam4_symbols(cfg.N, rng)
     wf = shape(cfg, modulate(cfg, x), filt)
-    fast = correlator_receive(cfg, wf, filt)
+    fast = demodulate(cfg, sample_matched_filter(wf, filt, 0.0, cfg.N))
     direct = _correlator_receive_direct(cfg, wf, filt)
     assert np.linalg.norm(fast - direct) / np.linalg.norm(fast) < 1e-6
     # identity channel recovers the symbols within root-Nyquist tolerance
     assert np.linalg.norm(fast - x) / np.linalg.norm(x) < 1e-2
-    zero = correlator_receive(
-        cfg, Waveform(np.zeros_like(wf.samples), wf.sample_rate, wf.t0), filt
-    )
+    silent = Waveform(np.zeros_like(wf.samples), wf.sample_rate, wf.t0)
+    zero = demodulate(cfg, sample_matched_filter(silent, filt, 0.0, cfg.N))
     assert np.max(np.abs(zero)) == 0.0
