@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: psd, ortho, nmse, iorel, complexity, selftest.  Configuration
-comes from a flat ``key = value`` text file (--config) with optional --seed,
---trials and --out overrides; --small switches every experiment to the
-desk-scale parameter set (N = 256, 20 trials, oversampling 8).
+Subcommands: psd, ortho, nmse, iorel, complexity, selftest.  The first four
+read a flat ``key = value`` text file (--config) with optional --seed and
+--trials overrides and write CSV to --out; --small switches them and selftest
+to the desk-scale parameter set (N = 256, 20 trials, oversampling 8).
+complexity takes only --n and --n-od.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance failure in selftest.
 """
@@ -37,19 +38,18 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chirplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("psd", "ortho", "nmse", "iorel", "complexity", "selftest"):
+    small = dict(action="store_true", help="desk-scale run: N=256, trials=20, oversampling=8")
+    for name in ("psd", "ortho", "nmse", "iorel"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--out", help="output CSV path")
-        p.add_argument(
-            "--small",
-            action="store_true",
-            help="desk-scale run: N=256, trials=20, oversampling=8",
-        )
-    sub.choices["complexity"].add_argument("--n", type=int, default=1024)
-    sub.choices["complexity"].add_argument("--n-od", type=int, default=32)
+        p.add_argument("--small", **small)
+    p = sub.add_parser("complexity")
+    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--n-od", type=int, default=32)
+    sub.add_parser("selftest").add_argument("--small", **small)
     return parser
 
 

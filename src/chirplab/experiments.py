@@ -5,7 +5,9 @@ only module that writes them to files.  The NMSE compares two independent
 constructions: the waveform chain (simulate_frame: modulate, prefix,
 shaping, channel, then the sampled matched filter and ``demodulate``) and
 the tap model (effective_taps -> predict_output), with the sampling lead
-and tap count of ``receiver.tap_window``.
+and tap count of ``receiver.tap_window``.  Each sweep kind varies one
+configuration key (``SWEEPS``); a sweep point is the configuration with that
+key replaced, so each swept value obeys that key's own rule.
 
 Every driver is deterministic given the configuration and master seed; the
 per-trial random streams are derived as default_rng([seed, trial]).  The
@@ -44,12 +46,14 @@ from .transforms import ChirpConfig, demodulate, modulate
 from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_ideal
 from . import aliasing
 
-SWEEP_KINDS = ("speed", "rolloff", "span")
 INTEGER_KEYS = ("n", "q", "oversample", "trials", "seed")
 
-DEFAULT_SPEEDS = tuple(float(v) for v in range(0, 501, 50))
-DEFAULT_ROLLOFFS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35)
-DEFAULT_SPANS = tuple(range(6, 21, 2))
+# each sweep kind: the configuration key it varies, and that key's default points
+SWEEPS = {
+    "speed": ("speed_kmh", tuple(float(v) for v in range(0, 501, 50))),
+    "rolloff": ("beta", (0.1, 0.15, 0.2, 0.25, 0.3, 0.35)),
+    "span": ("q", tuple(range(6, 21, 2))),
+}
 
 
 @dataclass(frozen=True)
@@ -100,18 +104,20 @@ class ExperimentConfig:
         if not (math.isfinite(self.fc_hz) and self.fc_hz > 0):
             raise ValueError(f"fc_hz must be finite and positive, got {self.fc_hz}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.sweep not in SWEEP_KINDS:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.sweep not in SWEEPS:
             raise ValueError(f"unknown sweep kind: {self.sweep}")
         if self.profile != "eva":
             raise ValueError(f"unknown channel profile: {self.profile}")
         if self.sweep_values is not None:
             vals = list(self.sweep_values)
-            # each value is checked by kind first: NaN passes the order check
-            for v in vals:
-                _check_sweep_value(self.sweep, v)
+            # each point is checked by its key's rule first: NaN passes the order check
+            try:
+                self.sweep_configs()
+            except ValueError as exc:
+                raise ValueError(f"sweep_values: {exc}") from None
             if not vals or any(b < a for a, b in zip(vals[:-1], vals[1:])):
-                raise ValueError("sweep_values must be non-empty and ordered")
+                raise ValueError(f"sweep_values must be non-empty and ordered, got {vals}")
 
     @property
     def T(self) -> float:
@@ -125,45 +131,25 @@ class ExperimentConfig:
             c2=self.c2_num / _parse_denominator("c2_den", self.c2_den, self.n),
         )
 
-    def srrc(self, beta: float | None = None, q: int | None = None) -> SrrcFilter:
-        return design_srrc(
-            beta if beta is not None else self.beta,
-            q if q is not None else self.q,
-            self.oversample,
-            self.T / self.n,
-        )
+    def srrc(self) -> SrrcFilter:
+        return design_srrc(self.beta, self.q, self.oversample, self.T / self.n)
 
     def shrink(self) -> "ExperimentConfig":
         """Desk-scale variant: N -> 256, trials -> 20, O -> 8."""
         return replace(self, n=256, trials=20, oversample=8)
 
-    def sweep_points(self) -> list:
+    def sweep_configs(self) -> list:
+        """This configuration with the swept key set to each point; for an integer
+        key an integral float becomes an int, and any other value is passed on."""
+        key, values = SWEEPS[self.sweep]
         if self.sweep_values is not None:
-            if self.sweep == "span":
-                return [int(v) for v in self.sweep_values]
-            return [float(v) for v in self.sweep_values]
-        if self.sweep == "speed":
-            return list(DEFAULT_SPEEDS)
-        if self.sweep == "rolloff":
-            return list(DEFAULT_ROLLOFFS)
-        return list(DEFAULT_SPANS)
+            values = self.sweep_values
+        if key in INTEGER_KEYS:
+            values = [int(v) if isinstance(v, float) and v.is_integer() else v for v in values]
+        return [replace(self, **{key: v}, sweep_values=None) for v in values]
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-
-
-def _check_sweep_value(sweep: str, v) -> None:
-    """One sweep point must be a legal speed, roll-off or filter span."""
-    if sweep == "speed":
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(
-                f"sweep_values: speed sweep values must be finite and non-negative, got {v}"
-            )
-    elif sweep == "rolloff":
-        if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValueError(f"sweep_values: roll-off sweep values must lie in [0, 1], got {v}")
-    elif not (float(v).is_integer() and v >= 2 and v % 2 == 0):
-        raise ValueError(f"sweep_values: span sweep values must be even integers >= 2, got {v}")
 
 
 def _parse_denominator(key: str, text: str, n: int) -> float:
@@ -243,9 +229,8 @@ def config_from_dict(values: dict) -> ExperimentConfig:
 
 @dataclass
 class SweepResult:
-    """Per-point NMSE statistics of one sweep."""
+    """Per-point NMSE statistics at each point's value of the swept key."""
 
-    sweep: str
     values: list
     nmse_db: np.ndarray
     stderr_db: np.ndarray
@@ -379,18 +364,12 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     every point.
     """
     cfg = ec.chirp_config()
-    points = ec.sweep_points()
-    if ec.sweep == "speed":
-        designs = [(ec.beta, ec.q)] * len(points)
-        speeds = points
-    elif ec.sweep == "rolloff":
-        designs = [(value, ec.q) for value in points]
-        speeds = [ec.speed_kmh] * len(points)
-    else:
-        designs = [(ec.beta, int(value)) for value in points]
-        speeds = [ec.speed_kmh] * len(points)
-    designed = {d: ec.srrc(*d) for d in dict.fromkeys(designs)}
-    filts = [designed[d] for d in designs]
+    points = ec.sweep_configs()
+    # one filter object per distinct design: _nmse_points keys its runs by it
+    designs = {(p.beta, p.q): p for p in points}
+    designed = {d: p.srrc() for d, p in designs.items()}
+    filts = [designed[p.beta, p.q] for p in points]
+    speeds = [p.speed_kmh for p in points]
     distinct = list(dict.fromkeys(speeds))
     samples = np.empty((len(points), ec.trials))
     for t in range(ec.trials):
@@ -403,9 +382,9 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
         stderr = samples.std(axis=1, ddof=1) / np.sqrt(ec.trials)
     else:
         stderr = np.zeros(len(points))
+    key = SWEEPS[ec.sweep][0]
     return SweepResult(
-        sweep=ec.sweep,
-        values=points,
+        values=[getattr(p, key) for p in points],
         nmse_db=10.0 * np.log10(mean),
         stderr_db=(10.0 / np.log(10.0)) * stderr / mean,
     )
@@ -500,6 +479,10 @@ def complexity_compare(n: int, n_od: int) -> dict:
     """Transform-stage multiply counts for the monolithic chirp transform at
     size n versus a bank of n/n_od transforms of size n_od, plus a measured
     wall-clock scaling check of this package's own fast transform."""
+    if n_od < 2:
+        raise ValueError(f"n_od must be >= 2, got {n_od}")
+    if n < n_od:
+        raise ValueError(f"n must be >= n_od = {n_od}, got {n}")
     if n % n_od != 0:
         raise ValueError(f"{n_od} does not divide {n}")
     count_full = transform_multiply_count(n)
@@ -510,7 +493,7 @@ def complexity_compare(n: int, n_od: int) -> dict:
         "n_od": n_od,
         "count_full": count_full,
         "count_bank": count_bank,
-        "count_ratio": count_full / count_bank if count_bank else float("inf"),
+        "count_ratio": count_full / count_bank,
     }
     # Shared machines make single timing sweeps noisy; take the median
     # slope over a few interleaved passes so one slow pass cannot tilt

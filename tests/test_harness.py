@@ -2,6 +2,7 @@
 
 import csv
 import re
+from dataclasses import replace
 from types import ModuleType
 
 import numpy as np
@@ -71,7 +72,8 @@ def test_config_validation():
      ("c1_den", "0"), ("c2_den", "0N"), ("c1_den", "abc"), ("c1_num", "inf"),
      ("n", "3.5"), ("seed", "1e3"), ("sweep_values", "0,,5"),
      ("n", 64.5), ("trials", 2.9), ("seed", 1.7), ("q", float("nan")),
-     ("oversample", 8.25), ("n", True), ("trials", True), ("seed", False)],
+     ("oversample", 8.25), ("n", True), ("trials", True), ("seed", False),
+     ("trials", 0)],
 )
 def test_config_rejects_bad_value_naming_key(key, value):
     """Raw text is converted by key first, and a value that does not convert
@@ -81,6 +83,14 @@ def test_config_rejects_bad_value_naming_key(key, value):
     if not isinstance(value, str):
         with pytest.raises(ValueError, match=rf"^{key} .*{value}"):
             ExperimentConfig(**{key: value})
+
+
+def test_config_rejects_unordered_sweep_values_naming_them():
+    for values in ((3.0, 1.0), ()):
+        with pytest.raises(ValueError, match=re.escape(
+            f"sweep_values must be non-empty and ordered, got {list(values)}"
+        )):
+            ExperimentConfig(sweep_values=values)
 
 
 def test_cli_zero_denominator_is_a_config_error(tmp_path, capsys):
@@ -168,7 +178,6 @@ def test_load_config_unknown_key(tmp_path):
 
 def test_sweep_result_csv_format(tmp_path, monkeypatch, capsys):
     sweep = SweepResult(
-        sweep="speed",
         values=[0.0, 250.0],
         nmse_db=np.array([-51.234567890123, -50.5]),
         stderr_db=np.array([0.25, 0.5]),
@@ -296,16 +305,17 @@ def test_run_nmse_sweep_deterministic():
 def _nmse_sweep_per_point(ec):
     """Oracle: the sweep as a per-point loop that designs the point's filter,
     redraws every trial's channel at the point's speed and symbols from
-    default_rng([seed, trial]), and calls ``nmse_trial``."""
+    default_rng([seed, trial]), and calls ``nmse_trial``.  It names each
+    kind's key itself rather than reading ``SWEEPS``."""
     cfg = ec.chirp_config()
     means, errs = [], []
-    for value in ec.sweep_points():
+    for value in ec.sweep_values:
         if ec.sweep == "speed":
             filt, speed = ec.srrc(), value
         elif ec.sweep == "rolloff":
-            filt, speed = ec.srrc(beta=value), ec.speed_kmh
+            filt, speed = replace(ec, beta=value).srrc(), ec.speed_kmh
         else:
-            filt, speed = ec.srrc(q=int(value)), ec.speed_kmh
+            filt, speed = replace(ec, q=int(value)).srrc(), ec.speed_kmh
         samples = np.empty(ec.trials)
         for t in range(ec.trials):
             rng = np.random.default_rng([ec.seed, t])
@@ -378,6 +388,25 @@ def test_transform_multiply_count_and_ratio(monkeypatch):
     assert report["count_ratio"] == 1.0
     with pytest.raises(ValueError):
         complexity_compare(1024, 33)
+    # sizes it cannot count are refused, naming the argument and the value
+    for n, n_od, want in [(1024, 0, "^n_od .*0"), (1024, -32, "^n_od .*-32"),
+                          (0, 32, "^n .*0"), (1024, 1, "^n_od .*1")]:
+        with pytest.raises(ValueError, match=want):
+            complexity_compare(n, n_od)
+
+
+def test_cli_complexity_rejects_a_bank_size_below_two(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "measure_transform_time",
+                        lambda n: pytest.fail("measured before the sizes were checked"))
+    assert cli.main(["complexity", "--n-od", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n_od must be >= 2, got 0"]
+
+
+def test_cli_rejects_options_a_subcommand_does_not_take(capsys):
+    assert cli.main(["selftest", "--out", "x"]) == 1
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_exits_one(capsys):
@@ -492,7 +521,8 @@ def test_span_sweep_rejects_non_integer_and_odd_values(tmp_path, capsys):
     for bad in (7.25, 7, 0):
         with pytest.raises(ValueError, match=f"sweep_values.*{bad}"):
             ExperimentConfig(sweep="span", sweep_values=(bad, 8))
-    assert ExperimentConfig(sweep="span", sweep_values=(6.0, 8.0)).sweep_points() == [6, 8]
+    points = ExperimentConfig(sweep="span", sweep_values=(6.0, 8.0)).sweep_configs()
+    assert [p.q for p in points] == [6, 8]
     path = tmp_path / "span.cfg"
     path.write_text("n = 64\nsweep = span\nsweep_values = 6, 6.5\n")
     assert cli.main(["nmse", "--config", str(path)]) == 1
@@ -502,23 +532,59 @@ def test_span_sweep_rejects_non_integer_and_odd_values(tmp_path, capsys):
 
 def test_rolloff_sweep_rejects_values_outside_unit_interval(tmp_path, capsys):
     for bad in (1.5, -0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match=f"^sweep_values: roll-off .*{bad}"):
+        with pytest.raises(ValueError, match=f"^sweep_values: beta .*{bad}"):
             ExperimentConfig(sweep="rolloff", sweep_values=(0.1, bad))
     path = _write_config(tmp_path, "n = 64\nsweep = rolloff\nsweep_values = 0.2, 1.5\n")
     assert cli.main(["nmse", "--config", path]) == 1
-    assert "sweep_values: roll-off sweep values must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert "sweep_values: beta must lie in [0, 1], got 1.5" in capsys.readouterr().err
 
 
 def test_speed_sweep_rejects_non_finite_values(tmp_path, capsys):
     """NaN compares false, so it used to pass the order check."""
     for bad in (float("nan"), float("inf"), -float("inf"), -5.0):
-        with pytest.raises(ValueError, match=f"^sweep_values: speed .*{bad}"):
+        with pytest.raises(ValueError, match=f"^sweep_values: speed_kmh .*{bad}"):
             ExperimentConfig(sweep="speed", sweep_values=(0.0, bad))
     path = _write_config(tmp_path, "n = 64\nsweep = speed\nsweep_values = 0, nan\n")
     assert cli.main(["nmse", "--config", path]) == 1
-    assert "sweep_values: speed sweep values must be finite and non-negative, got nan" in (
+    assert "sweep_values: speed_kmh must be finite and non-negative, got nan" in (
         capsys.readouterr().err
     )
+
+
+# legal and illegal points of each kind; a span point is an int or a
+# non-integral float, as an integral float is the one value a sweep converts
+_ANY_POINT = {
+    "speed": st.floats(-10.0, 600.0) | st.sampled_from([float("nan"), float("inf")]),
+    "rolloff": st.floats(-0.5, 1.5) | st.sampled_from([float("nan"), float("inf")]),
+    "span": st.integers(1, 12).map(lambda h: 2 * h) | st.integers(-4, 24)
+    | st.floats(-4.0, 24.0).filter(lambda v: not v.is_integer()),
+}
+
+
+def _accepted(make):
+    try:
+        return make()
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("kind, key", [("speed", "speed_kmh"), ("rolloff", "beta"), ("span", "q")])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_point_is_the_config_with_the_swept_key_replaced(kind, key, data):
+    """A sweep is accepted iff its values are non-empty and ordered and the
+    default configuration with the swept key set to each value is accepted;
+    its points are then those configurations."""
+    values = data.draw(st.lists(_ANY_POINT[kind], max_size=4).flatmap(
+        lambda vs: st.sampled_from([tuple(vs), tuple(sorted(vs))])
+    ))
+    base = ExperimentConfig(sweep=kind)
+    want = [_accepted(lambda v=v: replace(base, **{key: v})) for v in values]
+    ordered = bool(values) and all(a <= b for a, b in zip(values[:-1], values[1:]))
+    got = _accepted(lambda: ExperimentConfig(sweep=kind, sweep_values=values))
+    assert (got is not None) == (ordered and None not in want)
+    if got is not None:
+        assert got.sweep_configs() == want
 
 
 def test_config_rejects_non_finite_or_negative_speed(tmp_path, capsys):
