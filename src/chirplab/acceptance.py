@@ -236,7 +236,7 @@ def criterion_06_tap_formula(small: bool = False) -> CriterionResult:
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
     filt = ec.srrc()
     lead, n_taps = tap_window(channel, filt)
-    model = effective_taps([channel], filt, n, lead, n_taps)[0]
+    model = effective_taps([channel], [filt], n, [(lead, n_taps)])[0]
     oracle = _impulse_probe_taps(cfg, filt, channel, lead, n_taps)
     mask = np.abs(model) > 1e-4
     rel = np.abs(model[mask] - oracle[mask]) / np.abs(model[mask])
@@ -281,6 +281,7 @@ def _sweep_endpoints(
     The trend is non-increasing up to 1 dB of jitter per step.  The desk-scale
     variant checks the trend only.
     """
+    start = time.perf_counter()
     ec = ExperimentConfig(seed=7, sweep=sweep)
     if small:
         ec = ec.shrink()
@@ -299,7 +300,7 @@ def _sweep_endpoints(
             f"endpoints {vals[0]:.2f} / {vals[-1]:.2f} dB "
             f"(targets {lo:.0f} / {hi:.0f} +- 3), monotone {'ok' if monotone else 'BAD'}"
         )
-    return CriterionResult(name, ok, detail)
+    return CriterionResult(name, ok, detail + f", {time.perf_counter() - start:.1f}s")
 
 
 def criterion_08_rolloff_sweep(small: bool = False) -> CriterionResult:
@@ -334,7 +335,7 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
     def gap(dopplers):
         channel = DDChannel(gains, delays, dopplers)
         lead, n_taps = tap_window(channel, filt)
-        taps = effective_taps([channel], filt, n, lead, n_taps)[0]
+        taps = effective_taps([channel], [filt], n, [(lead, n_taps)])[0]
         hu_mf = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
         shifted = DDChannel(gains, delays + lead * cfg.dt, dopplers)
         hu_base = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, baseline_taps(cfg, shifted)))

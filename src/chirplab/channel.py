@@ -160,8 +160,8 @@ def add_awgn(wf: Waveform, n0: float, rng: np.random.Generator) -> Waveform:
     The per-sample complex variance is n0 * sample_rate so that the noise
     power referred to the continuous-time bandwidth is n0 per hertz.
     """
-    if n0 < 0:
-        raise ValueError("noise density must be non-negative")
+    if not (math.isfinite(n0) and n0 >= 0):
+        raise ValueError(f"noise density must be finite and non-negative, got {n0}")
     var = n0 * wf.sample_rate
     noise = np.sqrt(var / 2.0) * (
         rng.standard_normal(len(wf.samples)) + 1j * rng.standard_normal(len(wf.samples))

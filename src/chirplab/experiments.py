@@ -16,17 +16,14 @@ channel and symbol draws (common random numbers), which smooths the curves.
 So the NMSE sweep runs trials in the outer loop: it draws each trial once
 (one EVA draw, seen at every speed of a speed sweep), designs each distinct
 filter once per sweep, and each construction does the work that points
-share once per trial.  A run is a stretch of points with the same filter
-object: all of a speed sweep, whose channels differ only in their Dopplers,
-and one point of a roll-off or span sweep, which changes the filter at every
-point.  A trial's channels share one set of path delays, so a run has one
-tap window, computed once from its first channel.  The waveform chain
-modulates once per trial, prefix-extends and shapes once per run, then
-passes the frame through each point's channel.  The tap model builds each
-run's (S, N, L) stack of taps in one ``effective_taps`` call, and modulates
-and prefix-extends once per tap count for the stacked taps of all points
-with that count: once per trial in a speed or roll-off sweep, once per point
-in a span sweep.
+share once per trial.  A trial's channels share one set of path delays, so
+a run of points with the same filter object (all of a speed sweep, one
+point of a roll-off or span sweep) has one tap window.  The waveform chain
+modulates once per trial, prefix-extends and shapes once per run, passes
+the frame through each point's channel and samples it, then demodulates the
+trial's (S, N) stack at once.  The tap model builds the trial's
+(S, N, max L) stack of taps in one ``effective_taps`` call, whatever the
+sweep kind, and applies it in one ``predict_output`` call.
 """
 
 from __future__ import annotations
@@ -267,7 +264,7 @@ def simulate_frame(
     ``_receive``, sharing one transmitted frame between points.
     """
     wf = _transmit(cfg, filt, modulate(cfg, symbols), n_taps)
-    return _receive(cfg, filt, channel, wf, lead)
+    return demodulate(cfg, _receive(cfg, filt, channel, wf, lead))
 
 
 def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) -> Waveform:
@@ -279,10 +276,11 @@ def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) ->
 def _receive(
     cfg: ChirpConfig, filt: SrrcFilter, channel: DDChannel, wf: Waveform, lead: int
 ) -> np.ndarray:
-    """Channel, then the receiver sampling ``lead`` symbols before the first path."""
+    """Channel, then the matched filter sampled at the base rate from ``lead``
+    symbols before the first path: the received frame before ``demodulate``."""
     rx = apply_channel(channel, wf)
     tau1 = channel.shifts(filt.dt)[0] * filt.dt
-    return demodulate(cfg, sample_matched_filter(rx, filt, tau1 - lead * cfg.dt, cfg.N))
+    return sample_matched_filter(rx, filt, tau1 - lead * cfg.dt, cfg.N)
 
 
 def nmse_trial(
@@ -311,47 +309,29 @@ def _nmse_points(
 ) -> np.ndarray:
     """``nmse_trial`` of one frame of symbols at each point (filts[i], channels[i]).
 
-    Consecutive points with the same filter object form a run; all of a
-    speed sweep is one run, and each point of a roll-off or span sweep is a
-    run of its own.  The points of a run share their path delays, hence one
-    tap window, taken from the run's first channel.  The waveform chain
-    modulates once, transmits once per run and receives point by point.
-    The tap model builds each run's (S, N, L) tap stack in one
-    ``effective_taps`` call and applies the stacks of all points with one tap
-    count in one ``predict_output`` call (all of a speed or roll-off sweep).
-    Neither reads anything the other computed.
+    Consecutive points with the same filter object form a run (all of a
+    speed sweep; one point of a roll-off or span sweep).  A trial's channels
+    share their path delays, so a run has one tap window, taken from its
+    first channel.  The waveform chain modulates once, transmits once per
+    run, samples point by point and demodulates the (S, N) stack once.  The
+    tap model builds the trial's (S, N, max L) tap stack in one
+    ``effective_taps`` call and applies it in one ``predict_output`` call;
+    the zero taps past a point's own L change nothing.  Neither reads
+    anything the other computed.
     """
     x = modulate(cfg, symbols)
-    y_sim = np.empty((len(filts), cfg.N), dtype=np.complex128)
-    y_pred = np.empty_like(y_sim)
-    runs = []  # (point indices, lead, tap count)
+    rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
+    windows = []
     for _, run in groupby(range(len(filts)), key=lambda i: id(filts[i])):
         run = list(run)
         filt = filts[run[0]]
         lead, n_taps = tap_window(channels[run[0]], filt, exact_window)
         wf = _transmit(cfg, filt, x, n_taps)
         for i in run:
-            y_sim[i] = _receive(cfg, filt, channels[i], wf, lead)
-        runs.append((run, lead, n_taps))
-
-    def run_taps(run, lead, n_taps):
-        return effective_taps([channels[i] for i in run], filts[run[0]], cfg.N, lead, n_taps)
-
-    for n_taps in dict.fromkeys(n for _, _, n in runs):
-        group = [(run, lead) for run, lead, n in runs if n == n_taps]
-        idx = [i for run, _ in group for i in run]
-        if len(group) == 1:  # all of a speed sweep: the run's stack as it is
-            taps = run_taps(*group[0], n_taps)
-        else:
-            # filled run by run: concatenating the stacks would hold every tap
-            # twice, and at paper scale the allocator then maps and faults in
-            # those megabytes afresh on every trial
-            taps = np.empty((len(idx), cfg.N, n_taps), dtype=np.complex128)
-            j = 0
-            for run, lead in group:
-                taps[j : j + len(run)] = run_taps(run, lead, n_taps)
-                j += len(run)
-        y_pred[idx] = predict_output(cfg, taps, symbols)
+            rx[i] = _receive(cfg, filt, channels[i], wf, lead)
+        windows += [(lead, n_taps)] * len(run)
+    y_sim = demodulate(cfg, rx)
+    y_pred = predict_output(cfg, effective_taps(channels, filts, cfg.N, windows), symbols)
     return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
 
 
@@ -440,7 +420,7 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     filt = ec.srrc()
     nmse_window = nmse_trial(cfg, filt, channel, symbols)
     nmse_exact = nmse_trial(cfg, filt, channel, symbols, exact_window=True)
-    taps = effective_taps([channel], filt, cfg.N, *tap_window(channel, filt))[0]
+    taps = effective_taps([channel], [filt], cfg.N, [tap_window(channel, filt)])[0]
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),
@@ -483,8 +463,10 @@ def complexity_compare(n: int, n_od: int) -> dict:
         raise ValueError(f"n_od must be >= 2, got {n_od}")
     if n < n_od:
         raise ValueError(f"n must be >= n_od = {n_od}, got {n}")
-    if n % n_od != 0:
-        raise ValueError(f"{n_od} does not divide {n}")
+    # the radix-2 count holds for powers of two only, and these divide each other
+    for key, size in (("n_od", n_od), ("n", n)):
+        if size & (size - 1):
+            raise ValueError(f"{key} must be a power of two, got {size}")
     count_full = transform_multiply_count(n)
     m = n // n_od
     count_bank = m * transform_multiply_count(n_od)

@@ -16,10 +16,10 @@ output obeys an exact linear tap relation
 with taps built from the pulse cross-ambiguity function.  ``tap_window`` is
 the one rule for the retained window (sampling lead and tap count).  The
 model only reads the L lags of the ambiguity function that the window needs,
-for all paths at once.  Those lags depend on the path delays alone, so
-``effective_taps`` takes S channels that share their delays (the points of
-a speed sweep) and returns their (S, N, L) stack of taps from one gather of
-the pulse.  A frame is predicted by applying the banded taps to the
+for all paths at once.  ``effective_taps`` takes a channel, a filter and a
+window per point, for points that share their path delays (the points of a
+trial), and returns their (S, N, max L) stack of taps, with one gather of
+the pulse per filter and window.  A frame is predicted by applying the banded taps to the
 prefix-extended frame, which costs O(N L) per stacked channel and never
 forms an N x N matrix.  Folding the taps through the chirp-periodic prefix
 yields the dense N x N effective matrix H, and conjugating by the transform
@@ -114,19 +114,20 @@ def tap_window(channel: DDChannel, filt: SrrcFilter, exact: bool = False) -> tup
 
 def effective_taps(
     channels: Sequence[DDChannel],
-    filt: SrrcFilter,
+    filts: Sequence[SrrcFilter],
     n_out: int,
-    lead: int,
-    n_taps: int,
+    windows: Sequence[tuple[int, int]],
 ) -> np.ndarray:
     """Exact taps of shape -> channel -> matched filter -> base-rate sampling.
 
-    Returns the (S, n_out, n_taps) stack of the S channels' taps h, where
-    h[k', l] multiplies x[k' - l] and sample k' is taken at
-    t = tau1 + (k' - D) Ts with D = lead and tau1 the fine-grid delay of the
-    earliest path.  The channels must share their delays (a speed sweep's
-    channels do); their gains and Dopplers may differ.  With path p's gain
-    g_p, delay tau_p and Doppler nu_p from a channel's arrays, the expansion is
+    Point s is channel s seen through filter s with the (lead D, tap count L)
+    window s.  Returns the (S, n_out, max L) stack of the points' taps h, zero
+    past each point's own L, where h[k', l] multiplies x[k' - l] and sample
+    k' is taken at t = tau1 + (k' - D) Ts with tau1 the fine-grid delay of
+    the earliest path.  The channels must share their delays (a trial's
+    channels do) and the filters their fine grid; gains, Dopplers, filters
+    and windows may differ.  With path p's gain g_p, delay tau_p and Doppler
+    nu_p from a channel's arrays, the expansion is
     h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p + (k' - D) Ts))
     A(tau1 - tau_p + (l - D) Ts, nu_p), with A(tau, nu) =
     int a(u + tau) a*(u) e^{j2 pi nu u} du the pulse cross-ambiguity function
@@ -137,35 +138,51 @@ def effective_taps(
     A is the Riemann sum dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u} on
     the filter tap grid, evaluated only at the (P, L) lags the window reads;
     lags with |lag| >= M (the tap count) have no overlap and give exactly 0.
-    The lags depend on the delays alone, so the (P, L, M) gather of shifted
-    pulses is built once and multiplies every channel's Doppler-weighted
-    conjugate pulse in one batched product.  h is then one batched product of
-    the (S, N, P) symbol-rate Doppler tones with the gain-weighted ambiguity
-    values; both sets of tones use the channel's coarse-by-fine tone split.
+    The lags depend on the delays and the window alone, so the points with
+    one filter object and one window share one (P, L, M) gather of shifted
+    pulses, which multiplies their Doppler-weighted conjugate pulses in one
+    batched product.  The pulse tones are computed once, on the tap grid of
+    the widest filter, and each filter reads its centred slice.  h is then
+    one batched product of the (S, N, P) symbol-rate Doppler tones with the
+    gain-weighted ambiguity values; both sets of tones use the channel's
+    coarse-by-fine tone split.
     """
     delays = channels[0].delays
     if any(not np.array_equal(c.delays, delays) for c in channels[1:]):
         raise ValueError("channels must share their path delays")
-    dt = filt.dt
+    ts, o = filts[0].Ts, filts[0].O
+    if any((f.Ts, f.O) != (ts, o) for f in filts[1:]):
+        raise ValueError("filters must share one fine grid (Ts and O)")
+    dt = filts[0].dt
     shifts = channels[0].shifts(dt)
-    nus = np.concatenate([c.dopplers for c in channels])  # (S P,), channel-major
-    gains = np.array([c.gains for c in channels])
     s1 = shifts.min()
-    lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * filt.O
-    a = filt.taps
-    m = len(a)
-    n_ch, n_paths = len(channels), len(shifts)
-    # each path's conjugate pulse times its Doppler tone on the tap grid, (P, M, S)
-    b = np.conj(a) * _doppler_tones(nus, -filt.center * dt, dt, m)
-    b = b.reshape(n_ch, n_paths, m).transpose(1, 2, 0)
-    # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
-    a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
-    # the (P, L, M) gather is a temporary, freed before the tones are allocated:
-    # held to the end of the call, it made every call fault in fresh pages
-    shifted_b = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)] @ b
-    amb = shifted_b.transpose(2, 0, 1) * (gains[:, :, None] * dt)  # (S, P, L)
-    t0 = np.tile(s1 * dt - shifts * dt - lead * filt.Ts, n_ch)
-    tones = _doppler_tones(nus, t0, filt.Ts, n_out).reshape(n_ch, n_paths, n_out)
+    nus = np.concatenate([c.dopplers for c in channels])  # (S P,), point-major
+    gains = np.array([c.gains for c in channels])
+    n_pts, n_paths = gains.shape
+    # each path's Doppler tone on the tap grid of the widest filter, (S, P, M_max)
+    wide = max(filts, key=lambda f: f.center)
+    pulse_tones = _doppler_tones(nus, -wide.center * dt, dt, len(wide.taps))
+    pulse_tones = pulse_tones.reshape(n_pts, n_paths, -1)
+    amb = np.zeros((n_pts, n_paths, max(n for _, n in windows)), dtype=np.complex128)
+    groups: dict = {}
+    for i, (f, window) in enumerate(zip(filts, windows)):
+        groups.setdefault((id(f), *window), []).append(i)
+    for (_, lead, n_taps), idx in groups.items():
+        filt = filts[idx[0]]
+        a = filt.taps
+        m = len(a)
+        off = wide.center - filt.center
+        b = (np.conj(a) * pulse_tones[idx, :, off : off + m]).transpose(1, 2, 0)  # (P, M, S_g)
+        lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * o
+        # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
+        a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
+        # the (P, L, M) gather is a temporary, freed at once: held longer, it
+        # made every call fault in fresh pages
+        shifted_b = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)] @ b
+        amb[idx, :, :n_taps] = shifted_b.transpose(2, 0, 1) * (gains[idx, :, None] * dt)
+    leads = np.array([lead for lead, _ in windows])[:, None]
+    t0 = s1 * dt - shifts * dt - leads * ts  # (S, P)
+    tones = _doppler_tones(nus, t0, ts, n_out).reshape(n_pts, n_paths, n_out)
     return tones.transpose(0, 2, 1) @ amb
 
 

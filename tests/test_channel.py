@@ -253,6 +253,13 @@ def test_apply_channel_energy_bound_lti():
     assert np.sum(np.abs(out.samples) ** 2) <= bound * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("n0", [np.nan, np.inf, -np.inf, -1e-9])
+def test_add_awgn_refuses_a_density_that_is_not_finite_and_non_negative(n0):
+    wf = _random_wf(seed=26)
+    with pytest.raises(ValueError, match=f"^noise density must be finite and non-negative, got {n0}$"):
+        add_awgn(wf, n0, np.random.default_rng(0))
+
+
 def test_add_awgn_properties():
     wf = _random_wf(seed=25)
     same = add_awgn(wf, 0.0, np.random.default_rng(0))

@@ -368,7 +368,7 @@ def test_run_iorel_check_reports_small_errors():
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
     assert len(channel.gains) == 9
     filt = ec.srrc()
-    want = effective_taps([channel], filt, 64, *tap_window(channel, filt))[0]
+    want = effective_taps([channel], [filt], 64, [tap_window(channel, filt)])[0]
     assert np.array_equal(taps, want)
     assert report["nmse_model_db"] < -40.0
     assert report["nmse_exact_db"] < -200.0
@@ -402,6 +402,20 @@ def test_cli_complexity_rejects_a_bank_size_below_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: n_od must be >= 2, got 0"]
+
+
+def test_complexity_refuses_sizes_that_are_not_powers_of_two(monkeypatch, capsys):
+    """A radix-2 count of 96 would be fractional (316.08): refused before timing."""
+    monkeypatch.setattr(experiments, "measure_transform_time",
+                        lambda n: pytest.fail("measured before the sizes were checked"))
+    for n, n_od, want in [(96, 32, "^n must be a power of two, got 96$"),
+                          (1024, 24, "^n_od must be a power of two, got 24$")]:
+        with pytest.raises(ValueError, match=want):
+            complexity_compare(n, n_od)
+    assert cli.main(["complexity", "--n", "96"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n must be a power of two, got 96"]
 
 
 def test_cli_rejects_options_a_subcommand_does_not_take(capsys):

@@ -215,7 +215,7 @@ def test_effective_taps_single_clean_path_is_near_impulse():
     filt = _filt(cfg)
     ch = DDChannel([1.0 + 0j], [0.0], [0.0])
     lead, n_taps = tap_window(ch, filt)
-    taps = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
+    taps = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
     assert abs(taps[0, lead] - 1.0) < 1e-2
     others = np.delete(taps[0], lead)
     assert np.max(np.abs(others)) < 1e-2
@@ -225,7 +225,7 @@ def test_effective_taps_lti_rows_identical():
     cfg = _cfg(64)
     filt = _filt(cfg)
     ch = DDChannel([0.9 + 0.1j, 0.2 - 0.4j], [0.0, 2.5 * cfg.dt], [0.0, 0.0])
-    taps = effective_taps([ch], filt, cfg.N, *tap_window(ch, filt))[0]
+    taps = effective_taps([ch], [filt], cfg.N, [tap_window(ch, filt)])[0]
     spread = np.max(np.abs(taps - taps[0][None, :]))
     assert spread < 1e-12
 
@@ -240,7 +240,7 @@ def test_effective_taps_matches_impulse_probe():
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(6)
     ch = DDChannel(gains, np.array([0.0, 1.3, 3.8]) * cfg.dt, [1800.0, -900.0, 2300.0])
     lead, n_taps = tap_window(ch, filt)
-    taps = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
+    taps = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
     oracle = _impulse_probe_taps(cfg, filt, ch, lead, n_taps)
     mask = np.abs(oracle) > 1e-4
     rel = np.abs(taps[mask] - oracle[mask]) / np.abs(oracle[mask])
@@ -267,6 +267,29 @@ def test_banded_prediction_equals_dense_fold(half_n, tap_frac, c1, c2, seed):
     dense = demodulate(cfg, fold_cpp_taps(cfg, taps) @ modulate(cfg, x))
     banded = predict_output(cfg, taps, x)
     assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 32),
+    tap_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trailing_zero_taps_change_nothing(half_n, tap_fracs, seed):
+    """One call on a (S, N, max L) stack, zero past each point's own L, equals
+    a call per point at that point's width: a span sweep needs one call."""
+    n = 2 * half_n
+    cfg = _cfg(n)
+    widths = [1 + int(f * (n - 1)) for f in tap_fracs]
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((len(widths), n, max(widths)), dtype=complex)
+    for taps, width in zip(stack, widths):
+        taps[:, :width] = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = predict_output(cfg, stack, x)
+    for row, taps, width in zip(got, stack, widths):
+        want = predict_output(cfg, taps[:, :width], x)
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_predict_output_validates_tap_shape():
@@ -301,7 +324,7 @@ def test_lag_trimmed_taps_equal_full_table_gather(
     ch = DDChannel(gains, np.sort(delays) * cfg.dt, nus)
     lead, n_taps = tap_window(ch, filt, exact=True)
     lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
-    got = effective_taps([ch], filt, cfg.N, lead, n_taps)[0]
+    got = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
     want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
     # |A| <= A(0, 0) = 1 for the unit-energy pulse, so every tap is at most
     # sum |g_p|; that is the scale of the oracle's rounding error too
@@ -334,11 +357,60 @@ def test_stacked_taps_equal_per_channel_oracle(
         channels.append(DDChannel(gains, delays, nus))
     lead, n_taps = tap_window(channels[0], filt)
     lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
-    got = effective_taps(channels, filt, cfg.N, lead, n_taps)
+    got = effective_taps(channels, [filt] * count, cfg.N, [(lead, n_taps)] * count)
     assert got.shape == (count, cfg.N, n_taps)
     for taps, ch in zip(got, channels):
         want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
         assert np.max(np.abs(taps - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    o=st.integers(2, 8),
+    designs=st.lists(st.tuples(st.floats(0.05, 1.0), st.integers(1, 4)), min_size=1, max_size=3),
+    points=st.lists(
+        st.tuples(st.integers(0, 2), st.booleans(), st.integers(0, 3), st.integers(-3, 6)),
+        min_size=1,
+        max_size=4,
+    ),
+    delays=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# points 0 and 3 share a filter and a window, point 1 that filter with another
+# window, and point 2 holds the widest filter
+@example(o=4, designs=[(0.3, 1), (0.5, 3)],
+         points=[(0, False, 0, 0), (0, True, 1, 2), (1, False, 0, 0), (0, False, 0, 0)],
+         delays=[0.0, 1.3, 2.6], seed=3)
+def test_mixed_filter_stack_equals_per_point_oracle(o, designs, points, delays, seed):
+    """Points with their own filter (one O, several roll-offs and spans) and
+    their own window: row s is point s's taps from full tables, zero past its
+    own tap count."""
+    cfg = _cfg(16)
+    designed = [design_srrc(beta, 2 * half_q, o, cfg.dt) for beta, half_q in designs]
+    rng = np.random.default_rng(seed)
+    delays = np.sort(delays) * cfg.dt
+    channels, filts, windows = [], [], []
+    for which, exact, extra_lead, extra_taps in points:
+        gains, nus = _draw_paths(rng, len(delays))
+        channels.append(DDChannel(gains, delays, nus))
+        filts.append(designed[which % len(designed)])
+        lead, n_taps = tap_window(channels[-1], filts[-1], exact=exact)
+        windows.append((lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)))
+    got = effective_taps(channels, filts, cfg.N, windows)
+    width = max(n_taps for _, n_taps in windows)
+    assert got.shape == (len(points), cfg.N, width)
+    for taps, ch, filt, (lead, n_taps) in zip(got, channels, filts, windows):
+        assert not np.any(taps[:, n_taps:])
+        want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
+        assert np.max(np.abs(taps[:, :n_taps] - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
+
+
+def test_stacked_taps_reject_filters_on_different_fine_grids():
+    cfg = _cfg(16)
+    ch = DDChannel([1.0, 0.5j], [0.0, 1.0 * cfg.dt], [100.0, -50.0])
+    a, b = _filt(cfg, q=4, o=4), _filt(cfg, q=4, o=8)
+    with pytest.raises(ValueError, match="grid"):
+        effective_taps([ch, ch], [a, b], cfg.N, [tap_window(ch, a), tap_window(ch, b)])
 
 
 def test_stacked_taps_reject_channels_with_different_delays():
@@ -347,7 +419,7 @@ def test_stacked_taps_reject_channels_with_different_delays():
     a = DDChannel([1.0, 0.5j], [0.0, 1.0 * cfg.dt], [100.0, -50.0])
     b = DDChannel([1.0, 0.5j], [0.0, 1.5 * cfg.dt], [100.0, -50.0])
     with pytest.raises(ValueError, match="delays"):
-        effective_taps([a, b], filt, cfg.N, *tap_window(b, filt))
+        effective_taps([a, b], [filt] * 2, cfg.N, [tap_window(b, filt)] * 2)
 
 
 def test_fold_cpp_taps_structure():
