@@ -147,8 +147,7 @@ def effective_taps(
     gain-weighted ambiguity values; both sets of tones use the channel's
     coarse-by-fine tone split.
     """
-    delays = channels[0].delays
-    if any(not np.array_equal(c.delays, delays) for c in channels[1:]):
+    if any(not np.array_equal(c.delays, channels[0].delays) for c in channels[1:]):
         raise ValueError("channels must share their path delays")
     ts, o = filts[0].Ts, filts[0].O
     if any((f.Ts, f.O) != (ts, o) for f in filts[1:]):
@@ -180,6 +179,7 @@ def effective_taps(
         # made every call fault in fresh pages
         shifted_b = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)] @ b
         amb[idx, :, :n_taps] = shifted_b.transpose(2, 0, 1) * (gains[idx, :, None] * dt)
+    del pulse_tones, b, shifted_b  # freed before the symbol tones, to lower the peak memory
     leads = np.array([lead for lead, _ in windows])[:, None]
     t0 = s1 * dt - shifts * dt - leads * ts  # (S, P)
     tones = _doppler_tones(nus, t0, ts, n_out).reshape(n_pts, n_paths, n_out)
