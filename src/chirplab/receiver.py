@@ -14,19 +14,19 @@ output obeys an exact linear tap relation
     y[k'] = sum_l h[k', l] x[k' - l],
 
 with taps built from the pulse cross-ambiguity function.  ``tap_window`` is
-the one rule for the retained window (sampling lead and tap count).  The
-model only reads the L lags of the ambiguity function that the window needs,
-for all paths at once.  ``effective_taps`` takes a channel, a filter and a
-window per point, for points that share their path delays (the points of a
-trial), and returns their (S, N, max L) stack of taps, with one gather of
-the pulse per filter and window.  A frame is predicted by applying the banded taps to the
-prefix-extended frame, which costs O(N L) per stacked channel and never
-forms an N x N matrix.  Folding the taps through the chirp-periodic prefix
-yields the dense N x N effective matrix H, and conjugating by the transform
-pair yields the chirp-domain matrix H_u that an equalizer would see; those
-matrices are built only where a matrix is the result.  The literature baseline (ideal
-pulses, delays on the symbol grid) is given as banded taps of the same
-layout, so it goes through the same fold and the same banded prediction.
+the one rule for the retained window (sampling lead and tap count).  The model
+only reads the L lags of the ambiguity function that the window needs, for all
+paths at once.  ``effective_taps`` takes a channel, a filter and a window per
+point, for points that share their path delays (the points of a trial), and
+returns their (S, N, max L) stack of taps, with one gather of the pulse per
+filter and window.  A frame is predicted by applying the banded taps to the
+prefix-extended frame, which costs O(N L) per stacked channel and never forms
+an N x N matrix.  Folding the taps through the chirp-periodic prefix yields
+the dense N x N effective matrix H, and conjugating by the transform pair
+yields the chirp-domain matrix H_u that an equalizer would see; those matrices
+are built only where a matrix is the result.  The literature baseline (ideal
+pulses, delays on the symbol grid) is given as banded taps of the same layout,
+so it goes through the same fold and the same banded prediction.
 """
 
 from __future__ import annotations
