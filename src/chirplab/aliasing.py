@@ -26,9 +26,10 @@ not collapse and it returns None.
 
 The grid of all pairs (inner_product_matrix, an (N, N) array of |I|) is
 built independently of that integer-C collapse: it sums the piece integrals
-at the folds themselves, which holds for any real c1.  The sampled aliased
-chirps, their fold edges and Gauss-Legendre quadrature between the folds
-are its test oracle.
+at the folds themselves, which holds for any real c1; a chirp's folds are
+evenly spaced, so their sum is one geometric series and the grid costs
+O(N^2) whatever C.  The term-by-term fold sum and quadrature of the
+sampled aliased chirps between their fold edges are its oracles.
 """
 
 from __future__ import annotations
@@ -41,51 +42,57 @@ from .transforms import ChirpConfig
 def inner_product_matrix(cfg: ChirpConfig) -> np.ndarray:
     """Exact (N, N) matrix |I_{n,n'}| of aliased-chirp inner products over [0, T).
 
-    With s = t / T, chirp n folds at s = (k - n/N) / C for the integers k in
-    (n/N, C + n/N).  Between the merged folds of a pair n < n' the phase
-    difference is c2 (n^2 - n'^2) + eta s with the integer
-    eta = d - N (q_n - q_n'), d = n - n'.  eta starts at eta_- = d and takes
-    only one other value, eta_+ = d + N: a fold of n' switches eta_- to
-    eta_+ and a fold of n switches it back.  Collecting the piece integrals
-    (e^{j 2 pi eta hi} - e^{j 2 pi eta lo}) / (j 2 pi eta) at the folds gives,
-    with e(eta, s) = e^{j 2 pi eta s} / eta,
+    With s = t / T, chirp m folds at s = (k - m/N) / C for k = 1..K_m,
+    K_m = max(ceil(C + m/N) - 1, 0).  Between the merged folds of a pair
+    n < n' = n + d the phase difference is c2 (n^2 - n'^2) + eta s with the
+    integer eta, which starts at eta_- = -d and takes only one other value,
+    eta_+ = N - d: a fold of n' switches eta_- to eta_+ and a fold of n
+    switches it back.  Collecting the piece integrals at the folds gives
 
-        2 pi |I| / T = | 1/eta_end - 1/d
-                         + sum over folds s of n  [e(eta_+, s) - e(eta_-, s)]
-                         - sum over folds s of n' [e(eta_+, s) - e(eta_-, s)] |
+        2 pi |I| / T = | 1/eta_end + 1/d + J(n, d) - J(n', d) |
 
-    where eta_end is eta on the last piece.  The sum is exact for any real
-    c1: C need not be an integer, and c1 = 0 has no folds.  |I| does not
-    depend on c2.  All pairs are evaluated at once, in row blocks that bound
-    the memory.
+    with eta_end the eta of the last piece, J(m, d) = S(eta_+, m) - S(eta_-, m)
+    and the geometric sum S(eta, m) = sum_k e^{j 2 pi eta (k - m/N) / C} / eta =
+    e^{-j 2 pi eta m / (N C)} e^{j pi (K_m + 1) f} sin(pi K_m f) / (sin(pi f) eta),
+    f = eta / C - round(eta / C) (the ratio of sines is K_m at f = 0).  Every
+    phase is reduced modulo a whole turn before it is scaled by 2 pi, which
+    keeps each term at rounding level for any real c1, C near an integer too;
+    |I| does not depend on c2.  J is built in blocks of separations d, its
+    tones e^{j 2 pi m d / (N C)} one per row m times a table shared by all
+    blocks: O(N^2) work, at most about N^2 exponentials, whatever C.
     """
     big_n = cfg.N
     c = cfg.chirp_span
     idx = np.arange(big_n)
-    folds = np.maximum(np.ceil(c + idx / big_n) - 1, 0).astype(int)
-    k = np.arange(1, folds.max() + 1)
-    live = k[None, :] <= folds[:, None]
-    # (N, K) fold positions, padded with 0; K = 0 (an empty array) when C = 0
-    at = np.where(live, (k[None, :] - idx[:, None] / big_n) / c, 0.0)
+    folds = np.maximum(np.ceil(c + idx / big_n) - 1, 0)
+    entries = np.diag(np.full(big_n, cfg.T))
+    if not folds.any():
+        return entries  # C <= 1/N: no chirp folds, every pair is orthogonal
+    # K_m takes at most two values; S is tabulated per value, without its m phase
+    counts, row_k = np.unique(folds, return_inverse=True)
+    counts = counts[:, None]
 
-    entries = np.zeros((big_n, big_n))
-    # about 1M (pair, fold) terms per block of rows
-    rows = max(1, (1 << 20) // (big_n * max(len(k), 1)))
-    for r0 in range(0, big_n, rows):
-        a, b = np.nonzero(idx[None, :] > idx[r0 : r0 + rows, None])
-        a += r0
-        eta_minus = (a - b).astype(float)[:, None]
-        eta_plus = eta_minus + big_n
+    def tones(e):
+        return np.exp(2j * np.pi * (np.fmod(np.multiply.outer(idx, e), big_n * c) / (big_n * c)))
 
-        def jumps(n):
-            wave = (np.exp(2j * np.pi * eta_plus * at[n]) / eta_plus
-                    - np.exp(2j * np.pi * eta_minus * at[n]) / eta_minus)
-            return np.sum(wave * live[n], axis=1)
+    def fold_sum(eta):
+        f = np.fmod(eta, c) / c
+        f -= np.rint(f)
+        ratio = counts * np.sinc(counts * f) / np.sinc(f)
+        return np.exp(1j * np.pi * (counts + 1) * f) * ratio / eta
 
-        eta_end = eta_minus[:, 0] + big_n * (folds[b] - folds[a])
-        total = 1.0 / eta_end - 1.0 / eta_minus[:, 0] + jumps(a) - jumps(b)
+    # about 64k table entries per block of separations
+    cols = min(big_n - 1, max(1, (1 << 16) // big_n))
+    shift = tones(np.arange(cols))
+    for d0 in range(1, big_n, cols):
+        d = np.arange(d0, min(d0 + cols, big_n))
+        rise, fall = fold_sum(big_n - d)[row_k], fold_sum(-d)[row_k]
+        jump = shift[:, : len(d)] * (tones(d0 - big_n)[:, None] * rise - tones(d0)[:, None] * fall)
+        a, j = np.nonzero(idx[:, None] + d < big_n)
+        b = a + d[j]
+        eta_end = big_n * (folds[b] - folds[a]) - d[j]
+        total = 1.0 / eta_end + 1.0 / d[j] + jump[a, j] - jump[b, j]
         entries[a, b] = entries[b, a] = cfg.T * np.abs(total) / (2.0 * np.pi)
-    np.fill_diagonal(entries, cfg.T)
     return entries
 
 

@@ -147,7 +147,8 @@ def effective_taps(
     gain-weighted ambiguity values; both sets of tones use the channel's
     coarse-by-fine tone split.
     """
-    if any(not np.array_equal(c.delays, channels[0].delays) for c in channels[1:]):
+    delays = [c.delays for c in channels]
+    if any(len(x) != len(delays[0]) for x in delays) or (np.array(delays) != delays[0]).any():
         raise ValueError("channels must share their path delays")
     ts, o = filts[0].Ts, filts[0].O
     if any((f.Ts, f.O) != (ts, o) for f in filts[1:]):

@@ -138,9 +138,9 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
     return PsdCurve(freqs, psd)
 
 
-# Welch segments transformed per FFT call: bounds the working set to a few
-# MB instead of one array per segment of the whole stream
-_WELCH_BLOCK = 64
+# Welch segments transformed per FFT call: one block's windowed segments and
+# spectra stay in the cache, instead of one array per segment of the stream
+_WELCH_BLOCK = 16
 
 
 def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
@@ -156,7 +156,7 @@ def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
     of min(nfft, stream length) samples at 50% overlap, a periodic Hann
     window, an nfft-point FFT per segment and the mean of the squared
     magnitudes, scaled to a density.  The segments are strided views of the
-    stream, transformed in blocks of ``_WELCH_BLOCK``.
+    stream, windowed in one reused buffer, transformed in blocks of ``_WELCH_BLOCK``.
     """
     if frames.samples.ndim != 2 or len(frames.samples) < 10:
         raise ValueError(
@@ -168,12 +168,14 @@ def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
     step = nperseg - nperseg // 2
     segments = sliding_window_view(stream, nperseg)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    total = np.zeros(nfft)
+    buf = np.empty((min(_WELCH_BLOCK, len(segments)), nperseg), dtype=np.complex128)
+    total = np.zeros(2 * nfft)  # interleaved real and imaginary parts
     for start in range(0, len(segments), _WELCH_BLOCK):
-        spectra = np.fft.fft(segments[start : start + _WELCH_BLOCK] * window, n=nfft)
-        total += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+        block = segments[start : start + _WELCH_BLOCK]
+        spectra = np.fft.fft(np.multiply(block, window, out=buf[: len(block)]), n=nfft).view(float)
+        total += np.einsum("ij,ij->j", spectra, spectra)
     rate = frames.sample_rate
-    psd = total / (len(segments) * rate * np.sum(window**2))
+    psd = total.reshape(nfft, 2).sum(axis=1) / (len(segments) * rate * np.sum(window**2))
     freq = np.fft.fftfreq(nfft, 1.0 / rate)
     return PsdCurve(np.fft.fftshift(freq), np.fft.fftshift(psd))
 

@@ -75,6 +75,45 @@ def _quadrature_grid(cfg):
     return grid
 
 
+def _fold_time_grid(cfg):
+    """Oracle: |I_{n,n'}| as the term-by-term sum over every fold time.
+
+    Pair n < n' with d = n - n' has eta_- = d and eta_+ = d + N; with
+    e(eta, s) = e^{j 2 pi eta s} / eta and the folds s = (k - n/N) / C,
+    2 pi |I| / T = | 1/eta_end - 1/d + sum over folds of n of
+    [e(eta_+, s) - e(eta_-, s)] - the same sum over the folds of n' |,
+    one complex exponential per (pair, fold), in row blocks.
+    """
+    big_n = cfg.N
+    c = cfg.chirp_span
+    idx = np.arange(big_n)
+    folds = np.maximum(np.ceil(c + idx / big_n) - 1, 0).astype(int)
+    k = np.arange(1, folds.max() + 1)
+    live = k[None, :] <= folds[:, None]
+    # (N, K) fold positions, padded with 0; K = 0 (an empty array) when C = 0
+    at = np.where(live, (k[None, :] - idx[:, None] / big_n) / c, 0.0)
+
+    entries = np.zeros((big_n, big_n))
+    # about 1M (pair, fold) terms per block of rows
+    rows = max(1, (1 << 20) // (big_n * max(len(k), 1)))
+    for r0 in range(0, big_n, rows):
+        a, b = np.nonzero(idx[None, :] > idx[r0 : r0 + rows, None])
+        a += r0
+        eta_minus = (a - b).astype(float)[:, None]
+        eta_plus = eta_minus + big_n
+
+        def jumps(n):
+            wave = (np.exp(2j * np.pi * eta_plus * at[n]) / eta_plus
+                    - np.exp(2j * np.pi * eta_minus * at[n]) / eta_minus)
+            return np.sum(wave * live[n], axis=1)
+
+        eta_end = eta_minus[:, 0] + big_n * (folds[b] - folds[a])
+        total = 1.0 / eta_end - 1.0 / eta_minus[:, 0] + jumps(a) - jumps(b)
+        entries[a, b] = entries[b, a] = cfg.T * np.abs(total) / (2.0 * np.pi)
+    np.fill_diagonal(entries, cfg.T)
+    return entries
+
+
 def test_q_index_example():
     cfg = _cfg(32, 16)
     assert _fold_index(cfg, 8, cfg.T / 2.0) == 8
@@ -237,6 +276,24 @@ def test_closed_form_grid_matches_quadrature(half_n, c1, c2):
     cfg = ChirpConfig(N=2 * half_n, T=1e-3, c1=c1, c2=c2)
     grid = inner_product_matrix(cfg)
     assert np.max(np.abs(grid - _quadrature_grid(cfg))) <= 1e-12 * cfg.T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_n=st.integers(1, 32),
+    c1=st.floats(-1.0, 1.0, allow_nan=False),
+    c2=st.floats(-2.0, 2.0, allow_nan=False),
+)
+@example(half_n=16, c1=0.0, c2=0.3)  # C = 0: no folds
+@example(half_n=32, c1=-0.5 / 128, c2=0.0)  # C = 1/2: half the chirps fold once
+@example(half_n=16, c1=48.0 / 64, c2=0.1)  # C = 48 >= N
+@example(half_n=32, c1=(3.0 - 1e-9) / 128, c2=0.0)  # sin(pi f) near 0 for eta = 3 j
+@example(half_n=32, c1=-(16.0 + 1e-9) / 128, c2=0.0)  # and for eta = 16 j
+def test_geometric_grid_matches_fold_time_sum(half_n, c1, c2):
+    """Each chirp's geometric fold series equals its term-by-term sum."""
+    cfg = ChirpConfig(N=2 * half_n, T=1e-3, c1=c1, c2=c2)
+    grid = inner_product_matrix(cfg)
+    assert np.max(np.abs(grid - _fold_time_grid(cfg))) <= 1e-12 * cfg.T
 
 
 def test_orthogonality_matrix_csv(tmp_path, capsys):

@@ -417,9 +417,12 @@ def test_stacked_taps_reject_channels_with_different_delays():
     cfg = _cfg(16)
     filt = _filt(cfg, q=4, o=4)
     a = DDChannel([1.0, 0.5j], [0.0, 1.0 * cfg.dt], [100.0, -50.0])
-    b = DDChannel([1.0, 0.5j], [0.0, 1.5 * cfg.dt], [100.0, -50.0])
-    with pytest.raises(ValueError, match="delays"):
-        effective_taps([a, b], [filt] * 2, cfg.N, [tap_window(b, filt)] * 2)
+    moved = DDChannel([1.0, 0.5j], [0.0, 1.5 * cfg.dt], [100.0, -50.0])
+    extra = DDChannel([1.0, 0.5j, 0.2], [0.0, 1.0 * cfg.dt, 2.0 * cfg.dt], [100.0, -50.0, 0.0])
+    for b in (moved, extra):
+        for pair in ([a, b], [b, a]):
+            with pytest.raises(ValueError, match="channels must share their path delays"):
+                effective_taps(pair, [filt] * 2, cfg.N, [tap_window(b, filt)] * 2)
 
 
 def test_fold_cpp_taps_structure():

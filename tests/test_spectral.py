@@ -238,8 +238,8 @@ def test_empirical_psd_input_validation():
     rate=st.floats(1e3, 1e7),
     seed=st.integers(0, 2**32 - 1),
 )
-# 511 segments of 4 samples: seven full blocks of 64 and one of 63
-@example(frames=16, frame_len=64, log_nfft=2, rate=1e6, seed=0)
+# 49 segments of 4 samples: three full blocks of 16 and one of 1
+@example(frames=10, frame_len=10, log_nfft=2, rate=1e6, seed=0)
 # a stream shorter than nfft: one zero-padded segment
 @example(frames=10, frame_len=1, log_nfft=7, rate=1e6, seed=1)
 def test_blocked_welch_equals_scipy_welch(frames, frame_len, log_nfft, rate, seed):
@@ -256,6 +256,20 @@ def test_blocked_welch_equals_scipy_welch(frames, frame_len, log_nfft, rate, see
     )
     assert np.array_equal(curve.freq, np.fft.fftshift(f))
     assert np.max(np.abs(curve.psd - np.fft.fftshift(pxx))) <= 1e-12 * np.max(pxx)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_welch_block_size_changes_nothing(block, monkeypatch):
+    """One segment per FFT call, a block that leaves a remainder, and one
+    block larger than the segment count all give the default's PSD."""
+    from chirplab import spectral
+
+    rng = np.random.default_rng(5)
+    x = Waveform(rng.standard_normal((12, 40)) + 1j * rng.standard_normal((12, 40)), 1e6)
+    want = spectral.empirical_psd(x, nfft=16).psd
+    monkeypatch.setattr(spectral, "_WELCH_BLOCK", block)
+    got = spectral.empirical_psd(x, nfft=16).psd
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
 
 
 def test_bandwidth_estimate_values():
