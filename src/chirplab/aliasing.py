@@ -22,7 +22,10 @@ the pair (8, 24).  When C >= N, |eta| < N <= C and no piece survives; when
 C < N divides N, only separations that are multiples of C can survive.
 predict_aliased evaluates this sum for all pairs at once and marks a pair
 aliased iff |I| / T exceeds rounding level; for a non-integer C the sum does
-not collapse and it returns None.
+not collapse and it returns None.  On a surviving piece eta_p / C is an
+integer k, so its integral needs only the N-th roots of unity at the exact
+indices (k b) mod N of its integer ends b: one table, no exponentials per
+pair.
 
 The grid of all pairs (inner_product_matrix, an (N, N) array of |I|) is
 built independently of that integer-C collapse: it sums the piece integrals
@@ -103,21 +106,29 @@ def _integer_fold_grid(cfg: ChirpConfig, c: int) -> np.ndarray:
     0 <= N - max(n, n') <= N - min(n, n') <= N; on a piece starting at b the
     fold offsets are floor((b + n) / N), so the pieces are found in integer
     arithmetic.  A piece counts iff c divides its eta (see the module
-    docstring).  An empty piece adds nothing, and eta = 0, which occurs only
+    docstring); then k = eta / c is an integer and the piece integrates to
+    (w^(k hi) - w^(k lo)) / (j 2 pi k) with w = e^{j 2 pi / N}, each power
+    read from one table of the N roots of unity at its exact index
+    (k b) mod N.  An empty piece adds nothing, and eta = 0, which occurs only
     on the diagonal, integrates to the piece length, so the diagonal is 1.
     The factor exp(j 2 pi c2 (n^2 - n'^2)) has unit modulus and is left out.
     """
     big_n = cfg.N
     n = np.arange(big_n)[:, None]
     n2 = np.arange(big_n)[None, :]
+    roots = np.exp(2j * np.pi * np.arange(big_n) / big_n)
     breaks = (0, big_n - np.maximum(n, n2), big_n - np.minimum(n, n2), big_n)
     total = np.zeros((big_n, big_n), dtype=np.complex128)
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         eta = (n - n2) - big_n * ((lo + n) // big_n - (lo + n2) // big_n)
-        w = 2j * np.pi * eta / c
-        rise = np.exp(w * hi / big_n) - np.exp(w * lo / big_n)
-        piece = np.where(eta == 0, (hi - lo) / big_n, rise / np.where(eta == 0, 1.0, w))
-        total += np.where(eta % c == 0, piece, 0.0)
+        k, rest = np.divmod(eta, c)
+        live = np.nonzero(rest == 0)
+        k = k[live]
+        lo = np.broadcast_to(lo, eta.shape)[live]
+        hi = np.broadcast_to(hi, eta.shape)[live]
+        rise = roots[k * hi % big_n] - roots[k * lo % big_n]
+        piece = rise / (2j * np.pi * np.where(k == 0, 1, k))
+        total[live] += np.where(k == 0, (hi - lo) / big_n, piece)
     return np.abs(total)
 
 

@@ -4,7 +4,8 @@ Subcommands: psd, ortho, nmse, iorel, complexity, selftest.  The first four
 read a flat ``key = value`` text file (--config) with optional --seed and
 --trials overrides and write CSV to --out; --small switches them and selftest
 to the desk-scale parameter set (N = 256, 20 trials, oversampling 8).
-complexity takes only --n and --n-od.
+complexity takes only --n and --n-od.  psd writes the analytic curve next
+to --out, with ``_analytic`` added to the file name before its last suffix.
 
 Exit codes: 0 success, 1 validation error, 2 acceptance failure in selftest.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -79,18 +81,23 @@ _CSV_BLOCK = 1 << 14
 def _write_csv(path, header, columns) -> None:
     """Write a header line, then one row per index of the equal-length columns.
 
-    Integer columns are written with str and all others with 12 significant
+    Integer columns are written with %d and all others with 12 significant
     digits; every line ends with CRLF, as csv.writer ends it.  Rows are
-    formatted and written in blocks, so no N^2 list of lines is ever built.
+    formatted and written in blocks, each with one % over the row template
+    repeated per row, so no N^2 list of lines is ever built.
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("{}" if c.dtype.kind in "iu" else "{:.12g}" for c in columns)
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
     row += "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK):
-            block = [c[start : start + _CSV_BLOCK].tolist() for c in columns]
-            fh.write("".join(map(row.format, *block)))
+            rows = min(_CSV_BLOCK, len(columns[0]) - start)
+            # the block's rows flattened: column i fills every len(columns)-th slot
+            values = [None] * (rows * len(columns))
+            for i, c in enumerate(columns):
+                values[i :: len(columns)] = c[start : start + rows].tolist()
+            fh.write(row * rows % tuple(values))
 
 
 def _run(args) -> int:
@@ -125,8 +132,8 @@ def _run(args) -> int:
     if args.command == "psd":
         ana, emp, bw = run_psd_experiment(ec)
         if args.out:
-            stem, dot, ext = args.out.rpartition(".")
-            analytic_out = f"{stem}_analytic.{ext}" if dot else f"{args.out}_analytic"
+            out = Path(args.out)
+            analytic_out = out.with_name(f"{out.stem}_analytic{out.suffix}")
             for curve, path in ((emp, args.out), (ana, analytic_out)):
                 _write_csv(path, ("freq_hz", "psd_db"), (curve.freq, curve.db()))
         print(f"occupied_bandwidth_hz = {_fmt(bw)}")

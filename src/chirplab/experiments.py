@@ -241,10 +241,14 @@ class SweepResult:
             raise ValueError("NMSE values must be finite")
 
 
+# (2 b0 - 1 + j (2 b1 - 1)) / sqrt(2), indexed by b0 + 2 b1
+_QAM4 = np.array([-1 - 1j, 1 - 1j, -1 + 1j, 1 + 1j]) / np.sqrt(2.0)
+
+
 def qam4_symbols(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-power 4-QAM symbol vector."""
     bits = rng.integers(0, 2, size=(2, n))
-    return ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2.0)
+    return _QAM4[bits[0] + 2 * bits[1]]
 
 
 def simulate_frame(

@@ -5,8 +5,10 @@ The ideal chirp basis functions are
     phi_n(t) = Pi_T(t) * exp(j 2 pi c1 N^2 (t/T)^2) * exp(j 2 pi n t / T)
 
 with unit amplitude on [0, T), so that <phi_n, phi_n'> = T delta(n - n').
-Implemented (band-limited) waveforms are obtained by sample-wise shaping of
-the base-rate sequence with a truncated root-raised-cosine filter.
+A frame sum_n Xdot[n] phi_n is the root chirp times one zero-padded inverse
+DFT of length N O, taken in place on the frame's own buffer.  Implemented
+(band-limited) waveforms are obtained by sample-wise shaping of the
+base-rate sequence with a truncated root-raised-cosine filter.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def ideal_basis(cfg: ChirpConfig, n: int, oversampling: int) -> Waveform:
     if not 0 <= n < cfg.N:
         raise ValueError(f"subcarrier index {n} outside [0, {cfg.N})")
     if oversampling < 1:
-        raise ValueError("oversampling must be >= 1")
+        raise ValueError(f"oversampling must be >= 1, got {oversampling}")
     wf = root_chirp(cfg, oversampling)
     wf.samples *= np.exp(2j * np.pi * n * wf.times() / cfg.T)
     return wf
@@ -153,16 +155,22 @@ def synth_ideal(cfg: ChirpConfig, symbols: np.ndarray, oversampling: int) -> Wav
     Xdot[n] = exp(j 2 pi c2 n^2) X[n] / sqrt(N), so at oversampling 1 the
     samples equal ``modulate(cfg, symbols)`` exactly.  A (frames, N) symbol
     array gives one frame per row of the samples, all built on one envelope.
+    The weighted symbols are written into a zeroed (frames, N O) array and
+    transformed there, unscaled (norm="forward"), so numpy makes no padded
+    copy and no second output array.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim not in (1, 2) or symbols.shape[-1] != cfg.N:
         raise ValueError(f"expected {cfg.N} symbols per frame, got shape {symbols.shape}")
+    if oversampling < 1:
+        raise ValueError(f"oversampling must be >= 1, got {oversampling}")
     n = np.arange(cfg.N)
-    weighted = symbols * np.exp(2j * np.pi * cfg.c2 * n**2) / np.sqrt(cfg.N)
-    n_samp = cfg.N * oversampling
     # sum_n w[n] exp(j 2 pi n j / (N O)) is a zero-padded inverse DFT
-    samples = np.fft.ifft(weighted, n=n_samp)
-    samples *= n_samp
+    samples = np.zeros(symbols.shape[:-1] + (cfg.N * oversampling,), dtype=np.complex128)
+    weighted = samples[..., : cfg.N]
+    np.multiply(symbols, np.exp(2j * np.pi * cfg.c2 * n**2), out=weighted)
+    weighted /= np.sqrt(cfg.N)
+    np.fft.ifft(samples, norm="forward", out=samples)
     envelope = root_chirp(cfg, oversampling)
     samples *= envelope.samples
     return Waveform(samples, envelope.sample_rate, t0=0.0)

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -112,6 +112,27 @@ def _fold_time_grid(cfg):
         entries[a, b] = entries[b, a] = cfg.T * np.abs(total) / (2.0 * np.pi)
     np.fill_diagonal(entries, cfg.T)
     return entries
+
+
+def _exp_fold_grid(cfg, c):
+    """Oracle: the integer-C collapse with its piece integrals as exponentials.
+
+    The same pieces as ``_integer_fold_grid``, but each live piece evaluates
+    (e^{w hi / N} - e^{w lo / N}) / w with w = j 2 pi eta / c directly: two
+    complex exponentials per entry and piece, over the whole (N, N) grid.
+    """
+    big_n = cfg.N
+    n = np.arange(big_n)[:, None]
+    n2 = np.arange(big_n)[None, :]
+    breaks = (0, big_n - np.maximum(n, n2), big_n - np.minimum(n, n2), big_n)
+    total = np.zeros((big_n, big_n), dtype=np.complex128)
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        eta = (n - n2) - big_n * ((lo + n) // big_n - (lo + n2) // big_n)
+        w = 2j * np.pi * eta / c
+        rise = np.exp(w * hi / big_n) - np.exp(w * lo / big_n)
+        piece = np.where(eta == 0, (hi - lo) / big_n, rise / np.where(eta == 0, 1.0, w))
+        total += np.where(eta % c == 0, piece, 0.0)
+    return np.abs(total)
 
 
 def test_q_index_example():
@@ -260,6 +281,23 @@ def test_integer_fold_grid_matches_closed_form_grid(half_n, c_frac, negative, c2
     folded = _integer_fold_grid(cfg, c)
     assert np.max(np.abs(folded - grid / cfg.T)[off]) <= 1e-12
     assert np.array_equal(predict_aliased(cfg), grid > 1e-6 * cfg.T)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(half_n=st.integers(1, 64), c=st.integers(1, 256))
+@example(half_n=64, c=16)  # c divides N
+@example(half_n=64, c=3)  # c does not divide N
+@example(half_n=32, c=64)  # c = N
+@example(half_n=32, c=100)  # N < c < 2N
+@example(half_n=64, c=256)  # c = 2N
+def test_root_table_fold_grid_matches_exponential_form(half_n, c):
+    """Reading e^{j 2 pi k b / N} from the table of roots equals computing it."""
+    n = 2 * half_n
+    assume(c <= 2 * n)
+    cfg = _cfg(n, c)
+    got, want = _integer_fold_grid(cfg, c), _exp_fold_grid(cfg, c)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got > 1e-9, want > 1e-9)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

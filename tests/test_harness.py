@@ -236,10 +236,12 @@ def _csv_writer_matrix(path, matrix):
                 writer.writerow([r, c, f"{v.real:.12g}", f"{v.imag:.12g}"])
 
 
-# negative zero, values that round at the 12th digit, huge and tiny magnitudes
+# negative zero, values that round at the 12th digit, huge and tiny magnitudes,
+# and the non-finite values
 _CSV_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -51.234567890123, 0.1234567890125,
-                     999999999999.5, 1e-300, -1e200, 5e-324]),
+                     999999999999.5, 1e-300, -1e200, 5e-324,
+                     float("inf"), float("-inf"), float("nan")]),
     st.floats(-1e200, 1e200),
 )
 
@@ -273,11 +275,24 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, rows, span, side, t):
     _csv_writer_grid(tmp / "want", grid, t)
     cli._write_csv(tmp / "got", ("n", "n_prime", "abs_I_over_T"), (n, n_prime, ratio.ravel()))
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
-    matrix = (flat + 1j * np.resize(c, side * side)).reshape(side, side)
+    # set the parts directly: 1j * inf would put a nan in the real part
+    matrix = np.empty(side * side, dtype=complex)
+    matrix.real, matrix.imag = flat, np.resize(c, side * side)
+    matrix = matrix.reshape(side, side)
     _csv_writer_matrix(tmp / "want", matrix)
     h = matrix.ravel()
     cli._write_csv(tmp / "got", ("row", "col", "re", "im"), (n, n_prime, h.real, h.imag))
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+
+
+def test_qam4_symbols_equal_the_arithmetic_map():
+    """The table lookup is bit for bit the arithmetic 4-QAM map of the same bits."""
+    for seed in range(20):
+        n = 1 + 37 * seed
+        bits = np.random.default_rng([seed, 5]).integers(0, 2, size=(2, n))
+        want = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2.0)
+        got = qam4_symbols(n, np.random.default_rng([seed, 5]))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_write_csv_streams_blocks_identically(tmp_path, monkeypatch):
@@ -476,6 +491,22 @@ def test_cli_psd_writes_both_curves(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "freq_hz,psd_db"
     analytic = tmp_path / "psd_analytic.csv"
     assert analytic.read_text().splitlines()[0] == "freq_hz,psd_db"
+
+
+@pytest.mark.parametrize(
+    "out, analytic",
+    [("run.1/psd", "run.1/psd_analytic"),
+     ("out/psd.csv", "out/psd_analytic.csv"),
+     ("a.b.csv", "a.b_analytic.csv")],
+)
+def test_cli_psd_names_the_analytic_curve_after_the_file_name(tmp_path, out, analytic):
+    """Only the file name gains _analytic, before its last suffix; directories keep theirs."""
+    path = tmp_path / "exp.cfg"
+    path.write_text("n = 64\ntrials = 10\noversample = 8\nseed = 4\n")
+    (tmp_path / out).parent.mkdir(exist_ok=True)
+    assert cli.main(["psd", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p != path)
+    assert written == sorted([tmp_path / out, tmp_path / analytic])
 
 
 def test_cli_ortho_reports_prediction(tmp_path, capsys):

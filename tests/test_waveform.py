@@ -101,6 +101,25 @@ def test_synth_ideal_frame_rows_equal_single_frames():
         synth_ideal(cfg, x[:, 1:], 4)
 
 
+@pytest.mark.parametrize("n, o, frames", [(32, 8, 1), (6, 3, 2), (10, 5, 1), (12, 1, 3), (16, 4, 2)])
+def test_synth_ideal_equals_direct_basis_sum(n, o, frames):
+    """The in-place padded inverse DFT is sum_n Xdot[n] phi_n, N O a power of two or not."""
+    cfg = _cfg(n, 1.0 / (4.0 * n), 1.0 / (3.0 * n))
+    rng = np.random.default_rng(n * o)
+    x = rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n))
+    xdot = np.exp(2j * np.pi * cfg.c2 * np.arange(n) ** 2) * x / np.sqrt(n)
+    basis = np.array([ideal_basis(cfg, k, o).samples for k in range(n)])
+    direct = xdot @ basis
+    got = synth_ideal(cfg, x, o).samples
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("oversampling", [0, -1])
+def test_synth_ideal_rejects_oversampling_below_one(oversampling):
+    with pytest.raises(ValueError, match=f"oversampling must be >= 1, got {oversampling}"):
+        synth_ideal(_cfg(8, 0.0), np.ones(8), oversampling)
+
+
 def test_add_cpp_plain_cyclic_prefix_when_unchirped():
     n = 16
     cfg = _cfg(n, 0.0)
