@@ -4,9 +4,11 @@ A channel is a finite sum of P paths, held as three read-only length-P
 arrays of complex gains, delays (s) and Doppler shifts (Hz).  Realizations
 follow the Extended Vehicular A power-delay profile with per-path Jakes
 Doppler draws.  A waveform passes through the channel path by path on its
-own sampling grid; each path's Doppler tone on that grid is the outer
-product of a coarse and a fine tone (``_tone_factors``), which the
-receiver's tap model also uses for its per-symbol Doppler phases.
+own sampling grid, one frame or a (rows, n) batch of frames on one grid at a
+time.  Each path's Doppler tone on that grid is the outer product of a
+coarse and a fine tone over fixed blocks of the absolute grid index, so a
+row's output does not depend on the rows batched with it.  The receiver's
+tap model builds its per-symbol Doppler phases with ``_doppler_tones``.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ def make_eva_channels(
     ]
 
 
-def _tone_factors(nus, t0, step: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coarse and fine factors of the tones exp(j 2 pi nu_p (t0_p + i step)), i < count.
+def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
+    """The tones exp(j 2 pi nu_p (t0_p + i step)), i < count, as a (P, count) array.
 
     ``t0`` is one start time for all tones or one per tone.  Writing
     i = a B + b with B = ceil(sqrt(count)) makes tone p at i the product
@@ -112,14 +114,37 @@ def _tone_factors(nus, t0, step: float, count: int) -> tuple[np.ndarray, np.ndar
     starts = np.reshape(t0, (-1, 1)) + np.arange(-(-count // block)) * (block * step)
     coarse = np.exp(2j * np.pi * nus * starts)
     fine = np.exp(2j * np.pi * nus * (np.arange(block) * step))
-    return coarse, fine
-
-
-def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
-    """The tones of ``_tone_factors`` as a (P, count) array: their outer products."""
-    coarse, fine = _tone_factors(nus, t0, step, count)
     tones = coarse[:, :, None] * fine[:, None, :]
     return tones.reshape(len(coarse), -1)[:, :count]
+
+
+# Samples per block of apply_channel's coarse-by-fine Doppler tones.  Block a
+# holds the sampling-grid indices a B .. a B + B - 1 counted from t = 0, so a
+# sample's tone does not depend on where its waveform starts
+_TONE_BLOCK = 128
+
+
+def _on_tone_blocks(waves: list) -> Waveform:
+    """Waveforms of one sample rate as the rows of one (rows, n) waveform.
+
+    Each start time is rounded to the grid of the first waveform, so the
+    result starts at a whole number of samples from t = 0.  One waveform is
+    only re-timed.  Several become the zero-filled rows of one array widened
+    to whole blocks of ``apply_channel``'s tones (it starts at a multiple of
+    ``_TONE_BLOCK`` samples and holds a multiple of ``_TONE_BLOCK`` samples),
+    which ``apply_channel`` reads without an aligned copy.
+    """
+    rate = waves[0].sample_rate
+    dt = 1.0 / rate
+    firsts = [round(w.t0 / dt) for w in waves]
+    if len(waves) == 1:
+        return Waveform(waves[0].samples[None], rate, t0=firsts[0] * dt)
+    lo = min(firsts) // _TONE_BLOCK * _TONE_BLOCK
+    hi = max(f + w.samples.shape[-1] for f, w in zip(firsts, waves))
+    grid = np.zeros((len(waves), -(-(hi - lo) // _TONE_BLOCK) * _TONE_BLOCK), dtype=np.complex128)
+    for row, f, w in zip(grid, firsts, waves):
+        row[f - lo : f - lo + w.samples.shape[-1]] = w.samples
+    return Waveform(grid, rate, t0=lo * dt)
 
 
 def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
@@ -129,29 +154,58 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     (evaluated on the absolute input time axis), shifts by delays[p]
     rounded to whole input samples (``DDChannel.shifts``) and scales by
     gains[p].  The output grid starts at the input t0 and extends to cover
-    the largest quantized delay.
+    the largest quantized delay.  A (rows, n) ``wf.samples`` passes every
+    row through the channel with one set of tones and gives (rows, n_out).
 
-    The paths are applied one at a time.  With the input viewed as a
-    (blocks, B) array, path p's tone is the coarse-by-fine factor pair of
-    ``_tone_factors``; the gain is folded into the coarse factor, so the
-    input is multiplied by the fine and the coarse factor into one buffer,
-    reused by every path, which is then added into the output at the shift.
+    The paths are applied one at a time.  Sample i sits at grid index
+    g = round(t0 / dt) + i, and writing g = a B + b with the fixed block
+    B = ``_TONE_BLOCK`` makes its tone the product of a coarse tone at a B dt
+    and a fine tone at b dt (times one phase for the offset of t0 from the
+    grid, exactly 1 when t0 is a whole number of samples).  So a sample's
+    tone depends on its grid index alone, never on the rows beside it or on
+    where they start.  The input sits in a zeroed array of whole blocks at
+    its grid index (``_on_tone_blocks`` lays several rows out that way, so
+    they need no copy).  Path p builds its tone once for all rows, as the outer
+    product of the coarse factor, with the gain folded in, and the fine
+    factor; multiplies every row by it into one buffer that every path
+    reuses; and adds that buffer into the output at the shift.
     """
     dt = 1.0 / wf.sample_rate
     shifts = channel.shifts(dt)
-    n_in = len(wf.samples)
-    out = np.zeros(n_in + shifts.max(), dtype=np.complex128)
-    coarse, fine = _tone_factors(channel.dopplers, wf.t0, dt, n_in)
+    n_in = wf.samples.shape[-1]
+    rows = wf.samples.reshape(-1, n_in)
+    first = round(wf.t0 / dt)
+    lead = first % _TONE_BLOCK
+    n_blocks = -(-(lead + n_in) // _TONE_BLOCK)
+    starts = (wf.t0 - first * dt) + (first - lead + _TONE_BLOCK * np.arange(n_blocks)) * dt
+    nus = channel.dopplers[:, None]
+    coarse = np.exp(2j * np.pi * nus * starts)
     coarse *= channel.gains[:, None]
-    blocks = np.zeros(coarse.shape[1] * fine.shape[1], dtype=np.complex128)
-    blocks[:n_in] = wf.samples
-    blocks = blocks.reshape(coarse.shape[1], fine.shape[1])
-    buf = np.empty_like(blocks)
+    fine = np.exp(2j * np.pi * nus * (np.arange(_TONE_BLOCK) * dt))
+    width = n_blocks * _TONE_BLOCK
+    if lead or n_in % _TONE_BLOCK:
+        grid = np.zeros((len(rows), width), dtype=np.complex128)
+        grid[:, lead : lead + n_in] = rows
+    else:  # already on whole blocks, as ``_on_tone_blocks`` lays several rows out
+        grid = rows
+    # buf and out rows hold the grid plus room for the largest shift (the
+    # paths are in delay order), so a path's shifted rows are one contiguous
+    # add: the s samples of a row that run into the next one are zeros of
+    # that room
+    spread = int(shifts[-1])
+    buf = np.empty((len(rows), width + spread), dtype=np.complex128)
+    buf[:, width:] = 0.0
+    prods = buf[:, :width]
+    flat = buf.reshape(-1)
+    out = np.zeros(flat.size, dtype=np.complex128)
+    # one row builds each tone where its product goes; several share one tone
+    tone = prods if len(rows) == 1 else np.empty((1, width), dtype=np.complex128)
     for s, c, f in zip(shifts, coarse, fine):
-        np.multiply(blocks, f, out=buf)
-        buf *= c[:, None]
-        out[s : s + n_in] += buf.reshape(-1)[:n_in]
-    return Waveform(out, wf.sample_rate, t0=wf.t0)
+        np.multiply(c[:, None], f, out=tone.reshape(n_blocks, _TONE_BLOCK))
+        np.multiply(tone, grid, out=prods)
+        out[s:] += flat[: flat.size - s]
+    out = out.reshape(buf.shape)[:, lead : lead + n_in + spread]
+    return Waveform(out.reshape(wf.samples.shape[:-1] + (-1,)), wf.sample_rate, t0=wf.t0)
 
 
 def add_awgn(wf: Waveform, n0: float, rng: np.random.Generator) -> Waveform:

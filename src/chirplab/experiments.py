@@ -19,9 +19,12 @@ filter once per sweep, and each construction does the work that points
 share once per trial.  A trial's channels share one set of path delays, so
 a run of points with the same filter object (all of a speed sweep, one
 point of a roll-off or span sweep) has one tap window.  The waveform chain
-modulates once per trial, prefix-extends and shapes once per run, passes
-the frame through each point's channel and samples it, then demodulates the
-trial's (S, N) stack at once.  The tap model builds the trial's
+modulates once per trial and prefix-extends and shapes once per run.  The
+points that share a channel object (all of a roll-off or span sweep, one
+point of a speed sweep) then pass the channel and the matched filter as
+rows of one array on their common fine grid, in chunks under a byte budget,
+and the trial's (S, N) stack is demodulated at once; each row equals its
+point run alone, bit for bit.  The tap model builds the trial's
 (S, N, max L) stack of taps in one ``effective_taps`` call, whatever the
 sweep kind, and applies it in one ``predict_output`` call.
 """
@@ -32,11 +35,10 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields, replace
-from itertools import groupby
 
 import numpy as np
 
-from .channel import DDChannel, apply_channel, make_eva_channels
+from .channel import DDChannel, apply_channel, make_eva_channels, _on_tone_blocks
 from .receiver import effective_taps, predict_output, sample_matched_filter, tap_window
 from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
 from .transforms import ChirpConfig, demodulate, modulate
@@ -264,11 +266,11 @@ def simulate_frame(
     modulate -> chirp-periodic prefix -> pulse shaping -> channel -> matched
     filter sampled at the base rate with the given symbol lead -> forward
     transform.  The prefix length is n_taps - 1 so the folded tap relation
-    is exact.  The NMSE sweep runs the same two halves, ``_transmit`` and
-    ``_receive``, sharing one transmitted frame between points.
+    is exact.  This is the one-row case of the chain the NMSE sweep runs,
+    ``_transmit`` and then ``_receive``.
     """
     wf = _transmit(cfg, filt, modulate(cfg, symbols), n_taps)
-    return demodulate(cfg, _receive(cfg, filt, channel, wf, lead))
+    return demodulate(cfg, _receive(cfg, [filt], channel, [wf], [lead])[0])
 
 
 def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) -> Waveform:
@@ -278,13 +280,30 @@ def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) ->
 
 
 def _receive(
-    cfg: ChirpConfig, filt: SrrcFilter, channel: DDChannel, wf: Waveform, lead: int
+    cfg: ChirpConfig, filts: list, channel: DDChannel, waves: list, leads: list
 ) -> np.ndarray:
-    """Channel, then the matched filter sampled at the base rate from ``lead``
-    symbols before the first path: the received frame before ``demodulate``."""
-    rx = apply_channel(channel, wf)
-    tau1 = channel.shifts(filt.dt)[0] * filt.dt
-    return sample_matched_filter(rx, filt, tau1 - lead * cfg.dt, cfg.N)
+    """Channel, then the matched filter of filts[r] sampled at the base rate
+    from leads[r] symbols before the first path: the (rows, N) received frames
+    of the shaped waveforms ``waves`` before ``demodulate``.
+
+    The waveforms become the rows of one array on their common fine grid,
+    which starts at a whole number of samples from t = 0 (``_on_tone_blocks``),
+    so the channel and the matched filter each make one call for all rows,
+    and a row's result does not depend on the rows beside it.
+    """
+    rx = apply_channel(channel, _on_tone_blocks(waves))
+    tau1 = channel.shifts(filts[0].dt)[0] * filts[0].dt
+    return sample_matched_filter(rx, filts, [tau1 - lead * cfg.dt for lead in leads], cfg.N)
+
+
+# Bytes of fine-grid samples the waveform chain passes through the channel and
+# the matched filter in one call.  A trial's points that share a channel object
+# (a roll-off or span sweep) are received as rows of one array, in chunks of
+# rows under this size: all 8 desk-scale rows (about 38 kB at N = 256, O = 8)
+# share one chunk, paper-scale rows (about 270 kB at N = 1024, O = 16) go three
+# to a chunk.  Measured on those sweeps, three rows a chunk beat one by 9-10%,
+# while five or more were slower than one: the buffers leave the cache
+_ROW_BATCH_BYTES = 1 << 20
 
 
 def nmse_trial(
@@ -316,24 +335,39 @@ def _nmse_points(
     Consecutive points with the same filter object form a run (all of a
     speed sweep; one point of a roll-off or span sweep).  A trial's channels
     share their path delays, so a run has one tap window, taken from its
-    first channel.  The waveform chain modulates once, transmits once per
-    run, samples point by point and demodulates the (S, N) stack once.  The
-    tap model builds the trial's (S, N, max L) tap stack in one
-    ``effective_taps`` call and applies it in one ``predict_output`` call;
-    the zero taps past a point's own L change nothing.  Neither reads
-    anything the other computed.
+    first channel.  The waveform chain modulates once and transmits once per
+    run.  Consecutive points with the same channel object (all of a roll-off
+    or span sweep; one point of a speed sweep) are received as rows of one
+    array, in chunks of at most ``_ROW_BATCH_BYTES`` of fine-grid samples,
+    and the (S, N) stack is demodulated once.  The tap model builds the
+    trial's (S, N, max L) tap stack in one ``effective_taps`` call and
+    applies it in one ``predict_output`` call; the zero taps past a point's
+    own L change nothing.  Neither reads anything the other computed.
     """
     x = modulate(cfg, symbols)
     rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
-    windows = []
-    for _, run in groupby(range(len(filts)), key=lambda i: id(filts[i])):
-        run = list(run)
-        filt = filts[run[0]]
-        lead, n_taps = tap_window(channels[run[0]], filt, exact_window)
-        wf = _transmit(cfg, filt, x, n_taps)
-        for i in run:
-            rx[i] = _receive(cfg, filt, channels[i], wf, lead)
-        windows += [(lead, n_taps)] * len(run)
+    windows, rows, waves = [], [], []
+
+    def receive() -> None:
+        rx[rows[0] : rows[-1] + 1] = _receive(
+            cfg, [filts[i] for i in rows], channels[rows[0]], waves, [windows[i][0] for i in rows]
+        )
+        rows.clear()
+        waves.clear()
+
+    for i, (filt, channel) in enumerate(zip(filts, channels)):
+        if i == 0 or filt is not filts[i - 1]:
+            window = tap_window(channel, filt, exact_window)
+            wf = _transmit(cfg, filt, x, window[1])
+        windows.append(window)
+        if rows and (
+            channel is not channels[rows[0]]
+            or sum(w.samples.nbytes for w in waves) + wf.samples.nbytes > _ROW_BATCH_BYTES
+        ):
+            receive()
+        rows.append(i)
+        waves.append(wf)
+    receive()
     y_sim = demodulate(cfg, rx)
     y_pred = predict_output(cfg, effective_taps(channels, filts, cfg.N, windows), symbols)
     return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)

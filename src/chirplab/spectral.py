@@ -156,7 +156,9 @@ def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
     of min(nfft, stream length) samples at 50% overlap, a periodic Hann
     window, an nfft-point FFT per segment and the mean of the squared
     magnitudes, scaled to a density.  The segments are strided views of the
-    stream, windowed in one reused buffer, transformed in blocks of ``_WELCH_BLOCK``.
+    stream, windowed in one reused buffer in blocks of ``_WELCH_BLOCK`` and
+    transformed there in place, so numpy makes no padded copy and no second
+    output array.
     """
     if frames.samples.ndim != 2 or len(frames.samples) < 10:
         raise ValueError(
@@ -168,12 +170,15 @@ def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
     step = nperseg - nperseg // 2
     segments = sliding_window_view(stream, nperseg)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    buf = np.empty((min(_WELCH_BLOCK, len(segments)), nperseg), dtype=np.complex128)
+    buf = np.empty((min(_WELCH_BLOCK, len(segments)), nfft), dtype=np.complex128)
     total = np.zeros(2 * nfft)  # interleaved real and imaginary parts
     for start in range(0, len(segments), _WELCH_BLOCK):
         block = segments[start : start + _WELCH_BLOCK]
-        spectra = np.fft.fft(np.multiply(block, window, out=buf[: len(block)]), n=nfft).view(float)
-        total += np.einsum("ij,ij->j", spectra, spectra)
+        spectra = buf[: len(block)]
+        np.multiply(block, window, out=spectra[:, :nperseg])
+        spectra[:, nperseg:] = 0.0  # zero padding, which the last transform overwrote
+        np.fft.fft(spectra, out=spectra)
+        total += np.einsum("ij,ij->j", spectra.view(float), spectra.view(float))
     rate = frames.sample_rate
     psd = total.reshape(nfft, 2).sum(axis=1) / (len(segments) * rate * np.sum(window**2))
     freq = np.fft.fftfreq(nfft, 1.0 / rate)

@@ -13,6 +13,8 @@ base-rate sequence with a truncated root-raised-cosine filter.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +38,8 @@ class Waveform:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.shape[-1]) / self.sample_rate
@@ -111,12 +113,15 @@ def design_srrc(beta: float, q: int, oversampling: int, Ts: float) -> SrrcFilter
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {beta}")
+    for name, value in (("span", q), ("oversampling", oversampling)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if q < 2 or q % 2 != 0:
         raise ValueError(f"span must be an even integer >= 2, got {q}")
     if oversampling < 2:
         raise ValueError(f"oversampling must be >= 2, got {oversampling}")
-    if not Ts > 0:
-        raise ValueError("Ts must be positive")
+    if not (math.isfinite(Ts) and Ts > 0):
+        raise ValueError(f"Ts must be finite and positive, got {Ts}")
     half = q * oversampling // 2
     m = np.arange(-half, half + 1)
     taps = _srrc_impulse(beta, m / oversampling).astype(np.complex128)

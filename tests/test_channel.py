@@ -15,7 +15,7 @@ from chirplab import (
     apply_channel,
     make_eva_channels,
 )
-from chirplab.channel import SPEED_OF_LIGHT, _doppler_tones
+from chirplab.channel import SPEED_OF_LIGHT, _TONE_BLOCK, _doppler_tones, _on_tone_blocks
 
 
 def _eva(rng, speed=500.0):
@@ -228,6 +228,61 @@ def test_doppler_tones_equal_direct_exp(nus, t0, per_tone, step, count):
     want = np.exp(2j * np.pi * nus[:, None] * times)
     assert got.shape == (len(nus), count)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 5),
+    n=st.integers(1, 600),
+    first=st.integers(-1000, 1000),
+    off_grid=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_channel_rows_equal_per_row_calls(rows, n, first, off_grid, seed):
+    """A (rows, n) batch gives each row exactly what the row gives alone,
+    whether or not t0 sits on the sampling grid."""
+    rng = np.random.default_rng(seed)
+    rate = 1e7
+    ch = _eva(rng)
+    samples = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    t0 = (first + off_grid) / rate
+    out = apply_channel(ch, Waveform(samples, rate, t0=t0))
+    assert out.t0 == t0 and out.samples.shape == (rows, n + ch.shifts(1 / rate).max())
+    for row, got in zip(samples, out.samples):
+        assert np.array_equal(apply_channel(ch, Waveform(row, rate, t0=t0)).samples, got)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    spans=st.lists(st.tuples(st.integers(-500, 500), st.integers(1, 400)), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tone_block_grid_keeps_each_waveform_and_its_channel_output(spans, seed):
+    """Waveforms placed as rows (on whole tone blocks, when there are
+    several): each row holds its
+    waveform at its own start time and zeros elsewhere, and the channel gives
+    each row what the waveform gives alone, on the grid's longer time axis.
+    The start times are whole multiples of the channel's dt = 1 / rate, as
+    the grid's is, so that no off-grid phase separates the two."""
+    rng = np.random.default_rng(seed)
+    rate = 1e7
+    ch = _eva(rng)
+    waves = [
+        Waveform(rng.standard_normal(n) + 1j * rng.standard_normal(n), rate, t0=first * (1 / rate))
+        for first, n in spans
+    ]
+    grid = _on_tone_blocks(waves)
+    lo = round(grid.t0 * rate)
+    if len(waves) > 1:
+        assert lo % _TONE_BLOCK == 0 and grid.samples.shape[1] % _TONE_BLOCK == 0
+    out = apply_channel(ch, grid).samples
+    for (first, n), wf, row, got in zip(spans, waves, grid.samples, out):
+        at = first - lo
+        assert np.array_equal(row[at : at + n], wf.samples)
+        assert not row[:at].any() and not row[at + n :].any()
+        alone = apply_channel(ch, wf).samples
+        assert np.array_equal(got[at : at + len(alone)], alone)
+        assert not got[:at].any() and not got[at + len(alone) :].any()
 
 
 def test_apply_channel_linearity():

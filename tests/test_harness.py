@@ -14,6 +14,7 @@ from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix,
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
 from chirplab.receiver import effective_taps, tap_window
+from chirplab.transforms import modulate
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
@@ -374,6 +375,42 @@ def test_nmse_sweep_equals_per_point_oracle(case, half_n, trials, seed):
     for a, b in ((got.nmse_db, means), (got.stderr_db, errs)):
         assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
         assert [f"{v:.12g}" for v in a] == [f"{v:.12g}" for v in b]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    points=st.lists(st.tuples(st.integers(1, 5), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+    half_n=st.sampled_from([16, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_points_sharing_a_channel_are_received_as_rows_equal_to_each_alone(points, half_n, seed):
+    """Points with mixed spans and roll-offs that share one channel object
+    pass the channel and the matched filter as rows of one array; each row
+    equals its point received alone, bit for bit."""
+    ec = ExperimentConfig(n=2 * half_n, oversample=4, seed=seed)
+    cfg = ec.chirp_config()
+    rng = np.random.default_rng([seed, 0])
+    (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
+    x = modulate(cfg, qam4_symbols(cfg.N, rng))
+    filts = [replace(ec, q=2 * half_q, beta=beta).srrc() for half_q, beta in points]
+    windows = [tap_window(channel, f) for f in filts]
+    waves = [experiments._transmit(cfg, f, x, n_taps) for f, (_, n_taps) in zip(filts, windows)]
+    leads = [lead for lead, _ in windows]
+    rows = experiments._receive(cfg, filts, channel, waves, leads)
+    assert rows.shape == (len(points), cfg.N)
+    for row, filt, wf, lead in zip(rows, filts, waves, leads):
+        assert np.array_equal(row, experiments._receive(cfg, [filt], channel, [wf], [lead])[0])
+
+
+@pytest.mark.parametrize("sweep", ["span", "rolloff", "speed"])
+def test_row_batch_size_does_not_change_the_sweep(sweep, monkeypatch):
+    ec = ExperimentConfig(n=64, oversample=4, trials=2, seed=3, sweep=sweep)
+    results = []
+    for budget in (1, 1 << 30):  # one row per call, then whole runs of rows
+        monkeypatch.setattr(experiments, "_ROW_BATCH_BYTES", budget)
+        results.append(run_nmse_sweep(ec))
+    assert np.array_equal(results[0].nmse_db, results[1].nmse_db)
+    assert np.array_equal(results[0].stderr_db, results[1].stderr_db)
 
 
 def test_run_iorel_check_reports_small_errors():

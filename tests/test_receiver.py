@@ -210,6 +210,52 @@ def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, cou
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(1, 6), st.floats(0.0, 1.0), st.integers(-3, 3)),
+        min_size=1,
+        max_size=6,
+    ),
+    o=st.sampled_from([2, 4, 8]),
+    count=st.integers(1, 60),
+    t0=st.floats(-1e-4, 1e-4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matched_filter_rows_equal_per_row_calls(points, o, count, t0, seed):
+    """Rows with their own span, roll-off and start (whole symbols apart)
+    share one padded polyphase product, and each row's outputs equal those
+    of the row alone, bit for bit."""
+    ts = 1e-6
+    filts = [design_srrc(beta, 2 * half_q, o, ts) for half_q, beta, _ in points]
+    # each row's first instant lies inside its own correlation support
+    starts = [t0 + max(k, -half_q) * ts for half_q, _, k in points]
+    rng = np.random.default_rng(seed)
+    n = (count + 8) * o
+    rows = rng.standard_normal((len(points), n)) + 1j * rng.standard_normal((len(points), n))
+    wf = Waveform(rows, o / ts, t0=t0)
+    got = sample_matched_filter(wf, filts, starts, count)
+    assert got.shape == (len(points), count)
+    for row, filt, start, out in zip(rows, filts, starts, got):
+        alone = sample_matched_filter(Waveform(row, o / ts, t0=t0), filt, start, count)
+        assert np.array_equal(alone, out)
+
+
+def test_matched_filter_rows_refuse_mixed_grids_and_instants():
+    ts, o = 1e-6, 4
+    wf = Waveform(np.ones((2, 200), dtype=complex), o / ts)
+    filts = [design_srrc(0.2, 4, o, ts), design_srrc(0.3, 8, o, ts)]
+    with pytest.raises(ValueError, match="one fine grid"):
+        sample_matched_filter(wf, [filts[0], design_srrc(0.2, 4, 2 * o, ts / 2)], 0.0, 4)
+    with pytest.raises(ValueError, match="got 1 filters for 2 rows"):
+        sample_matched_filter(wf, filts[:1], 0.0, 4)
+    with pytest.raises(ValueError, match="share one symbol grid"):
+        sample_matched_filter(wf, filts, [0.0, ts / o], 4)
+    # one filter and one start serve every row
+    both = sample_matched_filter(wf, filts[0], 0.0, 4)
+    assert np.array_equal(both, sample_matched_filter(wf, filts[:1] * 2, [0.0, 0.0], 4))
+
+
 def test_effective_taps_single_clean_path_is_near_impulse():
     cfg = _cfg(64)
     filt = _filt(cfg)

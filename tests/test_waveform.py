@@ -10,6 +10,7 @@ from scipy.signal import fftconvolve
 
 from chirplab import (
     ChirpConfig,
+    Waveform,
     add_cpp,
     design_srrc,
     ideal_basis,
@@ -225,6 +226,40 @@ def test_design_srrc_validation():
         design_srrc(0.2, 12, 1, 1e-6)
     with pytest.raises(ValueError):
         design_srrc(0.2, 12, 16, 0.0)
+
+
+@pytest.mark.parametrize("rate", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_waveform_refuses_a_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValueError, match=f"^sample_rate must be finite and positive, got {rate}$"):
+        Waveform(np.ones(4), rate)
+
+
+@pytest.mark.parametrize("ts", [np.inf, np.nan, 0.0, -1e-6])
+def test_design_srrc_refuses_a_symbol_interval_that_is_not_finite_and_positive(ts):
+    with pytest.raises(ValueError, match=f"^Ts must be finite and positive, got {ts}$"):
+        design_srrc(0.2, 6, 4, ts)
+
+
+@pytest.mark.parametrize(
+    "q, oversampling, message",
+    [
+        (6.0, 4, "span must be an integer, got 6.0"),
+        (True, 4, "span must be an integer, got True"),
+        (6, 4.0, "oversampling must be an integer, got 4.0"),
+        (6, False, "oversampling must be an integer, got False"),
+    ],
+)
+def test_design_srrc_refuses_a_span_or_oversampling_that_is_not_an_integer(
+    q, oversampling, message
+):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        design_srrc(0.2, q, oversampling, 1e-6)
+
+
+def test_design_srrc_takes_numpy_integers():
+    a = design_srrc(0.2, np.int64(6), np.int64(4), 1e-6)
+    b = design_srrc(0.2, 6, 4, 1e-6)
+    assert np.array_equal(a.taps, b.taps)
 
 
 def test_design_srrc_tiny_rolloff_is_finite_without_warnings():
