@@ -43,6 +43,7 @@ from .channel import (
     make_eva_channels,
 )
 from .receiver import (
+    ambiguity_values,
     baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,

@@ -1,10 +1,11 @@
 """Self-contained acceptance checks exercised by pytest and `chirplab selftest`.
 
 Each criterion function returns a CriterionResult with a one-line detail
-string; thresholds are hard-coded here so the CLI and the test suite agree
-by construction.  ``small=True`` selects the desk-scale variants (N = 256,
-20 trials, oversampling 8) where a criterion defines one, and relaxes the
-quantitative sweep windows to their qualitative trends.
+string that ends with the criterion's elapsed time; thresholds are
+hard-coded here so the CLI and the test suite agree by construction.
+``small=True`` selects the desk-scale variants (N = 256, 20 trials,
+oversampling 8) where a criterion defines one, and relaxes the quantitative
+sweep windows to their qualitative trends.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def criterion_01_transforms(small: bool = False) -> CriterionResult:
 
 def criterion_02_ocdm(small: bool = False) -> CriterionResult:
     """Fresnel special case: c1 = c2 = -1/(2N) matches the IDFnT synthesis."""
+    start = time.perf_counter()
     n = 32
     cfg = ocdm_config(n, 266.667e-6)
     fresnel = idfnt_matrix(n)
@@ -91,12 +93,13 @@ def criterion_02_ocdm(small: bool = False) -> CriterionResult:
     return CriterionResult(
         "criterion-02-ocdm-embedding",
         ok,
-        f"matrix {err_mat:.3e}, modulate {err_mod:.3e}",
+        f"matrix {err_mat:.3e}, modulate {err_mod:.3e}, {time.perf_counter() - start:.1f}s",
     )
 
 
 def criterion_03_continuous_orthogonality(small: bool = False) -> CriterionResult:
     """Ideal chirp subcarriers are orthogonal on [0, T)."""
+    start = time.perf_counter()
     n, oversampling = 128, 32
     cfg = ChirpConfig(N=n, T=266.667e-6, c1=1.0 / (4 * n), c2=1.0 / (3 * n))
     rng = np.random.default_rng(303)
@@ -121,7 +124,8 @@ def criterion_03_continuous_orthogonality(small: bool = False) -> CriterionResul
     return CriterionResult(
         "criterion-03-continuous-orthogonality",
         ok,
-        f"max off-diagonal {worst_off:.3e}, diagonal error {worst_diag:.3e}",
+        f"max off-diagonal {worst_off:.3e}, diagonal error {worst_diag:.3e}, "
+        f"{time.perf_counter() - start:.1f}s",
     )
 
 
@@ -323,6 +327,7 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
     filter keep the truncation residue well below that deviation, which is
     what makes the dichotomy visible.
     """
+    start = time.perf_counter()
     n = 64
     ec = ExperimentConfig(n=n, t_us=1000.0, beta=0.5, q=40, seed=1010)
     cfg = ec.chirp_config()
@@ -350,12 +355,13 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> CriterionResult:
         "criterion-10-deviation-dichotomy",
         ok,
         f"zero-Doppler gap {gap_static:.3e}, Doppler gap {gap_doppler:.3e} "
-        f"(ratio {gap_doppler / gap_static:.1f}x)",
+        f"(ratio {gap_doppler / gap_static:.1f}x), {time.perf_counter() - start:.1f}s",
     )
 
 
 def criterion_11_dual_path(small: bool = False) -> CriterionResult:
     """Chirp-domain matrix: entry formula vs matrix-product construction."""
+    start = time.perf_counter()
     n, n_taps = 128, 40
     cfg = ChirpConfig(N=n, T=266.667e-6, c1=1.0 / (4 * n), c2=1.0 / (3 * n))
     rng = np.random.default_rng(1111)
@@ -365,12 +371,15 @@ def criterion_11_dual_path(small: bool = False) -> CriterionResult:
     err = float(np.max(np.abs(via_product - via_entries)))
     ok = err < 1e-10
     return CriterionResult(
-        "criterion-11-dual-path-consistency", ok, f"max abs diff {err:.3e}"
+        "criterion-11-dual-path-consistency",
+        ok,
+        f"max abs diff {err:.3e}, {time.perf_counter() - start:.1f}s",
     )
 
 
 def criterion_12_noise_whiteness(small: bool = False) -> CriterionResult:
     """Matched-filtered, base-rate-sampled AWGN has covariance N0 I."""
+    start = time.perf_counter()
     n_samples = 100_000
     ec = ExperimentConfig(seed=1212)
     filt = ec.srrc()
@@ -389,12 +398,14 @@ def criterion_12_noise_whiteness(small: bool = False) -> CriterionResult:
     return CriterionResult(
         "criterion-12-noise-whiteness",
         ok,
-        f"diagonal {r0:.4f} (target 1 +- 3%), worst off-diagonal {off:.4f}",
+        f"diagonal {r0:.4f} (target 1 +- 3%), worst off-diagonal {off:.4f}, "
+        f"{time.perf_counter() - start:.1f}s",
     )
 
 
 def criterion_13_complexity(small: bool = False) -> CriterionResult:
     """Multiply-count ratio and measured transform scaling."""
+    start = time.perf_counter()
     report = complexity_compare(1024, 32)
     ratio_ok = abs(report["count_ratio"] - 2.0) < 1e-12
     slope = report["loglog_slope"]
@@ -404,7 +415,8 @@ def criterion_13_complexity(small: bool = False) -> CriterionResult:
         "criterion-13-complexity",
         ok,
         f"count ratio {report['count_ratio']:.6f} (target 2.0), "
-        f"wall-clock log-log slope {slope:.3f} (window [1.0, 1.25])",
+        f"wall-clock log-log slope {slope:.3f} (window [1.0, 1.25]), "
+        f"{time.perf_counter() - start:.1f}s",
     )
 
 

@@ -212,12 +212,14 @@ def add_awgn(wf: Waveform, n0: float, rng: np.random.Generator) -> Waveform:
     """Add circular white Gaussian noise with two-sided density n0.
 
     The per-sample complex variance is n0 * sample_rate so that the noise
-    power referred to the continuous-time bandwidth is n0 per hertz.
+    power referred to the continuous-time bandwidth is n0 per hertz.  Every
+    sample of a (rows, n) waveform gets its own draw, taken in row-major
+    order, so a 1-D waveform of n samples draws the stream that n samples
+    always drew.
     """
     if not (math.isfinite(n0) and n0 >= 0):
         raise ValueError(f"noise density must be finite and non-negative, got {n0}")
     var = n0 * wf.sample_rate
-    noise = np.sqrt(var / 2.0) * (
-        rng.standard_normal(len(wf.samples)) + 1j * rng.standard_normal(len(wf.samples))
-    )
+    shape = wf.samples.shape
+    noise = np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return Waveform(wf.samples + noise, wf.sample_rate, t0=wf.t0)

@@ -3,7 +3,8 @@
 Subcommands: psd, ortho, nmse, iorel, complexity, selftest.  The first four
 read a flat ``key = value`` text file (--config) with optional --seed and
 --trials overrides and write CSV to --out; --small switches them and selftest
-to the desk-scale parameter set (N = 256, 20 trials, oversampling 8).
+to the desk-scale parameter set (N = 256, 20 trials, oversampling 8), where
+an explicit --trials still sets the trial count.
 complexity takes only --n and --n-od.  psd writes the analytic curve next
 to --out, with ``_analytic`` added to the file name before its last suffix.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,8 @@ def _experiment_config(args) -> ExperimentConfig:
         ec = config_from_dict(overrides)
     if args.small:
         ec = ec.shrink()
+        if args.trials is not None:  # an explicit count outranks the desk-scale one
+            ec = replace(ec, trials=args.trials)
     return ec
 
 

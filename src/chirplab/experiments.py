@@ -16,17 +16,23 @@ channel and symbol draws (common random numbers), which smooths the curves.
 So the NMSE sweep runs trials in the outer loop: it draws each trial once
 (one EVA draw, seen at every speed of a speed sweep), designs each distinct
 filter once per sweep, and each construction does the work that points
-share once per trial.  A trial's channels share one set of path delays, so
-a run of points with the same filter object (all of a speed sweep, one
-point of a roll-off or span sweep) has one tap window.  The waveform chain
-modulates once per trial and prefix-extends and shapes once per run.  The
-points that share a channel object (all of a roll-off or span sweep, one
-point of a speed sweep) then pass the channel and the matched filter as
-rows of one array on their common fine grid, in chunks under a byte budget,
-and the trial's (S, N) stack is demodulated at once; each row equals its
-point run alone, bit for bit.  The tap model builds the trial's
-(S, N, max L) stack of taps in one ``effective_taps`` call, whatever the
-sweep kind, and applies it in one ``predict_output`` call.
+share once per trial or once per block of trials.  Every draw has the EVA
+path delays, so each filter has one tap window for the whole sweep.  The
+waveform chain modulates once per trial and prefix-extends and shapes once
+per run of points with the same filter object (all of a speed sweep, one
+point of a roll-off or span sweep).  The points that share a channel object
+(all of a roll-off or span sweep, one point of a speed sweep) then pass the
+channel and the matched filter as rows of one array on their common fine
+grid, in chunks under a byte budget, and the trial's (S, N) stack is
+demodulated at once; each row equals its point run alone, bit for bit.  The
+tap model draws the trials in blocks under another byte budget and takes
+the ambiguity values of every point of a block in one ``ambiguity_values``
+call, which gathers the shifted pulses once per filter and block.  It then
+builds each trial's (S, N, max L) stack of taps in one ``effective_taps``
+call, with each distinct channel's Doppler tones built once, whatever the
+sweep kind, and applies it in one ``predict_output`` call.  Every step of
+the tap model acts on each point's values elementwise or in a product of
+that point's own arrays, so the block size does not change them.
 """
 
 from __future__ import annotations
@@ -38,8 +44,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import DDChannel, apply_channel, make_eva_channels, _on_tone_blocks
-from .receiver import effective_taps, predict_output, sample_matched_filter, tap_window
+from .channel import EVA_PROFILE, DDChannel, apply_channel, make_eva_channels, _on_tone_blocks
+from .receiver import (
+    ambiguity_values,
+    effective_taps,
+    predict_output,
+    sample_matched_filter,
+    tap_window,
+)
 from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
 from .transforms import ChirpConfig, demodulate, modulate
 from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_ideal
@@ -320,7 +332,8 @@ def nmse_trial(
     truncation; ``exact_window=True`` selects the exact window, which drives
     the NMSE to floating-point level.
     """
-    return float(_nmse_points(cfg, [filt], [channel], symbols, exact_window)[0])
+    window = tap_window(channel, filt, exact_window)
+    return float(_nmse_points(cfg, [filt], [channel], symbols, [window])[0])
 
 
 def _nmse_points(
@@ -328,25 +341,27 @@ def _nmse_points(
     filts: list,
     channels: list,
     symbols: np.ndarray,
-    exact_window: bool = False,
+    windows: list,
+    ambiguity: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``nmse_trial`` of one frame of symbols at each point (filts[i], channels[i]).
+    """``nmse_trial`` of one frame of symbols at each point (filts[i],
+    channels[i]) with the tap window windows[i].
 
     Consecutive points with the same filter object form a run (all of a
-    speed sweep; one point of a roll-off or span sweep).  A trial's channels
-    share their path delays, so a run has one tap window, taken from its
-    first channel.  The waveform chain modulates once and transmits once per
+    speed sweep; one point of a roll-off or span sweep), which has one
+    window.  The waveform chain modulates once and transmits once per
     run.  Consecutive points with the same channel object (all of a roll-off
     or span sweep; one point of a speed sweep) are received as rows of one
     array, in chunks of at most ``_ROW_BATCH_BYTES`` of fine-grid samples,
     and the (S, N) stack is demodulated once.  The tap model builds the
-    trial's (S, N, max L) tap stack in one ``effective_taps`` call and
+    trial's (S, N, max L) tap stack in one ``effective_taps`` call, from the
+    points' ``ambiguity`` values when a block of trials computed them, and
     applies it in one ``predict_output`` call; the zero taps past a point's
     own L change nothing.  Neither reads anything the other computed.
     """
     x = modulate(cfg, symbols)
     rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
-    windows, rows, waves = [], [], []
+    rows, waves = [], []
 
     def receive() -> None:
         rx[rows[0] : rows[-1] + 1] = _receive(
@@ -357,9 +372,7 @@ def _nmse_points(
 
     for i, (filt, channel) in enumerate(zip(filts, channels)):
         if i == 0 or filt is not filts[i - 1]:
-            window = tap_window(channel, filt, exact_window)
-            wf = _transmit(cfg, filt, x, window[1])
-        windows.append(window)
+            wf = _transmit(cfg, filt, x, windows[i][1])
         if rows and (
             channel is not channels[rows[0]]
             or sum(w.samples.nbytes for w in waves) + wf.samples.nbytes > _ROW_BATCH_BYTES
@@ -369,8 +382,21 @@ def _nmse_points(
         waves.append(wf)
     receive()
     y_sim = demodulate(cfg, rx)
-    y_pred = predict_output(cfg, effective_taps(channels, filts, cfg.N, windows), symbols)
+    taps = effective_taps(channels, filts, cfg.N, windows, ambiguity=ambiguity)
+    y_pred = predict_output(cfg, taps, symbols)
     return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
+
+
+# Bytes of the Doppler-weighted conjugate pulses that the tap model builds for
+# one block of trials, reckoned as 16 S P M a trial (S points, P paths, the
+# widest filter's M taps); the pulse tones they are made from take about as
+# much again.  A block holds as many trials as fit, and at least one: all 5
+# trials of the desk span sweep (N = 256, O = 8, q up to 20) share one block,
+# the paper-scale speed sweep (N = 1024, O = 16) goes three trials a block.
+# Measured in process, the desk span sweep took 0.76x the time of one trial
+# a block, while one block for all 100 trials of the paper speed sweep raised
+# its tracemalloc peak from 6.7 to 76 MB
+_AMBIGUITY_BLOCK_BYTES = 1 << 20
 
 
 def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
@@ -379,7 +405,11 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     Trials are the outer loop: trial t draws its channel and symbols once
     from default_rng([seed, t]) and every point reuses them (see the module
     docstring), so the per-point statistics equal those of drawing afresh at
-    every point.
+    every point.  Every draw has the delays of the EVA profile, so each
+    filter's tap window is the same in every trial and is taken once.  The
+    trials are drawn in blocks under ``_AMBIGUITY_BLOCK_BYTES``; one
+    ``ambiguity_values`` call covers every point of a block, and each trial
+    then passes its share of those values to ``_nmse_points``.
     """
     cfg = ec.chirp_config()
     points = ec.sweep_configs()
@@ -389,12 +419,26 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     filts = [designed[p.beta, p.q] for p in points]
     speeds = [p.speed_kmh for p in points]
     distinct = list(dict.fromkeys(speeds))
-    samples = np.empty((len(points), ec.trials))
-    for t in range(ec.trials):
+
+    def draw(t: int) -> tuple:
         rng = np.random.default_rng([ec.seed, t])
         drawn = dict(zip(distinct, make_eva_channels(ec.fc_hz, distinct, rng)))
-        symbols = qam4_symbols(cfg.N, rng)
-        samples[:, t] = _nmse_points(cfg, filts, [drawn[v] for v in speeds], symbols)
+        return [drawn[v] for v in speeds], qam4_symbols(cfg.N, rng)
+
+    samples = np.empty((len(points), ec.trials))
+    per_trial = 16 * len(points) * len(EVA_PROFILE) * max(len(f.taps) for f in filts)
+    block = max(1, _AMBIGUITY_BLOCK_BYTES // per_trial)
+    for first in range(0, ec.trials, block):
+        trials = range(first, min(first + block, ec.trials))
+        draws = [draw(t) for t in trials]
+        if first == 0:
+            window = {d: tap_window(draws[0][0][0], f) for d, f in designed.items()}
+            windows = [window[p.beta, p.q] for p in points]
+        amb = ambiguity_values(
+            [c for channels, _ in draws for c in channels], filts * len(draws), windows * len(draws)
+        )
+        for t, (channels, symbols), a in zip(trials, draws, np.split(amb, len(draws))):
+            samples[:, t] = _nmse_points(cfg, filts, channels, symbols, windows, a)
     mean = samples.mean(axis=1)
     if ec.trials > 1:
         stderr = samples.std(axis=1, ddof=1) / np.sqrt(ec.trials)

@@ -20,11 +20,16 @@ with taps built from the pulse cross-ambiguity function.  ``tap_window`` is
 the one rule for the retained window (sampling lead and tap count).  The model
 only reads the L lags of the ambiguity function that the window needs, for all
 paths at once.  ``effective_taps`` takes a channel, a filter and a window per
-point, for points that share their path delays (the points of a trial), and
-returns their (S, N, max L) stack of taps, with one gather of the pulse per
-filter and window.  A frame is predicted by applying the banded taps to the
-prefix-extended frame, which costs O(N L) per stacked channel and never forms
-an N x N matrix.  Folding the taps through the chirp-periodic prefix yields
+point, for points that share their path delays (the points of a trial, or of
+a block of trials), and returns their (S, N, max L) stack of taps in two
+stages.  ``ambiguity_values`` is the per-filter stage: one gather of the
+pulse per filter and window, whatever the number of points, and each
+point's ambiguity values with its sampling lead's phase.  The per-channel
+stage builds each distinct channel's symbol-rate Doppler tones once and
+multiplies them with the ambiguity values of the points that see it.  A
+frame is predicted by applying the banded taps to the prefix-extended frame,
+which costs O(N L) per stacked channel and never forms an N x N matrix.
+Folding the taps through the chirp-periodic prefix yields
 the dense N x N effective matrix H, and conjugating by the transform pair
 yields the chirp-domain matrix H_u that an equalizer would see; those matrices
 are built only where a matrix is the result.  The literature baseline (ideal
@@ -37,11 +42,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import DDChannel, _doppler_tones
 from .transforms import ChirpConfig, demodulate, modulate
-from .waveform import SrrcFilter, Waveform
+from .waveform import SrrcFilter, Waveform, _windows
 
 
 def sample_matched_filter(wf: Waveform, filt, t_start, count: int) -> np.ndarray:
@@ -154,11 +158,87 @@ def tap_window(channel: DDChannel, filt: SrrcFilter, exact: bool = False) -> tup
     return filt.q // 2, n_taps
 
 
+def _distinct(channels: Sequence[DDChannel]) -> tuple[list, list]:
+    """The distinct channel objects in order of first use, and the index into
+    them of each point's channel."""
+    first: dict = {}
+    rows = [first.setdefault(id(c), len(first)) for c in channels]
+    return list({id(c): c for c in channels}.values()), rows
+
+
+def _shared_shifts(channels: Sequence[DDChannel], filts: Sequence[SrrcFilter]) -> np.ndarray:
+    """The fine-grid path shifts that the points' channels share; the filters
+    must share one fine grid."""
+    delays = [c.delays for c in _distinct(channels)[0]]
+    if any(len(x) != len(delays[0]) for x in delays) or (np.array(delays) != delays[0]).any():
+        raise ValueError("channels must share their path delays")
+    ts, o = filts[0].Ts, filts[0].O
+    if any((f.Ts, f.O) != (ts, o) for f in filts[1:]):
+        raise ValueError("filters must share one fine grid (Ts and O)")
+    return channels[0].shifts(filts[0].dt)
+
+
+def ambiguity_values(
+    channels: Sequence[DDChannel],
+    filts: Sequence[SrrcFilter],
+    windows: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """The per-filter stage of ``effective_taps``: an (S, P, max L) array.
+
+    Point s is channel s seen through filter s with the (lead D, tap count L)
+    window s, under the conditions of ``effective_taps``.  Entry [s, p, l] is
+    g_p e^{-j 2 pi nu_p D Ts} A(tau1 - tau_p + (l - D) Ts, nu_p), zero for
+    l >= L, with path p's gain g_p, Doppler nu_p and fine-grid delay tau_p
+    from channel s and tau1 the earliest of those delays.
+
+    A is the Riemann sum dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u} on
+    the filter tap grid, evaluated only at the (P, L) lags the window reads;
+    lags with |lag| >= M (the tap count) have no overlap and give exactly 0.
+    The lags depend on the delays and the window alone, so all points with
+    one filter object and one window, from however many trials, share one
+    (P, L, M) gather of shifted pulses.  Each point multiplies it with its
+    Doppler-weighted conjugate pulses, built on that filter's tap grid, as
+    its own matrix-vector product per path: a matrix product with the
+    points as columns would round each column according to how many there
+    are.  The other steps act on a point's values elementwise, so they come
+    out as for the point alone, whatever the points beside it.
+    """
+    shifts = _shared_shifts(channels, filts)
+    dt, ts, o = filts[0].dt, filts[0].Ts, filts[0].O
+    nus = np.array([c.dopplers for c in channels])  # (S, P)
+    n_paths = nus.shape[1]
+    # each point's gains times dt and the phase of its sampling lead (not
+    # multiplied in place: numpy's in-place complex product of a single
+    # element rounds otherwise than the same element in a longer array)
+    leads = np.array([lead for lead, _ in windows])[:, None]
+    weights = np.array([c.gains for c in channels]) * dt * np.exp(-2j * np.pi * nus * (leads * ts))
+    amb = np.zeros((len(channels), n_paths, max(n for _, n in windows)), dtype=np.complex128)
+    groups: dict = {}
+    for i, (f, window) in enumerate(zip(filts, windows)):
+        groups.setdefault((id(f), *window), []).append(i)
+    for (_, lead, n_taps), idx in groups.items():
+        filt = filts[idx[0]]
+        a = filt.taps
+        m = len(a)
+        tones = _doppler_tones(nus[idx].ravel(), -filt.center * dt, dt, m)
+        b = np.conj(a) * tones.reshape(len(idx), n_paths, m)  # (S_g, P, M)
+        lags = (shifts.min() - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * o
+        # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
+        a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
+        # the (P, L, M) gather is a temporary, freed at once: held longer, it
+        # made every call fault in fresh pages
+        shifted_b = _windows(a_pad, m)[m + np.clip(lags, -m, m)] @ b[..., None]
+        amb[idx, :, :n_taps] = shifted_b[..., 0] * weights[idx, :, None]
+    return amb
+
+
 def effective_taps(
     channels: Sequence[DDChannel],
     filts: Sequence[SrrcFilter],
     n_out: int,
     windows: Sequence[tuple[int, int]],
+    *,
+    ambiguity: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact taps of shape -> channel -> matched filter -> base-rate sampling.
 
@@ -177,56 +257,34 @@ def effective_taps(
     reproduces the discrete simulation chain to floating-point accuracy when
     the same filter is used.
 
-    A is the Riemann sum dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u} on
-    the filter tap grid, evaluated only at the (P, L) lags the window reads;
-    lags with |lag| >= M (the tap count) have no overlap and give exactly 0.
-    The lags depend on the delays and the window alone, so the points with
-    one filter object and one window share one (P, L, M) gather of shifted
-    pulses, which multiplies their Doppler-weighted conjugate pulses in one
-    batched product.  The pulse tones are computed once, on the tap grid of
-    the widest filter, and each filter reads its centred slice.  h is then
-    one batched product of the (S, N, P) symbol-rate Doppler tones with the
-    gain-weighted ambiguity values; both sets of tones use the channel's
-    coarse-by-fine tone split.
+    It is built in two stages.  ``ambiguity_values`` gives the per-filter
+    part, with the lead's phase e^{-j 2 pi nu_p D Ts} moved onto the
+    ambiguity values; ``ambiguity`` passes those (S, P, max L) values of
+    these points when a block of trials already computed them.  What is left
+    of the tone, exp(j 2 pi nu_p (tau1 - tau_p + k' Ts)), no longer depends
+    on the window, so each distinct channel object builds its (N, P) symbol
+    tones once (the channel's coarse-by-fine tone split), and every point's
+    taps are the product of its channel's tones with its ambiguity values.
     """
-    delays = [c.delays for c in channels]
-    if any(len(x) != len(delays[0]) for x in delays) or (np.array(delays) != delays[0]).any():
-        raise ValueError("channels must share their path delays")
-    ts, o = filts[0].Ts, filts[0].O
-    if any((f.Ts, f.O) != (ts, o) for f in filts[1:]):
-        raise ValueError("filters must share one fine grid (Ts and O)")
-    dt = filts[0].dt
-    shifts = channels[0].shifts(dt)
-    s1 = shifts.min()
-    nus = np.concatenate([c.dopplers for c in channels])  # (S P,), point-major
-    gains = np.array([c.gains for c in channels])
-    n_pts, n_paths = gains.shape
-    # each path's Doppler tone on the tap grid of the widest filter, (S, P, M_max)
-    wide = max(filts, key=lambda f: f.center)
-    pulse_tones = _doppler_tones(nus, -wide.center * dt, dt, len(wide.taps))
-    pulse_tones = pulse_tones.reshape(n_pts, n_paths, -1)
-    amb = np.zeros((n_pts, n_paths, max(n for _, n in windows)), dtype=np.complex128)
-    groups: dict = {}
-    for i, (f, window) in enumerate(zip(filts, windows)):
-        groups.setdefault((id(f), *window), []).append(i)
-    for (_, lead, n_taps), idx in groups.items():
-        filt = filts[idx[0]]
-        a = filt.taps
-        m = len(a)
-        off = wide.center - filt.center
-        b = (np.conj(a) * pulse_tones[idx, :, off : off + m]).transpose(1, 2, 0)  # (P, M, S_g)
-        lags = (s1 - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * o
-        # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
-        a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
-        # the (P, L, M) gather is a temporary, freed at once: held longer, it
-        # made every call fault in fresh pages
-        shifted_b = sliding_window_view(a_pad, m)[m + np.clip(lags, -m, m)] @ b
-        amb[idx, :, :n_taps] = shifted_b.transpose(2, 0, 1) * (gains[idx, :, None] * dt)
-    del pulse_tones, b, shifted_b  # freed before the symbol tones, to lower the peak memory
-    leads = np.array([lead for lead, _ in windows])[:, None]
-    t0 = s1 * dt - shifts * dt - leads * ts  # (S, P)
-    tones = _doppler_tones(nus, t0, ts, n_out).reshape(n_pts, n_paths, n_out)
-    return tones.transpose(0, 2, 1) @ amb
+    shifts = _shared_shifts(channels, filts)
+    if ambiguity is None:
+        ambiguity = ambiguity_values(channels, filts, windows)
+    n_pts, n_paths, width = ambiguity.shape
+    if (n_pts, n_paths, width) != (len(channels), len(shifts), max(n for _, n in windows)):
+        raise ValueError(f"ambiguity values of shape {ambiguity.shape} do not fit the points")
+    distinct, rows = _distinct(channels)
+    t0 = np.tile((shifts.min() - shifts) * filts[0].dt, len(distinct))
+    nus = np.concatenate([c.dopplers for c in distinct])
+    tones = _doppler_tones(nus, t0, filts[0].Ts, n_out).reshape(len(distinct), n_paths, n_out)
+    # one product per run of consecutive points that share a channel object,
+    # in which each point is its own (N, P) @ (P, L) product: a product with
+    # the run's points as columns would round each column according to how
+    # many there are
+    starts = [s for s in range(n_pts) if s == 0 or channels[s] is not channels[s - 1]]
+    taps = np.empty((n_pts, n_out, width), dtype=np.complex128)
+    for lo, hi in zip(starts, starts[1:] + [n_pts]):
+        np.matmul(tones[rows[lo]].T, ambiguity[lo:hi], out=taps[lo:hi])
+    return taps
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
@@ -316,7 +374,7 @@ def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> n
     k = np.arange(1 - n_taps, 0)
     x_cpp = np.concatenate([x[cfg.N + k] * cpp_wrap_phase(cfg, k), x])
     # window row k' holds x[k' - L + 1 .. k'], so tap l pairs with column L - 1 - l
-    window = sliding_window_view(x_cpp, n_taps)
+    window = _windows(x_cpp, n_taps)
     y = np.einsum("...kl,kl->...k", taps[..., ::-1], window)
     return demodulate(cfg, y)
 

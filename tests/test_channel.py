@@ -327,3 +327,23 @@ def test_add_awgn_properties():
     a = add_awgn(wf, n0, np.random.default_rng(6))
     b = add_awgn(wf, n0, np.random.default_rng(6))
     assert np.array_equal(a.samples, b.samples)
+
+
+def test_add_awgn_draws_one_value_per_sample_of_any_shape():
+    """A 1-D waveform of n samples draws n real parts, then n imaginary parts;
+    a (rows, n) waveform draws one value per sample in row-major order, so
+    it equals the 1-D waveform of rows n samples laid out as rows, and no
+    two samples share a value."""
+    n0, rate, n = 1e-7, 1e6, 50
+    rng = np.random.default_rng(7)
+    want = np.sqrt(n0 * rate / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    line = add_awgn(Waveform(np.zeros(n, dtype=complex), rate), n0, np.random.default_rng(7))
+    assert np.array_equal(line.samples, want)
+    for rows in (1, 3):
+        zeros = Waveform(np.zeros((rows, n), dtype=complex), rate, t0=1e-6)
+        noisy = add_awgn(zeros, n0, np.random.default_rng(7))
+        assert noisy.samples.shape == (rows, n) and noisy.t0 == zeros.t0
+        flat = add_awgn(Waveform(np.zeros(rows * n, dtype=complex), rate), n0,
+                        np.random.default_rng(7))
+        assert np.array_equal(noisy.samples.ravel(), flat.samples)
+        assert len(np.unique(noisy.samples)) == rows * n

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
-from chirplab.receiver import effective_taps, tap_window
+from chirplab.receiver import ambiguity_values, effective_taps, tap_window
 from chirplab.transforms import modulate
 from chirplab.experiments import (
     CONFIG_KEYS,
@@ -413,6 +413,29 @@ def test_row_batch_size_does_not_change_the_sweep(sweep, monkeypatch):
     assert np.array_equal(results[0].stderr_db, results[1].stderr_db)
 
 
+@pytest.mark.parametrize("sweep", ["span", "rolloff", "speed"])
+def test_ambiguity_block_size_does_not_change_the_sweep(sweep, monkeypatch):
+    """One trial per ``ambiguity_values`` call, then all trials in one call."""
+    ec = ExperimentConfig(n=64, oversample=4, trials=3, seed=5, sweep=sweep)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return ambiguity_values(*args)
+
+    monkeypatch.setattr(experiments, "ambiguity_values", counted)
+    results = []
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(experiments, "_AMBIGUITY_BLOCK_BYTES", budget)
+        results.append(run_nmse_sweep(ec))
+    points = len(ec.sweep_configs())
+    assert calls == [points] * 3 + [3 * points]
+    one, whole = results
+    for a, b in ((one.nmse_db, whole.nmse_db), (one.stderr_db, whole.stderr_db)):
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+        assert [f"{v:.12g}" for v in a] == [f"{v:.12g}" for v in b]
+
+
 def test_run_iorel_check_reports_small_errors():
     ec = ExperimentConfig(n=64, trials=1, oversample=8, seed=11)
     report, taps = run_iorel_check(ec)
@@ -508,6 +531,34 @@ def test_cli_nmse_writes_csv_and_is_deterministic(tmp_path, capsys):
     assert cli.main(["nmse", "--config", str(path), "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
     assert out1.read_text().splitlines()[0] == "sweep_value,nmse_db,stderr_db"
+
+
+@pytest.mark.parametrize(
+    "config, argv, trials",
+    [
+        ("", ["--small"], 20),
+        ("", ["--small", "--trials", "3"], 3),
+        ("", ["--trials", "3", "--small"], 3),
+        ("trials = 5\n", ["--small"], 20),
+        ("trials = 5\n", ["--small", "--trials", "3"], 3),
+        ("trials = 5\n", ["--trials", "3"], 3),
+    ],
+    ids=["small", "small-trials", "trials-small", "file-small", "file-small-trials", "file-trials"],
+)
+def test_cli_small_keeps_an_explicit_trial_count(tmp_path, monkeypatch, config, argv, trials):
+    """--small shrinks to 20 trials, a config file's count included, but an
+    explicit --trials is applied after it."""
+    seen = []
+
+    def sweep(ec):
+        seen.append(ec)
+        return SweepResult(values=[0.0], nmse_db=[-40.0], stderr_db=[0.0])
+
+    monkeypatch.setattr(cli, "run_nmse_sweep", sweep)
+    assert cli.main(["nmse", "--config", _write_config(tmp_path, config), *argv]) == 0
+    (ec,) = seen
+    assert ec.trials == trials
+    assert (ec.n, ec.oversample) == ((256, 8) if "--small" in argv else (1024, 16))
 
 
 def test_cli_nmse_rejects_a_tap_span_longer_than_the_frame(tmp_path, capsys):
@@ -776,6 +827,16 @@ def test_cli_complexity(capsys, monkeypatch, measured_complexity):
     captured = capsys.readouterr()
     assert "count_ratio = 2" in captured.out
     assert "loglog_slope" in captured.out
+
+
+@pytest.mark.parametrize("name", ["criterion_02_ocdm", "criterion_03_continuous_orthogonality",
+                                  "criterion_10_deviation_dichotomy", "criterion_11_dual_path",
+                                  "criterion_12_noise_whiteness", "criterion_13_complexity"])
+def test_criterion_detail_ends_with_its_elapsed_time(name, monkeypatch, measured_complexity):
+    """The criteria that used to report no time end their detail with it, as
+    the others do."""
+    monkeypatch.setattr(acceptance, "complexity_compare", measured_complexity)
+    assert re.search(r", \d+\.\ds$", getattr(acceptance, name)().detail)
 
 
 def test_cli_selftest_exit_codes(monkeypatch, capsys):

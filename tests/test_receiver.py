@@ -10,6 +10,7 @@ from scipy.signal import fftconvolve
 from chirplab import (
     ChirpConfig,
     DDChannel,
+    ambiguity_values,
     baseline_taps,
     chirp_domain_from_taps,
     chirp_domain_matrix,
@@ -449,6 +450,52 @@ def test_mixed_filter_stack_equals_per_point_oracle(o, designs, points, delays, 
         assert not np.any(taps[:, n_taps:])
         want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
         assert np.max(np.abs(taps[:, :n_taps] - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    o=st.integers(2, 8),
+    designs=st.lists(st.tuples(st.floats(0.05, 1.0), st.integers(1, 4)), min_size=1, max_size=3),
+    n_channels=st.integers(1, 3),
+    points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6),
+    trials=st.integers(1, 3),
+    exact=st.booleans(),
+    delays=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a run of three points on one channel, then a second channel, then the first again
+@example(o=4, designs=[(0.3, 1), (0.5, 3)], n_channels=2,
+         points=[(0, 0), (1, 0), (0, 0), (1, 1), (0, 0)], trials=2, exact=False,
+         delays=[0.0, 1.3, 2.6], seed=3)
+def test_taps_from_channel_tones_equal_per_point_oracle(
+    o, designs, n_channels, points, trials, exact, delays, seed
+):
+    """Points that share channel objects, in runs or not, with the ambiguity
+    values of a block of trials taken in one ``ambiguity_values`` call: each
+    trial's taps, built from one set of tones per channel object, equal each
+    point's taps computed alone, under the default and the exact window."""
+    cfg = _cfg(16)
+    designed = [design_srrc(beta, 2 * half_q, o, cfg.dt) for beta, half_q in designs]
+    rng = np.random.default_rng(seed)
+    delays = np.sort(delays) * cfg.dt
+    filts = [designed[d % len(designed)] for d, _ in points]
+    block = []
+    for _ in range(trials):
+        drawn = []
+        for _ in range(n_channels):
+            gains, nus = _draw_paths(rng, len(delays))
+            drawn.append(DDChannel(gains, delays, nus))
+        block.append([drawn[c % n_channels] for _, c in points])
+    windows = [tap_window(block[0][0], f, exact=exact) for f in filts]
+    amb = ambiguity_values([c for channels in block for c in channels],
+                           filts * trials, windows * trials)
+    for channels, a in zip(block, np.split(amb, trials)):
+        got = effective_taps(channels, filts, cfg.N, windows, ambiguity=a)
+        assert np.array_equal(got, effective_taps(channels, filts, cfg.N, windows))
+        for taps, ch, filt, (lead, n_taps) in zip(got, channels, filts, windows):
+            want = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
+            assert not np.any(taps[:, n_taps:])
+            assert np.max(np.abs(taps[:, :n_taps] - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
 
 
 def test_stacked_taps_reject_filters_on_different_fine_grids():

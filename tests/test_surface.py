@@ -82,3 +82,18 @@ def test_import_leaves_scipy_signal_unloaded():
         timeout=120,
     )
     assert result.stdout.strip() == "False False"
+
+
+def test_python_m_chirplab_runs_the_cli():
+    """``python -m chirplab`` exits with the CLI's status: a negative seed is
+    a validation error, exit code 1 with an ``error:`` line on stderr."""
+    src = str(Path(chirplab.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "chirplab", "nmse", "--small", "--seed", "-3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:"), result.stderr
