@@ -125,20 +125,17 @@ _TONE_BLOCK = 128
 
 
 def _on_tone_blocks(waves: list) -> Waveform:
-    """Waveforms of one sample rate as the rows of one (rows, n) waveform.
+    """Waveforms of one sample rate as the zero-filled rows of one (rows, n)
+    waveform on whole blocks of ``apply_channel``'s tones.
 
-    Each start time is rounded to the grid of the first waveform, so the
-    result starts at a whole number of samples from t = 0.  One waveform is
-    only re-timed.  Several become the zero-filled rows of one array widened
-    to whole blocks of ``apply_channel``'s tones (it starts at a multiple of
-    ``_TONE_BLOCK`` samples and holds a multiple of ``_TONE_BLOCK`` samples),
-    which ``apply_channel`` reads without an aligned copy.
+    Each start time is rounded to the sampling grid, and the result starts
+    at a multiple of ``_TONE_BLOCK`` samples from t = 0 and holds a multiple
+    of ``_TONE_BLOCK`` samples, which ``apply_channel`` reads without an
+    aligned copy.
     """
     rate = waves[0].sample_rate
     dt = 1.0 / rate
     firsts = [round(w.t0 / dt) for w in waves]
-    if len(waves) == 1:
-        return Waveform(waves[0].samples[None], rate, t0=firsts[0] * dt)
     lo = min(firsts) // _TONE_BLOCK * _TONE_BLOCK
     hi = max(f + w.samples.shape[-1] for f, w in zip(firsts, waves))
     grid = np.zeros((len(waves), -(-(hi - lo) // _TONE_BLOCK) * _TONE_BLOCK), dtype=np.complex128)
@@ -164,8 +161,8 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     grid, exactly 1 when t0 is a whole number of samples).  So a sample's
     tone depends on its grid index alone, never on the rows beside it or on
     where they start.  The input sits in a zeroed array of whole blocks at
-    its grid index (``_on_tone_blocks`` lays several rows out that way, so
-    they need no copy).  Path p builds its tone once for all rows, as the outer
+    its grid index (``_on_tone_blocks`` lays rows out that way, so they
+    need no copy).  Path p builds its tone once for all rows, as the outer
     product of the coarse factor, with the gain folded in, and the fine
     factor; multiplies every row by it into one buffer that every path
     reuses; and adds that buffer into the output at the shift.
@@ -186,7 +183,7 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     if lead or n_in % _TONE_BLOCK:
         grid = np.zeros((len(rows), width), dtype=np.complex128)
         grid[:, lead : lead + n_in] = rows
-    else:  # already on whole blocks, as ``_on_tone_blocks`` lays several rows out
+    else:  # already on whole blocks, as ``_on_tone_blocks`` lays rows out
         grid = rows
     # buf and out rows hold the grid plus room for the largest shift (the
     # paths are in delay order), so a path's shifted rows are one contiguous

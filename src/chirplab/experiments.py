@@ -2,12 +2,14 @@
 
 The drivers return arrays and small result records; ``chirplab.cli`` is the
 only module that writes them to files.  The NMSE compares two independent
-constructions: the waveform chain (simulate_frame: modulate, prefix,
-shaping, channel, then the sampled matched filter and ``demodulate``) and
-the tap model (effective_taps -> predict_output), with the sampling lead
-and tap count of ``receiver.tap_window``.  Each sweep kind varies one
-configuration key (``SWEEPS``); a sweep point is the configuration with that
-key replaced, so each swept value obeys that key's own rule.
+constructions of a trial's received frames: the waveform chain
+(``simulate_frame``: modulate, prefix, shaping, channel, then the sampled
+matched filter and ``demodulate``) and the tap model (effective_taps ->
+predict_output).  Both take the trial's points alike, one filter, one
+channel and one ``(lead, L)`` window of ``receiver.tap_window`` each.  Each
+sweep kind varies one configuration key (``SWEEPS``); a sweep point is the
+configuration with that key replaced, so each swept value obeys that key's
+own rule.
 
 Every driver is deterministic given the configuration and master seed; the
 per-trial random streams are derived as default_rng([seed, trial]).  The
@@ -17,22 +19,23 @@ So the NMSE sweep runs trials in the outer loop: it draws each trial once
 (one EVA draw, seen at every speed of a speed sweep), designs each distinct
 filter once per sweep, and each construction does the work that points
 share once per trial or once per block of trials.  Every draw has the EVA
-path delays, so each filter has one tap window for the whole sweep.  The
-waveform chain modulates once per trial and prefix-extends and shapes once
-per run of points with the same filter object (all of a speed sweep, one
-point of a roll-off or span sweep).  The points that share a channel object
-(all of a roll-off or span sweep, one point of a speed sweep) then pass the
-channel and the matched filter as rows of one array on their common fine
-grid, in chunks under a byte budget, and the trial's (S, N) stack is
-demodulated at once; each row equals its point run alone, bit for bit.  The
-tap model draws the trials in blocks under another byte budget and takes
-the ambiguity values of every point of a block in one ``ambiguity_values``
-call, which gathers the shifted pulses once per filter and block.  It then
-builds each trial's (S, N, max L) stack of taps in one ``effective_taps``
-call, with each distinct channel's Doppler tones built once, whatever the
-sweep kind, and applies it in one ``predict_output`` call.  Every step of
-the tap model acts on each point's values elementwise or in a product of
-that point's own arrays, so the block size does not change them.
+path delays, so each filter has one tap window for the whole sweep.
+``simulate_frame`` modulates once per trial and prefix-extends and shapes
+once per run of points with the same filter object and window (all of a
+speed sweep, one point of a roll-off or span sweep).  The points that share
+a channel object (all of a roll-off or span sweep, one point of a speed
+sweep) then pass the channel and the matched filter as rows of one array on
+their common fine grid, in chunks under a byte budget, and the trial's
+(S, N) stack is demodulated at once; each row equals its point run alone,
+bit for bit.  The tap model draws the trials in blocks under another byte
+budget and takes the ambiguity values of every point of a block in one
+``ambiguity_values`` call, which gathers the shifted pulses once per filter
+and block.  It then builds each trial's (S, N, max L) stack of taps in one
+``effective_taps`` call, with each distinct channel's Doppler tones built
+once, whatever the sweep kind, and applies it in one ``predict_output``
+call.  Every step of the tap model acts on each point's values elementwise
+or in a product of that point's own arrays, so the block size does not
+change them.
 """
 
 from __future__ import annotations
@@ -265,26 +268,6 @@ def qam4_symbols(n: int, rng: np.random.Generator) -> np.ndarray:
     return _QAM4[bits[0] + 2 * bits[1]]
 
 
-def simulate_frame(
-    cfg: ChirpConfig,
-    filt: SrrcFilter,
-    channel: DDChannel,
-    symbols: np.ndarray,
-    lead: int,
-    n_taps: int,
-) -> np.ndarray:
-    """Full waveform chain: returns the received chirp-domain frame.
-
-    modulate -> chirp-periodic prefix -> pulse shaping -> channel -> matched
-    filter sampled at the base rate with the given symbol lead -> forward
-    transform.  The prefix length is n_taps - 1 so the folded tap relation
-    is exact.  This is the one-row case of the chain the NMSE sweep runs,
-    ``_transmit`` and then ``_receive``.
-    """
-    wf = _transmit(cfg, filt, modulate(cfg, symbols), n_taps)
-    return demodulate(cfg, _receive(cfg, [filt], channel, [wf], [lead])[0])
-
-
 def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) -> Waveform:
     """Prefix-extend a modulated frame by n_taps - 1 samples and shape it."""
     l_cpp = n_taps - 1
@@ -318,6 +301,56 @@ def _receive(
 _ROW_BATCH_BYTES = 1 << 20
 
 
+def simulate_frame(
+    cfg: ChirpConfig,
+    filts: list,
+    channels: list,
+    symbols: np.ndarray,
+    windows: list,
+) -> np.ndarray:
+    """The waveform chain of one trial: the (S, N) received chirp-domain
+    frames of one frame of symbols at each point (filts[i], channels[i]).
+
+    modulate -> chirp-periodic prefix -> pulse shaping -> channel -> matched
+    filter sampled at the base rate -> forward transform.  Point i has the
+    tap window windows[i] = (lead, L), as in ``effective_taps``: its prefix
+    is L - 1 samples long, so the folded tap relation is exact, and its
+    matched filter is sampled from lead symbols before the first path.  One
+    point is ``simulate_frame(cfg, [filt], [channel], symbols, [window])[0]``.
+
+    The frame is modulated once.  Consecutive points with the same filter
+    object and window share one transmitted waveform (all of a speed sweep;
+    one point of a roll-off or span sweep).  Consecutive points with the
+    same channel object (all of a roll-off or span sweep; one point of a
+    speed sweep) are received as rows of one array, in chunks of at most
+    ``_ROW_BATCH_BYTES`` of fine-grid samples, and the (S, N) stack is
+    demodulated once.  Each row equals its point run alone, bit for bit.
+    """
+    x = modulate(cfg, symbols)
+    rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
+    rows, waves = [], []
+
+    def receive() -> None:
+        rx[rows[0] : rows[-1] + 1] = _receive(
+            cfg, [filts[i] for i in rows], channels[rows[0]], waves, [windows[i][0] for i in rows]
+        )
+        rows.clear()
+        waves.clear()
+
+    for i, (filt, channel) in enumerate(zip(filts, channels)):
+        if i == 0 or filt is not filts[i - 1] or windows[i] != windows[i - 1]:
+            wf = _transmit(cfg, filt, x, windows[i][1])
+        if rows and (
+            channel is not channels[rows[0]]
+            or sum(w.samples.nbytes for w in waves) + wf.samples.nbytes > _ROW_BATCH_BYTES
+        ):
+            receive()
+        rows.append(i)
+        waves.append(wf)
+    receive()
+    return demodulate(cfg, rx)
+
+
 def nmse_trial(
     cfg: ChirpConfig,
     filt: SrrcFilter,
@@ -333,7 +366,7 @@ def nmse_trial(
     the NMSE to floating-point level.
     """
     window = tap_window(channel, filt, exact_window)
-    return float(_nmse_points(cfg, [filt], [channel], symbols, [window])[0])
+    return float(_nmse_points(cfg, [filt], [channel], symbols, [window])[0][0])
 
 
 def _nmse_points(
@@ -343,48 +376,33 @@ def _nmse_points(
     symbols: np.ndarray,
     windows: list,
     ambiguity: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """``nmse_trial`` of one frame of symbols at each point (filts[i],
-    channels[i]) with the tap window windows[i].
+    channels[i]) with the tap window windows[i], and the trial's taps.
 
-    Consecutive points with the same filter object form a run (all of a
-    speed sweep; one point of a roll-off or span sweep), which has one
-    window.  The waveform chain modulates once and transmits once per
-    run.  Consecutive points with the same channel object (all of a roll-off
-    or span sweep; one point of a speed sweep) are received as rows of one
-    array, in chunks of at most ``_ROW_BATCH_BYTES`` of fine-grid samples,
-    and the (S, N) stack is demodulated once.  The tap model builds the
+    The waveform chain is ``simulate_frame``.  The tap model builds the
     trial's (S, N, max L) tap stack in one ``effective_taps`` call, from the
     points' ``ambiguity`` values when a block of trials computed them, and
     applies it in one ``predict_output`` call; the zero taps past a point's
     own L change nothing.  Neither reads anything the other computed.
     """
-    x = modulate(cfg, symbols)
-    rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
-    rows, waves = [], []
-
-    def receive() -> None:
-        rx[rows[0] : rows[-1] + 1] = _receive(
-            cfg, [filts[i] for i in rows], channels[rows[0]], waves, [windows[i][0] for i in rows]
-        )
-        rows.clear()
-        waves.clear()
-
-    for i, (filt, channel) in enumerate(zip(filts, channels)):
-        if i == 0 or filt is not filts[i - 1]:
-            wf = _transmit(cfg, filt, x, windows[i][1])
-        if rows and (
-            channel is not channels[rows[0]]
-            or sum(w.samples.nbytes for w in waves) + wf.samples.nbytes > _ROW_BATCH_BYTES
-        ):
-            receive()
-        rows.append(i)
-        waves.append(wf)
-    receive()
-    y_sim = demodulate(cfg, rx)
+    y_sim = simulate_frame(cfg, filts, channels, symbols, windows)
     taps = effective_taps(channels, filts, cfg.N, windows, ambiguity=ambiguity)
     y_pred = predict_output(cfg, taps, symbols)
-    return np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
+    nmse = np.sum(np.abs(y_pred - y_sim) ** 2, axis=1) / np.sum(np.abs(y_sim) ** 2, axis=1)
+    return nmse, taps
+
+
+def _checked_window(channel: DDChannel, filt: SrrcFilter, n: int, exact: bool = False) -> tuple:
+    """``tap_window``, refused unless its prefix of L - 1 samples is shorter
+    than the frame of n samples; the drivers check before any trial runs."""
+    lead, n_taps = tap_window(channel, filt, exact)
+    if n_taps > n:
+        raise ValueError(
+            f"q = {filt.q} needs a window of {n_taps} taps, more than n = {n} allows; "
+            f"reduce q or raise n"
+        )
+    return lead, n_taps
 
 
 # Bytes of the Doppler-weighted conjugate pulses that the tap model builds for
@@ -406,14 +424,16 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     from default_rng([seed, t]) and every point reuses them (see the module
     docstring), so the per-point statistics equal those of drawing afresh at
     every point.  Every draw has the delays of the EVA profile, so each
-    filter's tap window is the same in every trial and is taken once.  The
+    filter's tap window is the same in every trial; it is taken once, and a
+    window that does not fit the frame is refused before any trial runs.  The
     trials are drawn in blocks under ``_AMBIGUITY_BLOCK_BYTES``; one
     ``ambiguity_values`` call covers every point of a block, and each trial
     then passes its share of those values to ``_nmse_points``.
     """
     cfg = ec.chirp_config()
     points = ec.sweep_configs()
-    # one filter object per distinct design: _nmse_points keys its runs by it
+    # one filter object per distinct design: the chain and the tap model key
+    # their shared work on it
     designs = {(p.beta, p.q): p for p in points}
     designed = {d: p.srrc() for d, p in designs.items()}
     filts = [designed[p.beta, p.q] for p in points]
@@ -425,20 +445,21 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
         drawn = dict(zip(distinct, make_eva_channels(ec.fc_hz, distinct, rng)))
         return [drawn[v] for v in speeds], qam4_symbols(cfg.N, rng)
 
+    # every draw has the EVA delays, which alone set a filter's window
+    (eva,) = make_eva_channels(ec.fc_hz, [0.0], np.random.default_rng(0))
+    window = {d: _checked_window(eva, f, ec.n) for d, f in designed.items()}
+    windows = [window[p.beta, p.q] for p in points]
     samples = np.empty((len(points), ec.trials))
     per_trial = 16 * len(points) * len(EVA_PROFILE) * max(len(f.taps) for f in filts)
     block = max(1, _AMBIGUITY_BLOCK_BYTES // per_trial)
     for first in range(0, ec.trials, block):
         trials = range(first, min(first + block, ec.trials))
         draws = [draw(t) for t in trials]
-        if first == 0:
-            window = {d: tap_window(draws[0][0][0], f) for d, f in designed.items()}
-            windows = [window[p.beta, p.q] for p in points]
         amb = ambiguity_values(
             [c for channels, _ in draws for c in channels], filts * len(draws), windows * len(draws)
         )
         for t, (channels, symbols), a in zip(trials, draws, np.split(amb, len(draws))):
-            samples[:, t] = _nmse_points(cfg, filts, channels, symbols, windows, a)
+            samples[:, t] = _nmse_points(cfg, filts, channels, symbols, windows, a)[0]
     mean = samples.mean(axis=1)
     if ec.trials > 1:
         stderr = samples.std(axis=1, ddof=1) / np.sqrt(ec.trials)
@@ -491,18 +512,19 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     Runs one seeded EVA trial and reports two NMSE figures: the standard
     retained-window model (finite truncation error) and the widened window
     covering the whole ambiguity support, which must sit at floating-point
-    level because the tap relation is then exact.  Returns the report and
-    the (N, L) default-window ``effective_taps`` of the channel it drew, so
-    callers describe that same realization.
+    level because the tap relation is then exact.  Both windows are checked
+    against the frame before either is scored.  Returns the report and the
+    (N, L) default-window taps that were scored, so callers describe that
+    same realization.
     """
     cfg = ec.chirp_config()
     rng = np.random.default_rng([ec.seed, 0])
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
     symbols = qam4_symbols(cfg.N, rng)
     filt = ec.srrc()
-    nmse_window = nmse_trial(cfg, filt, channel, symbols)
-    nmse_exact = nmse_trial(cfg, filt, channel, symbols, exact_window=True)
-    taps = effective_taps([channel], [filt], cfg.N, [tap_window(channel, filt)])[0]
+    windows = [_checked_window(channel, filt, ec.n, exact) for exact in (False, True)]
+    (nmse_window,), (taps,) = _nmse_points(cfg, [filt], [channel], symbols, windows[:1])
+    (nmse_exact,), _ = _nmse_points(cfg, [filt], [channel], symbols, windows[1:])
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import fresnel
 
 from .transforms import ChirpConfig
-from .waveform import Waveform
+from .waveform import Waveform, _windows
 
 
 @dataclass
@@ -168,7 +167,7 @@ def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
     stream = frames.samples.ravel()
     nperseg = min(nfft, len(stream))
     step = nperseg - nperseg // 2
-    segments = sliding_window_view(stream, nperseg)[::step]
+    segments = _windows(stream, nperseg)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
     buf = np.empty((min(_WELCH_BLOCK, len(segments)), nfft), dtype=np.complex128)
     total = np.zeros(2 * nfft)  # interleaved real and imaginary parts

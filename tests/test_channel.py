@@ -258,8 +258,8 @@ def test_apply_channel_rows_equal_per_row_calls(rows, n, first, off_grid, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tone_block_grid_keeps_each_waveform_and_its_channel_output(spans, seed):
-    """Waveforms placed as rows (on whole tone blocks, when there are
-    several): each row holds its
+    """Waveforms placed as rows on whole tone blocks, however many there
+    are: each row holds its
     waveform at its own start time and zeros elsewhere, and the channel gives
     each row what the waveform gives alone, on the grid's longer time axis.
     The start times are whole multiples of the channel's dt = 1 / rate, as
@@ -273,8 +273,7 @@ def test_tone_block_grid_keeps_each_waveform_and_its_channel_output(spans, seed)
     ]
     grid = _on_tone_blocks(waves)
     lo = round(grid.t0 * rate)
-    if len(waves) > 1:
-        assert lo % _TONE_BLOCK == 0 and grid.samples.shape[1] % _TONE_BLOCK == 0
+    assert lo % _TONE_BLOCK == 0 and grid.samples.shape[1] % _TONE_BLOCK == 0
     out = apply_channel(ch, grid).samples
     for (first, n), wf, row, got in zip(spans, waves, grid.samples, out):
         at = first - lo

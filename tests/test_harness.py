@@ -23,6 +23,7 @@ from chirplab.experiments import (
     qam4_symbols,
     run_iorel_check,
     run_nmse_sweep,
+    simulate_frame,
     transform_multiply_count,
 )
 
@@ -402,6 +403,28 @@ def test_points_sharing_a_channel_are_received_as_rows_equal_to_each_alone(point
         assert np.array_equal(row, experiments._receive(cfg, [filt], channel, [wf], [lead])[0])
 
 
+def test_points_sharing_a_filter_with_two_windows_each_equal_their_point_alone():
+    """One filter object with the default and the exact window: each point
+    is transmitted with its own prefix, so its received frame equals the
+    point simulated alone, bit for bit, and its NMSE equals ``nmse_trial``.
+    A transmit shared on the filter object alone gave the exact window
+    1.04e-4 here instead of 2.33e-31."""
+    ec = ExperimentConfig(n=64, oversample=4, seed=3)
+    cfg = ec.chirp_config()
+    rng = np.random.default_rng([3, 0])
+    (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
+    symbols = qam4_symbols(cfg.N, rng)
+    filt = ec.srrc()
+    windows = [tap_window(channel, filt), tap_window(channel, filt, exact=True)]
+    assert windows == [(6, 14), (12, 26)]
+    stack = simulate_frame(cfg, [filt, filt], [channel, channel], symbols, windows)
+    nmse, _ = experiments._nmse_points(cfg, [filt, filt], [channel, channel], symbols, windows)
+    for row, window, got, exact in zip(stack, windows, nmse, (False, True)):
+        assert np.array_equal(row, simulate_frame(cfg, [filt], [channel], symbols, [window])[0])
+        assert got == nmse_trial(cfg, filt, channel, symbols, exact_window=exact)
+    assert nmse[1] < 1e-25
+
+
 @pytest.mark.parametrize("sweep", ["span", "rolloff", "speed"])
 def test_row_batch_size_does_not_change_the_sweep(sweep, monkeypatch):
     ec = ExperimentConfig(n=64, oversample=4, trials=2, seed=3, sweep=sweep)
@@ -565,7 +588,25 @@ def test_cli_nmse_rejects_a_tap_span_longer_than_the_frame(tmp_path, capsys):
     path = _write_config(tmp_path, "n = 16\nq = 16\noversample = 4\ntrials = 1\n")
     assert cli.main(["nmse", "--config", path]) == 1
     err = capsys.readouterr().err
-    assert re.search(r"prefix length \d+ outside \[1, 16\); reduce the tap span", err), err
+    assert "q = 16 needs a window of 18 taps, more than n = 16 allows" in err, err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("nmse", "q = 20\n", "q = 20 needs a window of 22 taps, more than n = 16 allows"),
+    ("nmse", "sweep = span\nsweep_values = 6, 8, 16\n",
+     "q = 16 needs a window of 18 taps, more than n = 16 allows"),
+    # the default window (14 taps) fits; the exact one (L + q taps) does not
+    ("iorel", "q = 12\n", "q = 12 needs a window of 26 taps, more than n = 16 allows"),
+])
+def test_a_tap_window_longer_than_the_frame_is_refused_before_any_trial(
+    command, config, message, tmp_path, capsys, monkeypatch
+):
+    trials = []
+    monkeypatch.setattr(experiments, "_nmse_points", lambda *args: trials.append(args))
+    path = _write_config(tmp_path, f"n = 16\noversample = 4\ntrials = 2\n{config}")
+    assert cli.main([command, "--config", path]) == 1
+    assert message in capsys.readouterr().err
+    assert not trials
 
 
 def test_cli_psd_writes_both_curves(tmp_path, capsys):
@@ -829,23 +870,48 @@ def test_cli_complexity(capsys, monkeypatch, measured_complexity):
     assert "loglog_slope" in captured.out
 
 
-@pytest.mark.parametrize("name", ["criterion_02_ocdm", "criterion_03_continuous_orthogonality",
-                                  "criterion_10_deviation_dichotomy", "criterion_11_dual_path",
-                                  "criterion_12_noise_whiteness", "criterion_13_complexity"])
+@pytest.mark.parametrize("name", [c.__name__ for c in acceptance.ALL_CRITERIA])
 def test_criterion_detail_ends_with_its_elapsed_time(name, monkeypatch, measured_complexity):
-    """The criteria that used to report no time end their detail with it, as
-    the others do."""
+    """Every criterion's line ends with its elapsed time, which its result
+    holds; the sweeps are stubbed, since only the line is read here."""
     monkeypatch.setattr(acceptance, "complexity_compare", measured_complexity)
-    assert re.search(r", \d+\.\ds$", getattr(acceptance, name)().detail)
+    monkeypatch.setattr(acceptance, "run_nmse_sweep",
+                        lambda ec: SweepResult([0.0, 1.0], [-60.0, -61.0], [0.1, 0.1]))
+    result = getattr(acceptance, name)()
+    status = "PASS" if result.passed else "FAIL"
+    assert result.line() == f"{status} {result.name}: {result.detail}, {result.elapsed:.1f}s"
+    assert re.fullmatch(r"criterion-\d\d-[a-z-]+", result.name)
+    assert 0.0 <= result.elapsed < 60.0
+
+
+@pytest.mark.parametrize("criterion, small, elapsed, passed", [
+    ("criterion_01_transforms", False, 9.9, True),
+    ("criterion_01_transforms", False, 10.0, False),
+    ("criterion_07_speed_sweep", True, 179.9, True),
+    ("criterion_07_speed_sweep", True, 180.0, False),
+    ("criterion_07_speed_sweep", False, 1799.9, True),
+    ("criterion_07_speed_sweep", False, 1800.0, False),
+    ("criterion_11_dual_path", False, 1e6, True),  # no time budget
+])
+def test_criterion_fails_when_it_runs_over_its_time_budget(
+    criterion, small, elapsed, passed, monkeypatch
+):
+    clock = iter([0.0, elapsed])
+    monkeypatch.setattr(acceptance, "time", ModuleType("clock"))
+    acceptance.time.perf_counter = lambda: next(clock)
+    monkeypatch.setattr(acceptance, "run_nmse_sweep",
+                        lambda ec: SweepResult([0.0], [-60.0], [0.1]))
+    result = getattr(acceptance, criterion)(small=small)
+    assert (result.passed, result.elapsed) == (passed, elapsed)
 
 
 def test_cli_selftest_exit_codes(monkeypatch, capsys):
-    ok = acceptance.CriterionResult("criterion-x", True, "fine")
-    bad = acceptance.CriterionResult("criterion-y", False, "broken")
+    ok = acceptance.CriterionResult("criterion-x", True, "fine", 0.3)
+    bad = acceptance.CriterionResult("criterion-y", False, "broken", 3.0)
     monkeypatch.setattr(acceptance, "run_all", lambda small=False: [ok])
     assert cli.main(["selftest"]) == 0
     monkeypatch.setattr(acceptance, "run_all", lambda small=False: [ok, bad])
     assert cli.main(["selftest"]) == 2
     captured = capsys.readouterr()
-    assert "PASS criterion-x" in captured.out
-    assert "FAIL criterion-y" in captured.out
+    assert "PASS criterion-x: fine, 0.3s" in captured.out
+    assert "FAIL criterion-y: broken, 3.0s" in captured.out
