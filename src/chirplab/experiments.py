@@ -473,21 +473,40 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     )
 
 
+# Fine-grid bytes of the frames the psd experiment synthesises at once: 16
+# frames at N O = 16,384.  Once glibc has freed one such block it serves that
+# size from its heap, and returns free heap to the system only above twice
+# that size; the run's live buffers stay below it, so a process keeps their
+# pages from one run to the next.  With 2 MB blocks a repeated run faulted in
+# about 1,000 fresh pages each time, with 4 MB blocks none.
+_PSD_BLOCK_BYTES = 1 << 22
+
+
 def run_psd_experiment(ec: ExperimentConfig) -> tuple[PsdCurve, PsdCurve, float]:
     """Analytic and empirical frame PSDs plus the -20 dB occupied bandwidth.
 
     Empirical frames are ideal (alias-free) chirp syntheses of independent
     4-QAM vectors; ``trials`` sets the frame count (at least 10), and the
-    Welch estimate uses 4096-point segments.
+    Welch estimate uses 4096-point segments.  Frame t draws its symbols from
+    ``default_rng([seed, t])``.  The frames are drawn, synthesised and
+    passed to Welch in blocks of at most ``_PSD_BLOCK_BYTES``, so the memory
+    does not grow with the frame count.
     """
     cfg = ec.chirp_config()
-    symbols = np.array(
-        [
-            qam4_symbols(cfg.N, np.random.default_rng([ec.seed, t]))
-            for t in range(max(ec.trials, 10))
-        ]
-    )
-    emp = empirical_psd(synth_ideal(cfg, symbols, ec.oversample), nfft=4096)
+    n_frames = max(ec.trials, 10)
+    per_block = max(1, _PSD_BLOCK_BYTES // (16 * cfg.N * ec.oversample))
+
+    def blocks():
+        for lo in range(0, n_frames, per_block):
+            symbols = np.array(
+                [
+                    qam4_symbols(cfg.N, np.random.default_rng([ec.seed, t]))
+                    for t in range(lo, min(lo + per_block, n_frames))
+                ]
+            )
+            yield synth_ideal(cfg, symbols, ec.oversample)
+
+    emp = empirical_psd(blocks(), nfft=4096)
     ana = analytic_psd(cfg, sigma2=1.0, freqs=emp.freq)
     bw = occupied_bandwidth(ana)
     return ana, emp, bw

@@ -11,17 +11,19 @@ common residue f T mod 1 share, so |G|^2 is evaluated once per lattice point
 and each PSD value is a window sum (see analytic_psd).  The occupied
 bandwidth is the width of the region within 20 dB of the peak.  The
 empirical PSD is Welch's averaged periodogram in numpy, over strided
-segment views transformed in blocks.  The quadrature of G, the direct N F
-evaluation of the shifted sum, the closed-form bandwidth
-(2 c1 N^2 + N - 1)/T and scipy.signal.welch are test oracles.
+segment views transformed in groups, streamed over consecutive blocks of
+frames.  The quadrature of G, the direct N F evaluation of the shifted sum,
+the closed-form bandwidth (2 c1 N^2 + N - 1)/T and scipy.signal.welch are
+test oracles.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import fresnel
 
 from .transforms import ChirpConfig
 from .waveform import Waveform, _windows
@@ -47,7 +49,13 @@ class PsdCurve:
 
 
 def _fresnel_segment(alpha: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int_lo^hi exp(j alpha v^2) dv for alpha > 0, vectorized in the limits."""
+    """int_lo^hi exp(j alpha v^2) dv for alpha > 0, vectorized in the limits.
+
+    scipy.special is imported here, not with the package: it is about 0.2 s
+    of a fresh import, and only the analytic PSD needs it.
+    """
+    from scipy.special import fresnel
+
     scale = np.sqrt(2.0 * alpha / np.pi)
 
     def antideriv(u):
@@ -137,51 +145,131 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
     return PsdCurve(freqs, psd)
 
 
-# Welch segments transformed per FFT call: one block's windowed segments and
+# Welch segments transformed per FFT call: one group's windowed segments and
 # spectra stay in the cache, instead of one array per segment of the stream
 _WELCH_BLOCK = 16
 
 
-def empirical_psd(frames: Waveform, nfft: int) -> PsdCurve:
+class _Periodograms:
+    """Running sum of the periodograms of Hann-windowed segments.
+
+    Segments are windowed into one reused (``_WELCH_BLOCK``, nfft) buffer,
+    zero-padded to nfft, and each full group is transformed there in place,
+    so numpy makes no padded copy and no second output array.  The groups
+    are consecutive segments of the whole stream, whichever calls of
+    :meth:`add` delivered them.
+    """
+
+    def __init__(self, nfft: int, nperseg: int) -> None:
+        self.nfft = nfft
+        self.window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+        self.buf = np.empty((_WELCH_BLOCK, nfft), dtype=np.complex128)
+        self.total = np.zeros(2 * nfft)  # interleaved real and imaginary parts
+        self.filled = 0  # buffer rows holding windowed segments
+        self.count = 0  # segments transformed
+
+    def add(self, segments: np.ndarray) -> None:
+        nperseg = len(self.window)
+        start = 0
+        while start < len(segments):
+            rows = segments[start : start + _WELCH_BLOCK - self.filled]
+            group = self.buf[self.filled : self.filled + len(rows)]
+            np.multiply(rows, self.window, out=group[:, :nperseg])
+            group[:, nperseg:] = 0.0  # zero padding, which the last transform overwrote
+            self.filled += len(rows)
+            start += len(rows)
+            if self.filled == _WELCH_BLOCK:
+                self._transform()
+
+    def _transform(self) -> None:
+        spectra = self.buf[: self.filled]
+        np.fft.fft(spectra, out=spectra)
+        self.total += np.einsum("ij,ij->j", spectra.view(float), spectra.view(float))
+        self.count += self.filled
+        self.filled = 0
+
+    def curve(self, rate: float) -> PsdCurve:
+        if self.filled:
+            self._transform()
+        scale = self.count * rate * np.sum(self.window**2)
+        psd = self.total.reshape(self.nfft, 2).sum(axis=1) / scale
+        freq = np.fft.fftfreq(self.nfft, 1.0 / rate)
+        return PsdCurve(np.fft.fftshift(freq), np.fft.fftshift(psd))
+
+
+def empirical_psd(frames: Waveform | Iterable[Waveform], nfft: int) -> PsdCurve:
     """Hann-windowed, averaged two-sided periodogram of independent frames.
 
-    ``frames.samples`` holds one frame per row.  The frames are concatenated
-    into one stream before segmenting so every instant of a frame carries
-    equal weight; windowing isolated frames would under-weight the frame
-    edges, which is where a chirp emits its spectral extremes, and bias the
+    ``frames`` is one Waveform whose ``samples`` hold one frame per row, or
+    an iterable of such Waveforms holding consecutive blocks of frames, all
+    at one sample rate and frame length.  The frames are concatenated into
+    one stream before segmenting so every instant of a frame carries equal
+    weight; windowing isolated frames would under-weight the frame edges,
+    which is where a chirp emits its spectral extremes, and bias the
     band-edge estimate low.
 
     Welch's method (IEEE Trans. Audio Electroacoust. 15(2), 1967): segments
     of min(nfft, stream length) samples at 50% overlap, a periodic Hann
     window, an nfft-point FFT per segment and the mean of the squared
-    magnitudes, scaled to a density.  The segments are strided views of the
-    stream, windowed in one reused buffer in blocks of ``_WELCH_BLOCK`` and
-    transformed there in place, so numpy makes no padded copy and no second
-    output array.
+    magnitudes, scaled to a density.  The segments are strided views of each
+    block.  Between blocks only the samples from the next segment's start
+    on are kept, fewer than nfft, so a segment that straddles two blocks
+    reads them and the first nfft - 1 samples of the next block; the
+    segments, and the groups they are transformed in, are those of the
+    concatenated stream, and the PSD does not depend on how the frames are
+    split into blocks.
     """
-    if frames.samples.ndim != 2 or len(frames.samples) < 10:
+    if isinstance(nfft, bool) or not isinstance(nfft, numbers.Integral) or nfft < 2:
+        # a one-sample Hann window is zero
+        raise ValueError(f"nfft must be an integer >= 2, got {nfft!r}")
+    blocks = [frames] if isinstance(frames, Waveform) else frames
+    step = nfft - nfft // 2
+    sums = _Periodograms(nfft, nfft)
+    held = np.empty(0, dtype=np.complex128)  # the stream from the next segment's start
+    n_frames = index = 0
+    # not enumerate(): its reused result tuple would keep each block alive
+    # while the next one is made
+    for block in blocks:
+        x = block.samples
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise ValueError(
+                f"need frames one per row; block {index} has samples of shape {x.shape}"
+            )
+        if index == 0:
+            rate, width = block.sample_rate, x.shape[1]
+        elif block.sample_rate != rate:
+            raise ValueError(
+                f"block {index} has sample rate {block.sample_rate}, block 0 has {rate}"
+            )
+        elif x.shape[1] != width:
+            raise ValueError(
+                f"block {index} has frames of {x.shape[1]} samples, block 0 has {width}"
+            )
+        n_frames += len(x)
+        x = x.ravel()
+        ready = len(held) + len(x)
+        count = (ready - nfft) // step + 1 if ready >= nfft else 0
+        # segments that start in the held samples and end in this block
+        straddling = min(count, -(-len(held) // step))
+        if straddling:
+            head = np.concatenate([held, x[: nfft - 1]])
+            sums.add(_windows(head, nfft)[: straddling * step : step])
+        if count > straddling:
+            sums.add(_windows(x, nfft)[straddling * step - len(held) :: step])
+        cut = count * step - len(held)
+        held = x[cut:].copy() if cut >= 0 else np.concatenate([held[cut:], x])
+        del block, x  # free this block before the next one is made
+        index += 1
+    if n_frames < 10:
         raise ValueError(
             f"need at least 10 frames, one per row, for a stable estimate; "
-            f"got samples of shape {frames.samples.shape}"
+            f"got {n_frames} frames"
         )
-    stream = frames.samples.ravel()
-    nperseg = min(nfft, len(stream))
-    step = nperseg - nperseg // 2
-    segments = _windows(stream, nperseg)[::step]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
-    buf = np.empty((min(_WELCH_BLOCK, len(segments)), nfft), dtype=np.complex128)
-    total = np.zeros(2 * nfft)  # interleaved real and imaginary parts
-    for start in range(0, len(segments), _WELCH_BLOCK):
-        block = segments[start : start + _WELCH_BLOCK]
-        spectra = buf[: len(block)]
-        np.multiply(block, window, out=spectra[:, :nperseg])
-        spectra[:, nperseg:] = 0.0  # zero padding, which the last transform overwrote
-        np.fft.fft(spectra, out=spectra)
-        total += np.einsum("ij,ij->j", spectra.view(float), spectra.view(float))
-    rate = frames.sample_rate
-    psd = total.reshape(nfft, 2).sum(axis=1) / (len(segments) * rate * np.sum(window**2))
-    freq = np.fft.fftfreq(nfft, 1.0 / rate)
-    return PsdCurve(np.fft.fftshift(freq), np.fft.fftshift(psd))
+    if sums.count == sums.filled == 0:
+        # a stream shorter than nfft is one zero-padded segment
+        sums = _Periodograms(nfft, len(held))
+        sums.add(held[None, :])
+    return sums.curve(rate)
 
 
 def occupied_bandwidth(curve: PsdCurve) -> float:

@@ -13,7 +13,8 @@ All fast paths use the chirp / inverse-FFT / chirp factorization and agree
 with the dense matrices to machine precision (see tests).  The two chirp
 tables of that factorization are computed once per ``ChirpConfig`` and kept
 on it, read-only, so repeated transforms of one configuration cost one
-pointwise product per table.
+pointwise product per table.  The oversampled root chirp of the waveform
+layer is kept there the same way, one table per oversampling.
 
 ``modulate`` and ``demodulate`` take (..., N) arrays, like every frame array
 of the package: frames in the leading axes, the transform along the last.
@@ -71,6 +72,22 @@ class ChirpConfig:
     def _n_chirp(self) -> np.ndarray:
         """Pre-chirp exp(j 2 pi c2 n^2) for n < N, read-only."""
         return _read_only(np.exp(2j * np.pi * self.c2 * np.arange(self.N) ** 2))
+
+    @cached_property
+    def _root_chirps(self) -> dict:
+        """Root chirp tables by oversampling, see :meth:`_root_chirp`."""
+        return {}
+
+    def _root_chirp(self, oversampling: int) -> np.ndarray:
+        """Root chirp exp(j 2 pi c1 N^2 (t/T)^2) on the N O samples of [0, T),
+        read-only, computed once per oversampling."""
+        table = self._root_chirps.get(oversampling)
+        if table is None:
+            n_samp = self.N * oversampling
+            t = np.arange(n_samp) * (self.T / n_samp)
+            table = _read_only(np.exp(2j * np.pi * self.c1 * self.N**2 * (t / self.T) ** 2))
+            self._root_chirps[oversampling] = table
+        return table
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ The ideal chirp basis functions are
 
 with unit amplitude on [0, T), so that <phi_n, phi_n'> = T delta(n - n').
 A frame sum_n Xdot[n] phi_n is the root chirp times one zero-padded inverse
-DFT of length N O, taken in place on the frame's own buffer.  Implemented
-(band-limited) waveforms are obtained by sample-wise shaping of the
-base-rate sequence with a truncated root-raised-cosine filter.
+DFT of length N O, taken in place on the frame's own buffer; the root chirp
+is a read-only table that the ``ChirpConfig`` keeps per oversampling.
+Implemented (band-limited) waveforms are obtained by sample-wise shaping of
+the base-rate sequence with a truncated root-raised-cosine filter.
 """
 
 from __future__ import annotations
@@ -130,11 +131,13 @@ def design_srrc(beta: float, q: int, oversampling: int, Ts: float) -> SrrcFilter
 
 
 def root_chirp(cfg: ChirpConfig, oversampling: int) -> Waveform:
-    """Prototype pulse g(t) = exp(j 2 pi c1 N^2 (t/T)^2) sampled on [0, T)."""
-    n_samp = cfg.N * oversampling
-    t = np.arange(n_samp) * (cfg.T / n_samp)
-    samples = np.exp(2j * np.pi * cfg.c1 * cfg.N**2 * (t / cfg.T) ** 2)
-    return Waveform(samples, sample_rate=n_samp / cfg.T, t0=0.0)
+    """Prototype pulse g(t) = exp(j 2 pi c1 N^2 (t/T)^2) sampled on [0, T).
+
+    The samples are a writable copy of the configuration's read-only table,
+    which ``synth_ideal`` shares.
+    """
+    samples = cfg._root_chirp(oversampling).copy()
+    return Waveform(samples, sample_rate=len(samples) / cfg.T, t0=0.0)
 
 
 def ideal_basis(cfg: ChirpConfig, n: int, oversampling: int) -> Waveform:
@@ -158,26 +161,25 @@ def synth_ideal(cfg: ChirpConfig, symbols: np.ndarray, oversampling: int) -> Wav
     The per-symbol chirp phase and 1/sqrt(N) scaling are absorbed into
     Xdot[n] = exp(j 2 pi c2 n^2) X[n] / sqrt(N), so at oversampling 1 the
     samples equal ``modulate(cfg, symbols)`` exactly.  A (frames, N) symbol
-    array gives one frame per row of the samples, all built on one envelope.
-    The weighted symbols are written into a zeroed (frames, N O) array and
-    transformed there, unscaled (norm="forward"), so numpy makes no padded
-    copy and no second output array.
+    array gives one frame per row of the samples, all built on one envelope:
+    the root chirp table kept on ``cfg`` for this oversampling, computed by
+    the first call.  The weighted symbols are written into a zeroed
+    (frames, N O) array and transformed there, unscaled (norm="forward"), so
+    numpy makes no padded copy and no second output array.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim not in (1, 2) or symbols.shape[-1] != cfg.N:
         raise ValueError(f"expected {cfg.N} symbols per frame, got shape {symbols.shape}")
     if oversampling < 1:
         raise ValueError(f"oversampling must be >= 1, got {oversampling}")
-    n = np.arange(cfg.N)
     # sum_n w[n] exp(j 2 pi n j / (N O)) is a zero-padded inverse DFT
     samples = np.zeros(symbols.shape[:-1] + (cfg.N * oversampling,), dtype=np.complex128)
     weighted = samples[..., : cfg.N]
-    np.multiply(symbols, np.exp(2j * np.pi * cfg.c2 * n**2), out=weighted)
+    np.multiply(symbols, cfg._n_chirp, out=weighted)
     weighted /= np.sqrt(cfg.N)
     np.fft.ifft(samples, norm="forward", out=samples)
-    envelope = root_chirp(cfg, oversampling)
-    samples *= envelope.samples
-    return Waveform(samples, envelope.sample_rate, t0=0.0)
+    samples *= cfg._root_chirp(oversampling)
+    return Waveform(samples, samples.shape[-1] / cfg.T, t0=0.0)
 
 
 def _windows(seq: np.ndarray, width: int) -> np.ndarray:

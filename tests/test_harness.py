@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 from dataclasses import replace
 from types import ModuleType
 
@@ -15,6 +16,7 @@ from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
 from chirplab.receiver import ambiguity_values, effective_taps, tap_window
 from chirplab.transforms import modulate
+from chirplab.waveform import synth_ideal
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
@@ -457,6 +459,46 @@ def test_ambiguity_block_size_does_not_change_the_sweep(sweep, monkeypatch):
     for a, b in ((one.nmse_db, whole.nmse_db), (one.stderr_db, whole.stderr_db)):
         assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
         assert [f"{v:.12g}" for v in a] == [f"{v:.12g}" for v in b]
+
+
+def test_psd_frames_are_synthesised_in_blocks_of_the_byte_budget(monkeypatch):
+    """16 frames a block at N O = 16,384, and the same PSD whatever the
+    block: one frame a block, or every frame in one block."""
+    sizes = []
+
+    def counted(cfg, symbols, oversampling):
+        sizes.append(len(symbols))
+        return synth_ideal(cfg, symbols, oversampling)
+
+    monkeypatch.setattr(experiments, "synth_ideal", counted)
+    experiments.run_psd_experiment(ExperimentConfig(trials=36, seed=4))
+    assert sizes == [16, 16, 4]
+    small = ExperimentConfig(n=64, oversample=4, trials=12, seed=4)
+    results = []
+    for budget in (1, 1 << 40):
+        sizes.clear()
+        monkeypatch.setattr(experiments, "_PSD_BLOCK_BYTES", budget)
+        results.append(experiments.run_psd_experiment(small))
+        assert sizes == ([1] * 12 if budget == 1 else [12])
+    (ana1, emp1, bw1), (ana2, emp2, bw2) = results
+    assert np.array_equal(emp1.psd, emp2.psd) and np.array_equal(ana1.psd, ana2.psd)
+    assert bw1 == bw2
+
+
+def test_psd_memory_does_not_grow_with_the_frame_count():
+    """Desk scale, N O = 2048: 128 frames fill one block, and 4x the frames
+    stay within 1.25x of its traced peak (the whole stack would be 4x)."""
+    peaks = []
+    for frames in (128, 512):
+        ec = ExperimentConfig(n=256, oversample=8, trials=frames, seed=2)
+        experiments.run_psd_experiment(ec)
+        tracemalloc.start()
+        try:
+            experiments.run_psd_experiment(ec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_run_iorel_check_reports_small_errors():

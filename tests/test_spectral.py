@@ -230,6 +230,79 @@ def test_empirical_psd_input_validation():
         empirical_psd(Waveform(np.ones(2560, dtype=complex), rate), nfft=128)
 
 
+def test_empirical_psd_block_validation():
+    rate = 1e6
+    blocks = [Waveform(np.ones((4, 256), dtype=complex), rate) for _ in range(3)]
+    # the 10-frame minimum counts the frames of every block
+    empirical_psd(blocks, nfft=128)
+    with pytest.raises(ValueError, match="at least 10 frames.*got 9 frames"):
+        empirical_psd(blocks[:2] + [Waveform(np.ones((1, 256), dtype=complex), rate)], nfft=128)
+    with pytest.raises(ValueError, match="got 0 frames"):
+        empirical_psd([], nfft=128)
+    with pytest.raises(ValueError, match=r"block 2 has sample rate 2000000.0, block 0 has 1000000.0"):
+        empirical_psd(blocks[:2] + [Waveform(np.ones((4, 256), dtype=complex), 2 * rate)], nfft=128)
+    with pytest.raises(ValueError, match="block 1 has frames of 255 samples, block 0 has 256"):
+        empirical_psd(blocks[:1] + [Waveform(np.ones((8, 255), dtype=complex), rate)], nfft=128)
+    with pytest.raises(ValueError, match=r"block 1 has samples of shape \(2560,\)"):
+        empirical_psd(blocks[:1] + [Waveform(np.ones(2560, dtype=complex), rate)], nfft=128)
+    with pytest.raises(ValueError, match=r"block 0 has samples of shape \(10, 0\)"):
+        empirical_psd(Waveform(np.ones((10, 0), dtype=complex), rate), nfft=128)
+    for nfft in (1, 0, 64.0):
+        with pytest.raises(ValueError, match=f"nfft must be an integer >= 2, got {nfft!r}"):
+            empirical_psd(blocks, nfft=nfft)
+
+
+def _split(x, rate, sizes):
+    """Consecutive blocks of x's frames, of the given frame counts (0 allowed)."""
+    bounds = np.cumsum([0] + list(sizes))
+    return [Waveform(x[lo:hi], rate) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    frames=st.integers(10, 24),
+    frame_len=st.integers(1, 40),
+    nfft=st.integers(2, 100),
+    cuts=st.lists(st.integers(0, 24), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+# blocks of one 1-sample frame: a straddling segment spans several blocks
+@example(frames=12, frame_len=1, nfft=4, cuts=list(range(12)), seed=0)
+# a stream shorter than nfft over three blocks: one zero-padded segment
+@example(frames=10, frame_len=3, nfft=64, cuts=[2, 2, 7], seed=2)
+# 4-sample segments starting at samples 12 and 14 both straddle the cut at 15
+@example(frames=10, frame_len=5, nfft=4, cuts=[3], seed=3)
+# nfft 3: 3-sample segments at step 2
+@example(frames=10, frame_len=5, nfft=3, cuts=[3, 6], seed=3)
+# nfft 2: 2-sample segments without overlap
+@example(frames=10, frame_len=3, nfft=2, cuts=[1], seed=4)
+def test_any_split_into_blocks_gives_the_one_block_psd(frames, frame_len, nfft, cuts, seed):
+    """Consecutive blocks, empty ones included, give the PSD of the stacked
+    frames: the carried samples rebuild every segment that straddles a cut."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((frames, frame_len)) + 1j * rng.standard_normal((frames, frame_len))
+    want = empirical_psd(Waveform(x, 1e6), nfft=nfft)
+    bounds = sorted(min(c, frames) for c in cuts)
+    sizes = np.diff([0] + bounds + [frames])
+    got = empirical_psd(iter(_split(x, 1e6, sizes)), nfft=nfft)
+    assert np.array_equal(got.freq, want.freq)
+    assert np.max(np.abs(got.psd - want.psd)) <= 1e-12 * np.max(want.psd)
+
+
+def test_short_stream_over_blocks_is_one_zero_padded_segment():
+    """A total stream shorter than nfft is one segment of the whole stream,
+    zero-padded, as scipy's Welch takes it."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    curve = empirical_psd(_split(x, 1e3, [5, 0, 7]), nfft=64)
+    f, pxx = welch(
+        x.ravel(), fs=1e3, window="hann", nperseg=60, nfft=64, noverlap=30,
+        detrend=False, return_onesided=False, scaling="density",
+    )
+    assert np.array_equal(curve.freq, np.fft.fftshift(f))
+    assert np.max(np.abs(curve.psd - np.fft.fftshift(pxx))) <= 1e-12 * np.max(pxx)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     frames=st.integers(10, 16),

@@ -57,6 +57,25 @@ def test_root_chirp_constant_envelope():
     assert np.max(np.abs(np.abs(wf.samples) - 1.0)) < 1e-13
 
 
+def test_root_chirp_is_a_writable_copy_of_the_shared_table():
+    """``root_chirp`` hands out a copy, so ``ideal_basis``, which modulates
+    it in place, leaves the table that ``synth_ideal`` multiplies by intact."""
+    cfg = _cfg(16, 1.0 / 64.0, 1.0 / 48.0)
+    x = np.exp(2j * np.pi * np.arange(16) / 7.0)
+    before = synth_ideal(cfg, x, 4).samples
+    table = cfg._root_chirp(4)
+    wf = root_chirp(cfg, 4)
+    assert wf.samples.flags.writeable and not table.flags.writeable
+    assert not np.shares_memory(wf.samples, table)
+    assert np.array_equal(wf.samples, table)
+    assert cfg._root_chirp(4) is table  # computed once per oversampling
+    assert len(cfg._root_chirp(2)) == 32
+    ideal_basis(cfg, 5, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        table *= 2.0
+    assert np.array_equal(synth_ideal(cfg, x, 4).samples, before)
+
+
 def test_synth_ideal_impulse_gives_scaled_root_chirp():
     n = 32
     cfg = _cfg(n, 1.0 / 128.0, 1.0 / 96.0)
