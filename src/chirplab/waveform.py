@@ -40,6 +40,8 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate must be finite and positive, got {self.sample_rate}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.samples.shape[-1]) / self.sample_rate

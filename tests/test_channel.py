@@ -13,6 +13,7 @@ from chirplab import (
     Waveform,
     add_awgn,
     apply_channel,
+    channel,
     make_eva_channels,
 )
 from chirplab.channel import SPEED_OF_LIGHT, _TONE_BLOCK, _doppler_tones, _on_tone_blocks
@@ -88,6 +89,13 @@ def test_shifts_round_delays_to_whole_samples(delays, dt, ties, exponent):
     tied = DDChannel(np.ones(len(ties)), halves, np.zeros(len(ties)))
     assert tied.shifts(step).tolist() == [int(round(d / step)) for d in halves]
     assert tied.shifts(step).tolist() == [k + k % 2 for k in ties]
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1e-8])
+def test_shifts_refuse_a_step_that_is_not_finite_and_positive(dt):
+    ch = DDChannel([1.0 + 0j], [1e-6], [0.0])
+    with pytest.raises(ValueError, match=f"^dt must be finite and positive, got {dt}$"):
+        ch.shifts(dt)
 
 
 @pytest.mark.parametrize(
@@ -282,6 +290,70 @@ def test_tone_block_grid_keeps_each_waveform_and_its_channel_output(spans, seed)
         alone = apply_channel(ch, wf).samples
         assert np.array_equal(got[at : at + len(alone)], alone)
         assert not got[:at].any() and not got[at + len(alone) :].any()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 4),
+    n=st.integers(1, 700),
+    first=st.integers(-1000, 1000),
+    off_grid=st.sampled_from([0.0, 0.3]),
+    nus=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=9),
+    t0=st.floats(-1e-3, 1e-3),
+    count=st.integers(1, 2000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tone_products_do_not_depend_on_the_ufunc_buffer(
+    rows, n, first, off_grid, nus, t0, count, seed
+):
+    """The tone builders give the same bits under any ufunc buffer: one row
+    or several, t0 on or off the sampling grid and starts anywhere in a tone
+    block; Doppler tones from one start or one start per tone."""
+    rng = np.random.default_rng(seed)
+    rate = 1e7
+    ch = _eva(rng)
+    samples = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    wf = Waveform(samples[0] if rows == 1 else samples, rate, t0=(first + off_grid) / rate)
+    nus = np.array(nus)
+    starts = t0 + 1e-4 * rng.standard_normal(len(nus))
+    results = []
+    for size in (16, 256, 8192):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_UFUNC_BUFFER", size)
+            results.append(
+                (
+                    apply_channel(ch, wf).samples,
+                    _doppler_tones(nus, t0, 1e-7, count),
+                    _doppler_tones(nus, starts, 1e-7, count),
+                )
+            )
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            assert np.array_equal(a, b)
+
+
+def test_tone_products_leave_the_callers_buffer_and_error_state():
+    """The small buffer is scoped to the tone products: the caller's buffer
+    size and error state hold after each call, also when it raises, and the
+    caller's error state holds inside."""
+    rate = 1e6
+    # two paths with tone 1 add two 1e308 samples: an overflow inside the scope
+    ch = DDChannel([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+    wf = Waveform(np.full(300, 1e308, dtype=complex), rate, t0=0.3 / rate)
+    with np.errstate(over="ignore", invalid="warn"):
+        np.setbufsize(4096)
+        state = np.geterr()
+        with channel._row_buffer():
+            inside = (np.getbufsize(), np.geterr())
+        assert inside == (channel._UFUNC_BUFFER, state)
+        assert np.isinf(apply_channel(ch, wf).samples.real).all()
+        _doppler_tones(np.array([100.0, -50.0]), 0.0, 1e-6, 300)
+        assert (np.getbufsize(), np.geterr()) == (4096, state)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                apply_channel(ch, wf)
+            assert np.geterr() == dict.fromkeys(state, "raise") and np.getbufsize() == 4096
+        assert (np.getbufsize(), np.geterr()) == (4096, state)
 
 
 def test_apply_channel_linearity():

@@ -253,6 +253,12 @@ def test_waveform_refuses_a_rate_that_is_not_finite_and_positive(rate):
         Waveform(np.ones(4), rate)
 
 
+@pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf])
+def test_waveform_refuses_a_start_time_that_is_not_finite(t0):
+    with pytest.raises(ValueError, match=f"^t0 must be finite, got {t0}$"):
+        Waveform(np.ones(4), 1e6, t0=t0)
+
+
 @pytest.mark.parametrize("ts", [np.inf, np.nan, 0.0, -1e-6])
 def test_design_srrc_refuses_a_symbol_interval_that_is_not_finite_and_positive(ts):
     with pytest.raises(ValueError, match=f"^Ts must be finite and positive, got {ts}$"):
