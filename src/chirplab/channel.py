@@ -10,12 +10,14 @@ coarse and a fine tone over fixed blocks of the absolute grid index, so a
 row's output does not depend on the rows batched with it.  The receiver's
 tap model builds its per-symbol Doppler phases with ``_doppler_tones``.
 
-The tone products run under a ufunc buffer of ``_UFUNC_BUFFER`` elements
-(``_row_buffer``), scoped so that the caller's buffer size and error state
-stand outside it.  Their broadcast rows are shorter than numpy's default
-buffer of 8192 elements, under which ``apply_channel``'s outer products ran
-about 2x slower, with the same bits.  No reduction may be placed in that
-scope: its pairwise blocks could follow the buffer size.
+``apply_channel``'s tone products run under a ufunc buffer of
+``_UFUNC_BUFFER`` elements (``_row_buffer``), scoped so that the caller's
+buffer size and error state stand outside it.  Their broadcast rows are
+shorter than numpy's default buffer of 8192 elements, under which those
+outer products ran about 2x slower, with the same bits.  ``_doppler_tones``
+runs under the caller's buffer: at the tap model's tone sizes, entering the
+scope cost more than it saved.  No reduction may be placed in that scope:
+its pairwise blocks could follow the buffer size.
 """
 
 from __future__ import annotations
@@ -144,8 +146,7 @@ def _doppler_tones(nus, t0, step: float, count: int) -> np.ndarray:
     starts = np.reshape(t0, (-1, 1)) + np.arange(-(-count // block)) * (block * step)
     coarse = np.exp(2j * np.pi * nus * starts)
     fine = np.exp(2j * np.pi * nus * (np.arange(block) * step))
-    with _row_buffer():
-        tones = coarse[:, :, None] * fine[:, None, :]
+    tones = coarse[:, :, None] * fine[:, None, :]
     return tones.reshape(len(coarse), -1)[:, :count]
 
 

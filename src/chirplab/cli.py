@@ -78,30 +78,53 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-# rows formatted per write; bounds the memory of the N^2-row ortho grid
-_CSV_BLOCK = 1 << 14
-
-
 def _write_csv(path, header, columns) -> None:
     """Write a header line, then one row per index of the equal-length columns.
 
-    Integer columns are written with %d and all others with 12 significant
-    digits; every line ends with CRLF, as csv.writer ends it.  Rows are
-    formatted and written in blocks, each with one % over the row template
-    repeated per row, so no N^2 list of lines is ever built.
+    Every value is written with 12 significant digits, so an integer below
+    1e12 prints as the integer, and every line ends with CRLF: the bytes
+    csv.writer wrote for the same strings.  All rows are formatted with one
+    % over the row template repeated per row.
     """
-    columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.12g" for c in columns)
-    row += "\r\n"
+    values = np.asarray(columns, dtype=float).T
+    row = ",".join(["%.12g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = min(_CSV_BLOCK, len(columns[0]) - start)
-            # the block's rows flattened: column i fills every len(columns)-th slot
-            values = [None] * (rows * len(columns))
-            for i, c in enumerate(columns):
-                values[i :: len(columns)] = c[start : start + rows].tolist()
-            fh.write(row * rows % tuple(values))
+        fh.write(row * len(values) % tuple(values.ravel().tolist()))
+
+
+def _write_grid_csv(path, header, grid) -> None:
+    """Write a header line, then one row ``i,j,value`` per entry of the 2-D
+    grid in row-major order; a complex entry is written as ``i,j,re,im``.
+
+    Values are written with 12 significant digits and every line ends with
+    CRLF: the bytes csv.writer wrote for the same strings.  Each grid row is
+    formatted with one % over its template, the row index joined with one
+    ``j,%.12g`` piece per column j, so no index is formatted per entry and
+    no more than one grid row of text is held at a time.
+    """
+    grid = np.ascontiguousarray(grid)  # row.view needs contiguous rows
+    cell = "%.12g,%.12g" if np.iscomplexobj(grid) else "%.12g"
+    pieces = [""] + [f"{j},{cell}\r\n" for j in range(grid.shape[1])]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i, row in enumerate(grid):
+            # a complex row viewed as floats interleaves its real and imaginary parts
+            fh.write(f"{i},".join(pieces) % tuple(row.view(float).tolist()))
+
+
+def _analytic_path(out) -> Path:
+    """The file of psd's analytic curve, next to its --out file."""
+    out = Path(out)
+    return out.with_name(f"{out.stem}_analytic{out.suffix}")
+
+
+def _check_out(out: Path) -> None:
+    """Refuse an output path that names a directory or lies in a missing one."""
+    if out.is_dir():
+        raise ValueError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise ValueError(f"--out {out}: directory {out.parent} does not exist")
 
 
 def _run(args) -> int:
@@ -122,23 +145,22 @@ def _run(args) -> int:
         return 0
 
     ec = _experiment_config(args)
+    if args.out:  # before the run, which can take minutes
+        _check_out(Path(args.out))
+        if args.command == "psd":
+            _check_out(_analytic_path(args.out))
     if args.command == "nmse":
         sweep = run_nmse_sweep(ec)
         if args.out:
-            _write_csv(
-                args.out,
-                ("sweep_value", "nmse_db", "stderr_db"),
-                (np.asarray(sweep.values, dtype=float), sweep.nmse_db, sweep.stderr_db),
-            )
+            columns = (sweep.values, sweep.nmse_db, sweep.stderr_db)
+            _write_csv(args.out, ("sweep_value", "nmse_db", "stderr_db"), columns)
         for v, m, s in zip(sweep.values, sweep.nmse_db, sweep.stderr_db):
             print(f"{_fmt(float(v))},{_fmt(m)},{_fmt(s)}")
         return 0
     if args.command == "psd":
         ana, emp, bw = run_psd_experiment(ec)
         if args.out:
-            out = Path(args.out)
-            analytic_out = out.with_name(f"{out.stem}_analytic{out.suffix}")
-            for curve, path in ((emp, args.out), (ana, analytic_out)):
+            for curve, path in ((emp, args.out), (ana, _analytic_path(args.out))):
                 _write_csv(path, ("freq_hz", "psd_db"), (curve.freq, curve.db()))
         print(f"occupied_bandwidth_hz = {_fmt(bw)}")
         return 0
@@ -146,10 +168,7 @@ def _run(args) -> int:
         grid, predictions = run_ortho_experiment(ec)
         ratio = grid / ec.T
         if args.out:
-            n, n_prime = np.divmod(np.arange(ratio.size), len(ratio))
-            _write_csv(
-                args.out, ("n", "n_prime", "abs_I_over_T"), (n, n_prime, ratio.ravel())
-            )
+            _write_grid_csv(args.out, ("n", "n_prime", "abs_I_over_T"), ratio)
         above = ratio > 0.05
         print(f"pairs_above_threshold = {int(np.count_nonzero(above) - len(ratio))}")
         if predictions is None:
@@ -167,9 +186,8 @@ def _run(args) -> int:
             print(f"{key} = {_fmt(float(value))}")
         if args.out:
             cfg = ec.chirp_config()
-            h_u = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps)).ravel()
-            row, col = np.divmod(np.arange(h_u.size), cfg.N)
-            _write_csv(args.out, ("row", "col", "re", "im"), (row, col, h_u.real, h_u.imag))
+            h_u = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
+            _write_grid_csv(args.out, ("row", "col", "re", "im"), h_u)
         return 0
     raise ValueError(f"unknown subcommand: {args.command}")
 

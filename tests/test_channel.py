@@ -308,7 +308,9 @@ def test_tone_products_do_not_depend_on_the_ufunc_buffer(
 ):
     """The tone builders give the same bits under any ufunc buffer: one row
     or several, t0 on or off the sampling grid and starts anywhere in a tone
-    block; Doppler tones from one start or one start per tone."""
+    block; Doppler tones from one start or one start per tone.
+    ``apply_channel`` sets its own buffer, and ``_doppler_tones`` runs under
+    the caller's."""
     rng = np.random.default_rng(seed)
     rate = 1e7
     ch = _eva(rng)
@@ -320,9 +322,12 @@ def test_tone_products_do_not_depend_on_the_ufunc_buffer(
     for size in (16, 256, 8192):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(channel, "_UFUNC_BUFFER", size)
+            result = apply_channel(ch, wf).samples
+        with np.errstate():
+            np.setbufsize(size)
             results.append(
                 (
-                    apply_channel(ch, wf).samples,
+                    result,
                     _doppler_tones(nus, t0, 1e-7, count),
                     _doppler_tones(nus, starts, 1e-7, count),
                 )
@@ -333,9 +338,10 @@ def test_tone_products_do_not_depend_on_the_ufunc_buffer(
 
 
 def test_tone_products_leave_the_callers_buffer_and_error_state():
-    """The small buffer is scoped to the tone products: the caller's buffer
-    size and error state hold after each call, also when it raises, and the
-    caller's error state holds inside."""
+    """The small buffer is scoped to apply_channel's tone products: the
+    caller's buffer size and error state hold after each call, also when it
+    raises, and the caller's error state holds inside.  The tap model's
+    tones leave them as they are."""
     rate = 1e6
     # two paths with tone 1 add two 1e308 samples: an overflow inside the scope
     ch = DDChannel([1.0, 1.0], [0.0, 0.0], [0.0, 0.0])

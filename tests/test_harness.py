@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chirplab import ExperimentConfig, complexity_compare, inner_product_matrix, load_config
+from chirplab import ExperimentConfig, complexity_compare, load_config
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
 from chirplab.receiver import ambiguity_values, effective_taps, tap_window
@@ -196,14 +196,11 @@ def test_sweep_result_csv_format(tmp_path, monkeypatch, capsys):
 
 def test_matrix_csv_format(tmp_path):
     out = tmp_path / "mat.csv"
-    m = np.array([1.0 + 2.0j])
-    cli._write_csv(out, ("row", "col", "re", "im"), ([0], [0], m.real, m.imag))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert lines[1] == "0,0,1,2"
+    cli._write_grid_csv(out, ("row", "col", "re", "im"), np.array([[1.0 + 2.0j, -0.5j]]))
+    assert out.read_bytes() == b"row,col,re,im\r\n0,0,1,2\r\n0,1,-0,-0.5\r\n"
 
 
-# The csv.writer loops that wrote each CSV before cli._write_csv: the oracle
+# The csv.writer loops that wrote each CSV before cli's writers: the oracle
 # for byte identity.
 def _csv_writer_sweep(path, values, nmse_db, stderr_db):
     with open(path, "w", newline="") as fh:
@@ -225,8 +222,8 @@ def _csv_writer_grid(path, entries, t):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "n_prime", "abs_I_over_T"])
-        for n in range(len(entries)):
-            for n2 in range(len(entries)):
+        for n in range(entries.shape[0]):
+            for n2 in range(entries.shape[1]):
                 writer.writerow([n, n2, f"{entries[n, n2] / t:.12g}"])
 
 
@@ -254,39 +251,77 @@ _CSV_FLOATS = st.one_of(
 @given(
     rows=st.lists(st.tuples(_CSV_FLOATS, _CSV_FLOATS, _CSV_FLOATS), min_size=1, max_size=40),
     span=st.booleans(),
-    side=st.integers(1, 6),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     t=st.sampled_from([1e-3, 266.667e-6, 1.0]),
 )
-def test_write_csv_matches_csv_writer(tmp_path_factory, rows, span, side, t):
-    """cli._write_csv writes each CSV byte for byte as csv.writer did."""
+def test_write_csv_matches_csv_writer(tmp_path_factory, rows, span, shape, t):
+    """cli._write_csv and cli._write_grid_csv write each CSV byte for byte as
+    csv.writer did."""
     tmp = tmp_path_factory.mktemp("csv")
     a, b, c = (np.array(col) for col in zip(*rows))
-    # sweep: a span sweep has int points; the writer sees them as floats
+    # sweep: a span sweep has int points, passed on as the sweep holds them
     values = [int(v) for v in range(2, 2 + 2 * len(a), 2)] if span else list(a)
     _csv_writer_sweep(tmp / "want", values, b, c)
-    cli._write_csv(tmp / "got", ("sweep_value", "nmse_db", "stderr_db"),
-                   (np.asarray(values, dtype=float), b, c))
+    cli._write_csv(tmp / "got", ("sweep_value", "nmse_db", "stderr_db"), (values, b, c))
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
     # PSD curve: frequencies and dB levels
     _csv_writer_psd(tmp / "want", a, b)
     cli._write_csv(tmp / "got", ("freq_hz", "psd_db"), (a, b))
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
-    # square grids: the ortho |I| (divided by T) and a complex matrix
-    flat = np.resize(np.concatenate([a, b, c]), side * side)
-    grid = np.abs(flat).reshape(side, side)
-    ratio = grid / t
-    n, n_prime = np.divmod(np.arange(ratio.size), side)
-    _csv_writer_grid(tmp / "want", grid, t)
-    cli._write_csv(tmp / "got", ("n", "n_prime", "abs_I_over_T"), (n, n_prime, ratio.ravel()))
+    # grids of any shape, 1x1 included: a real one (the ortho |I| divided
+    # by T, here with signs, zeros and non-finite entries) and a complex one
+    flat = np.resize(np.concatenate([a, b, c]), shape)
+    _csv_writer_grid(tmp / "want", flat, t)
+    cli._write_grid_csv(tmp / "got", ("n", "n_prime", "abs_I_over_T"), flat / t)
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
     # set the parts directly: 1j * inf would put a nan in the real part
-    matrix = np.empty(side * side, dtype=complex)
-    matrix.real, matrix.imag = flat, np.resize(c, side * side)
-    matrix = matrix.reshape(side, side)
+    matrix = np.empty(shape, dtype=complex)
+    matrix.real, matrix.imag = flat, np.resize(c, shape)
     _csv_writer_matrix(tmp / "want", matrix)
-    h = matrix.ravel()
-    cli._write_csv(tmp / "got", ("row", "col", "re", "im"), (n, n_prime, h.real, h.imag))
+    # a grid in column-major memory is still written in row-major order
+    cli._write_grid_csv(tmp / "got", ("row", "col", "re", "im"),
+                        np.asfortranarray(matrix))
     assert (tmp / "got").read_bytes() == (tmp / "want").read_bytes()
+
+
+def test_grid_csv_memory_grows_with_one_grid_row(tmp_path):
+    """Writing a grid holds one row of text at a time: doubling N about
+    doubles the traced peak (a writer holding the N^2 rows, or N^2 indices,
+    would quadruple it), and the peak stays a small share of the file."""
+    peaks = []
+    for n in (256, 512):
+        grid = np.random.default_rng(n).standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            cli._write_grid_csv(tmp_path / "grid.csv", ("n", "n_prime", "abs_I_over_T"), grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.2 * peaks[0], peaks
+    assert peaks[1] <= (tmp_path / "grid.csv").stat().st_size / 32, peaks
+
+
+@pytest.mark.parametrize("command, driver", [
+    ("psd", "run_psd_experiment"),
+    ("ortho", "run_ortho_experiment"),
+    ("nmse", "run_nmse_sweep"),
+    ("iorel", "run_iorel_check"),
+])
+def test_unusable_out_is_refused_before_the_run(tmp_path, monkeypatch, capsys, command, driver):
+    """An --out in a missing directory, or naming a directory, exits with 1
+    and names the path before the experiment runs."""
+    def refuse(ec):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, driver, refuse)
+    for out in (tmp_path / "missing" / "out.csv", tmp_path):
+        assert cli.main([command, "--small", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+    if command == "psd":  # its analytic file, next to --out, is checked too
+        analytic = tmp_path / "psd_analytic.csv"
+        analytic.mkdir()
+        assert cli.main([command, "--small", "--out", str(tmp_path / "psd.csv")]) == 1
+        assert str(analytic) in capsys.readouterr().err
 
 
 def test_qam4_symbols_equal_the_arithmetic_map():
@@ -297,18 +332,6 @@ def test_qam4_symbols_equal_the_arithmetic_map():
         want = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2.0)
         got = qam4_symbols(n, np.random.default_rng([seed, 5]))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def test_write_csv_streams_blocks_identically(tmp_path, monkeypatch):
-    """A grid larger than one block is written as if in one piece."""
-    cfg = ExperimentConfig(n=16, c1_num=16.0, c1_den="2N").chirp_config()
-    grid = inner_product_matrix(cfg)
-    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
-    n, n_prime = np.divmod(np.arange(grid.size), 16)
-    cli._write_csv(tmp_path / "got", ("n", "n_prime", "abs_I_over_T"),
-                   (n, n_prime, (grid / cfg.T).ravel()))
-    _csv_writer_grid(tmp_path / "want", grid, cfg.T)
-    assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 def test_run_nmse_sweep_deterministic():
