@@ -239,7 +239,7 @@ def criterion_06_tap_formula(small: bool = False) -> tuple[bool, str]:
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
     filt = ec.srrc()
     lead, n_taps = tap_window(channel, filt)
-    model = effective_taps([channel], [filt], n, [(lead, n_taps)])[0]
+    model = effective_taps([channel], [filt], n, [(lead, n_taps)]).dense()[0]
     oracle = _impulse_probe_taps(cfg, filt, channel, lead, n_taps)
     mask = np.abs(model) > 1e-4
     rel = np.abs(model[mask] - oracle[mask]) / np.abs(model[mask])
@@ -325,7 +325,7 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> tuple[bool, str]:
     def gap(dopplers):
         channel = DDChannel(gains, delays, dopplers)
         lead, n_taps = tap_window(channel, filt)
-        taps = effective_taps([channel], [filt], n, [(lead, n_taps)])[0]
+        taps = effective_taps([channel], [filt], n, [(lead, n_taps)]).dense()[0]
         hu_mf = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
         shifted = DDChannel(gains, delays + lead * cfg.dt, dopplers)
         hu_base = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, baseline_taps(cfg, shifted)))

@@ -30,12 +30,15 @@ their common fine grid, in chunks under a byte budget, and the trial's
 bit for bit.  The tap model draws the trials in blocks under another byte
 budget and takes the ambiguity values of every point of a block in one
 ``ambiguity_values`` call, which gathers the shifted pulses once per filter
-and block.  It then builds each trial's (S, N, max L) stack of taps in one
+and block.  It then takes each trial's path-wise taps in one
 ``effective_taps`` call, with each distinct channel's Doppler tones built
-once, whatever the sweep kind, and applies it in one ``predict_output``
-call.  Every step of the tap model acts on each point's values elementwise
-or in a product of that point's own arrays, so the block size does not
-change them.
+once, whatever the sweep kind, and predicts every point from them in one
+``predict_output`` call: one product of the point's ambiguity profile with
+the frame's delayed copies, over the point's own tap count, then its
+channel's tones.  The taps are never multiplied out.  Every step of the tap
+model acts on each point's values elementwise or in a product of that
+point's own arrays, so neither the block size nor the points beside a
+point change its prediction.
 """
 
 from __future__ import annotations
@@ -380,11 +383,11 @@ def _nmse_points(
     """``nmse_trial`` of one frame of symbols at each point (filts[i],
     channels[i]) with the tap window windows[i], and the trial's taps.
 
-    The waveform chain is ``simulate_frame``.  The tap model builds the
-    trial's (S, N, max L) tap stack in one ``effective_taps`` call, from the
-    points' ``ambiguity`` values when a block of trials computed them, and
-    applies it in one ``predict_output`` call; the zero taps past a point's
-    own L change nothing.  Neither reads anything the other computed.
+    The waveform chain is ``simulate_frame``.  The tap model takes the
+    trial's path-wise taps in one ``effective_taps`` call, from the points'
+    ``ambiguity`` values when a block of trials computed them, and predicts
+    every point from them in one ``predict_output`` call.  Neither reads
+    anything the other computed.
     """
     y_sim = simulate_frame(cfg, filts, channels, symbols, windows)
     taps = effective_taps(channels, filts, cfg.N, windows, ambiguity=ambiguity)
@@ -533,8 +536,8 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     covering the whole ambiguity support, which must sit at floating-point
     level because the tap relation is then exact.  Both windows are checked
     against the frame before either is scored.  Returns the report and the
-    (N, L) default-window taps that were scored, so callers describe that
-    same realization.
+    dense (N, L) default-window taps that were scored, so callers describe
+    that same realization.
     """
     cfg = ec.chirp_config()
     rng = np.random.default_rng([ec.seed, 0])
@@ -542,14 +545,14 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     symbols = qam4_symbols(cfg.N, rng)
     filt = ec.srrc()
     windows = [_checked_window(channel, filt, ec.n, exact) for exact in (False, True)]
-    (nmse_window,), (taps,) = _nmse_points(cfg, [filt], [channel], symbols, windows[:1])
+    (nmse_window,), taps = _nmse_points(cfg, [filt], [channel], symbols, windows[:1])
     (nmse_exact,), _ = _nmse_points(cfg, [filt], [channel], symbols, windows[1:])
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),
         "speed_kmh": ec.speed_kmh,
         "n": ec.n,
-    }, taps
+    }, taps.dense()[0]
 
 
 def transform_multiply_count(n: int) -> float:

@@ -19,27 +19,29 @@ output obeys an exact linear tap relation
 with taps built from the pulse cross-ambiguity function.  ``tap_window`` is
 the one rule for the retained window (sampling lead and tap count).  The model
 only reads the L lags of the ambiguity function that the window needs, for all
-paths at once.  ``effective_taps`` takes a channel, a filter and a window per
-point, for points that share their path delays (the points of a trial, or of
-a block of trials), and returns their (S, N, max L) stack of taps in two
-stages.  ``ambiguity_values`` is the per-filter stage: one gather of the
-pulse per filter and window, whatever the number of points, and each
-point's ambiguity values with its sampling lead's phase.  The per-channel
-stage builds each distinct channel's symbol-rate Doppler tones once and
-multiplies them with the ambiguity values of the points that see it.  A
-frame is predicted by applying the banded taps to the prefix-extended frame,
-which costs O(N L) per stacked channel and never forms an N x N matrix.
-Folding the taps through the chirp-periodic prefix yields
-the dense N x N effective matrix H, and conjugating by the transform pair
-yields the chirp-domain matrix H_u that an equalizer would see; those matrices
-are built only where a matrix is the result.  The literature baseline (ideal
-pulses, delays on the symbol grid) is given as banded taps of the same layout,
-so it goes through the same fold and the same banded prediction.
+paths at once.  Each path contributes a symbol-rate Doppler tone in k' times
+a pulse cross-ambiguity lag profile in l, and ``effective_taps`` returns
+these two factors as they are (``PathTaps``), for a channel, a filter and a
+window per point, for points that share their path delays (the points of a
+trial, or of a block of trials).  ``ambiguity_values`` gives the profiles:
+one gather of the pulse per filter and window, whatever the number of
+points, and each point's values with its sampling lead's phase.  Each
+distinct channel's tones are built once.  A frame is predicted from the
+factors: each point's profile times the frame's delayed copies, one matrix
+product per point, then the tones, which costs O(N L) per path and point and
+never forms the taps or an N x N matrix.  ``PathTaps.dense`` multiplies the
+factors out to banded (N, L) taps where a matrix is the result: folding them
+through the chirp-periodic prefix yields the dense N x N effective matrix H,
+and conjugating by the transform pair yields the chirp-domain matrix H_u that
+an equalizer would see.  The literature baseline (ideal pulses, delays on the
+symbol grid) is given as banded taps of the dense layout, so it goes through
+the same fold.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +185,7 @@ def ambiguity_values(
     filts: Sequence[SrrcFilter],
     windows: Sequence[tuple[int, int]],
 ) -> np.ndarray:
-    """The per-filter stage of ``effective_taps``: an (S, P, max L) array.
+    """The lag profiles of ``effective_taps``: an (S, P, max L) array.
 
     Point s is channel s seen through filter s with the (lead D, tap count L)
     window s, under the conditions of ``effective_taps``.  Entry [s, p, l] is
@@ -232,6 +234,35 @@ def ambiguity_values(
     return amb
 
 
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
+class PathTaps:
+    """A trial's effective channel as its two per-path factors.
+
+    Point s sees channel ``channel[s]`` with the tap count ``lengths[s]``
+    (L_s).  ``tones`` is the (C, P, N) array of each distinct channel's
+    symbol-rate Doppler tones and ``profiles`` the (S, P, max L) array of
+    each point's ambiguity lag profiles, zero past its own L_s.  The taps of
+    point s are h_s[k', l] = sum_p tones[channel[s], p, k'] profiles[s, p, l]
+    for l < L_s: each path is its tone times its lag profile.
+    """
+
+    tones: np.ndarray
+    channel: tuple
+    profiles: np.ndarray
+    lengths: tuple
+
+    def dense(self) -> np.ndarray:
+        """The (S, N, max L) stack of the points' taps, zero past each point's
+        own L.  Each point is its own (N, P) @ (P, L_s) product over its own
+        L_s columns, so its taps equal the point's taps computed alone, bit
+        for bit."""
+        n_pts, _, width = self.profiles.shape
+        taps = np.zeros((n_pts, self.tones.shape[-1], width), dtype=np.complex128)
+        for out, c, profile, n_taps in zip(taps, self.channel, self.profiles, self.lengths):
+            out[:, :n_taps] = self.tones[c].T @ profile[:, :n_taps]
+        return taps
+
+
 def effective_taps(
     channels: Sequence[DDChannel],
     filts: Sequence[SrrcFilter],
@@ -239,16 +270,16 @@ def effective_taps(
     windows: Sequence[tuple[int, int]],
     *,
     ambiguity: np.ndarray | None = None,
-) -> np.ndarray:
+) -> PathTaps:
     """Exact taps of shape -> channel -> matched filter -> base-rate sampling.
 
     Point s is channel s seen through filter s with the (lead D, tap count L)
-    window s.  Returns the (S, n_out, max L) stack of the points' taps h, zero
-    past each point's own L, where h[k', l] multiplies x[k' - l] and sample
-    k' is taken at t = tau1 + (k' - D) Ts with tau1 the fine-grid delay of
-    the earliest path.  The channels must share their delays (a trial's
-    channels do) and the filters their fine grid; gains, Dopplers, filters
-    and windows may differ.  With path p's gain g_p, delay tau_p and Doppler
+    window s.  Returns the points' taps h as their ``PathTaps`` factors,
+    where h[k', l] (k' < n_out, l < L) multiplies x[k' - l] and sample k' is
+    taken at t = tau1 + (k' - D) Ts with tau1 the fine-grid delay of the
+    earliest path.  The channels must share their delays (a trial's channels
+    do) and the filters their fine grid; gains, Dopplers, filters and
+    windows may differ.  With path p's gain g_p, delay tau_p and Doppler
     nu_p from a channel's arrays, the expansion is
     h[k', l] = sum_p g_p exp(j 2 pi nu_p (tau1 - tau_p + (k' - D) Ts))
     A(tau1 - tau_p + (l - D) Ts, nu_p), with A(tau, nu) =
@@ -257,34 +288,27 @@ def effective_taps(
     reproduces the discrete simulation chain to floating-point accuracy when
     the same filter is used.
 
-    It is built in two stages.  ``ambiguity_values`` gives the per-filter
-    part, with the lead's phase e^{-j 2 pi nu_p D Ts} moved onto the
-    ambiguity values; ``ambiguity`` passes those (S, P, max L) values of
-    these points when a block of trials already computed them.  What is left
-    of the tone, exp(j 2 pi nu_p (tau1 - tau_p + k' Ts)), no longer depends
-    on the window, so each distinct channel object builds its (N, P) symbol
-    tones once (the channel's coarse-by-fine tone split), and every point's
-    taps are the product of its channel's tones with its ambiguity values.
+    Each path's term is a symbol-rate tone in k' times a lag profile in l,
+    and the factors are returned as they are.  ``ambiguity_values`` gives
+    the profiles, with the lead's phase e^{-j 2 pi nu_p D Ts} moved onto
+    them; ``ambiguity`` passes those (S, P, max L) values of these points
+    when a block of trials already computed them.  What is left of the tone,
+    exp(j 2 pi nu_p (tau1 - tau_p + k' Ts)), no longer depends on the
+    window, so each distinct channel object builds its (P, N) symbol tones
+    once (the channel's coarse-by-fine tone split).  ``PathTaps.dense``
+    multiplies the factors out where a matrix is the result.
     """
     shifts = _shared_shifts(channels, filts)
     if ambiguity is None:
         ambiguity = ambiguity_values(channels, filts, windows)
-    n_pts, n_paths, width = ambiguity.shape
-    if (n_pts, n_paths, width) != (len(channels), len(shifts), max(n for _, n in windows)):
+    n_paths = len(shifts)
+    if ambiguity.shape != (len(channels), n_paths, max(n for _, n in windows)):
         raise ValueError(f"ambiguity values of shape {ambiguity.shape} do not fit the points")
-    distinct, rows = _distinct(channels)
+    distinct, index = _distinct(channels)
     t0 = np.tile((shifts.min() - shifts) * filts[0].dt, len(distinct))
     nus = np.concatenate([c.dopplers for c in distinct])
     tones = _doppler_tones(nus, t0, filts[0].Ts, n_out).reshape(len(distinct), n_paths, n_out)
-    # one product per run of consecutive points that share a channel object,
-    # in which each point is its own (N, P) @ (P, L) product: a product with
-    # the run's points as columns would round each column according to how
-    # many there are
-    starts = [s for s in range(n_pts) if s == 0 or channels[s] is not channels[s - 1]]
-    taps = np.empty((n_pts, n_out, width), dtype=np.complex128)
-    for lo, hi in zip(starts, starts[1:] + [n_pts]):
-        np.matmul(tones[rows[lo]].T, ambiguity[lo:hi], out=taps[lo:hi])
-    return taps
+    return PathTaps(tones, tuple(index), ambiguity, tuple(n for _, n in windows))
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
@@ -292,9 +316,8 @@ def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
 
 
-def _check_fold(cfg: ChirpConfig, taps: np.ndarray) -> None:
+def _check_fold(cfg: ChirpConfig, n_out: int, n_taps: int) -> None:
     """The taps must give one row per frame sample and fit in one frame."""
-    n_out, n_taps = taps.shape[-2:]
     if n_out != cfg.N:
         raise ValueError(f"taps have {n_out} output rows, expected N = {cfg.N}")
     if n_taps > cfg.N:
@@ -308,7 +331,7 @@ def fold_cpp_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
     samples are rewritten via the chirp-periodic extension, so the prefix
     must be at least n_taps - 1 samples long for the relation to be exact.
     """
-    _check_fold(cfg, taps)
+    _check_fold(cfg, *taps.shape[-2:])
     n = cfg.N
     h_mat = np.zeros((n, n), dtype=np.complex128)
     for l in range(taps.shape[1]):
@@ -357,25 +380,37 @@ def chirp_domain_from_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
     return (np.conj(quad)[:, None] * quad[None, :]) * s / n
 
 
-def predict_output(cfg: ChirpConfig, taps: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Model-predicted chirp-domain output for one frame of symbols and (N, L) taps.
+def predict_output(cfg: ChirpConfig, taps: PathTaps, symbols: np.ndarray) -> np.ndarray:
+    """Model-predicted (S, N) chirp-domain outputs of one frame of symbols
+    through each point of the path-wise ``taps``.
 
-    Applies the banded taps, y[k'] = sum_l h[k', l] x[k' - l], directly to
-    the frame extended by its L - 1 chirp-periodic prefix samples (built
-    here with ``cpp_wrap_phase``), then demodulates.  This is O(N L) and
-    equals demodulate(fold_cpp_taps(cfg, taps) @ modulate(cfg, symbols)).
-    A (points, N, L) stack of taps gives the (points, N) outputs of that one
-    frame, which is modulated and prefix-extended once and demodulated as
-    one (points, N) batch of rows.
+    Point s sees y[k'] = sum_l h_s[k', l] x[k' - l] over its own L_s taps,
+    read from the frame extended by its chirp-periodic prefix (built here
+    with ``cpp_wrap_phase``), and equals
+    demodulate(fold_cpp_taps(cfg, h_s) @ modulate(cfg, symbols)).  The frame
+    is modulated and laid out once, as the (W, N) array X of its delayed
+    copies, X[l, k'] = x[k' - l] for the widest window W; row l does not
+    depend on W.  Point s is then one product per point, P_s = profiles_s
+    (P, L_s) @ X[:L_s] (the multiply count of its (N, P) @ (P, L_s) taps,
+    O(N L) per path), followed by y = sum_p tones[c_s, p] P_s[p].  So the
+    taps are never multiplied out, and a point's output does not depend on
+    the points beside it.  The (S, N) outputs are demodulated as one batch
+    of rows.
     """
-    _check_fold(cfg, taps)
+    width = max(taps.lengths)
+    _check_fold(cfg, taps.tones.shape[-1], width)
     x = modulate(cfg, symbols)
-    n_taps = taps.shape[-1]
-    k = np.arange(1 - n_taps, 0)
+    k = np.arange(1 - width, 0)
     x_cpp = np.concatenate([x[cfg.N + k] * cpp_wrap_phase(cfg, k), x])
-    # window row k' holds x[k' - L + 1 .. k'], so tap l pairs with column L - 1 - l
-    window = _windows(x_cpp, n_taps)
-    y = np.einsum("...kl,kl->...k", taps[..., ::-1], window)
+    # window row i holds x[i - W + 1 .. i - W + N], the frame delayed by W - 1 - i
+    delayed = np.ascontiguousarray(_windows(x_cpp, cfg.N)[::-1])
+    y = np.empty((len(taps.lengths), cfg.N), dtype=np.complex128)
+    # one product per point: with the points' profiles as rows of one
+    # product, a point's bits would rest on how BLAS splits the rows
+    for row, c, profile, n_taps in zip(y, taps.channel, taps.profiles, taps.lengths):
+        paths = profile[:, :n_taps] @ delayed[:n_taps]
+        paths *= taps.tones[c]
+        paths.sum(axis=0, out=row)
     return demodulate(cfg, y)
 
 
@@ -386,9 +421,9 @@ def baseline_taps(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
     arrays, adds at lag l_p = round(tau_p N / T) its gain times a Doppler tone
     on the symbol grid referenced to the path delay, one path after another:
     h[k, l_p] += g_p exp(j 2 pi nu_p (k - l_p) T / N).  The (N, max l_p + 1)
-    array has the layout of ``effective_taps``: ``fold_cpp_taps`` turns it
+    array has the layout of ``PathTaps.dense``: ``fold_cpp_taps`` turns it
     into the sum of chirp-periodic cyclic shifts of the literature I/O
-    relation, and ``predict_output`` applies it banded in O(N L).
+    relation.
     """
     lags = channel.shifts(cfg.dt)
     taps = np.zeros((cfg.N, lags.max() + 1), dtype=np.complex128)

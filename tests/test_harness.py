@@ -484,6 +484,26 @@ def test_ambiguity_block_size_does_not_change_the_sweep(sweep, monkeypatch):
         assert [f"{v:.12g}" for v in a] == [f"{v:.12g}" for v in b]
 
 
+@pytest.mark.parametrize("sweep", ["span", "rolloff", "speed"])
+def test_sweep_makes_one_tap_model_call_and_one_prediction_per_trial(sweep, monkeypatch):
+    """The sweep reaches the tap model through the names ``experiments``
+    binds, once per trial: the benchmark's trace counts those calls."""
+    ec = ExperimentConfig(n=32, oversample=4, trials=3, seed=2, sweep=sweep)
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+
+    counting("effective_taps", experiments.effective_taps)
+    counting("predict_output", experiments.predict_output)
+    run_nmse_sweep(ec)
+    assert calls == ["effective_taps", "predict_output"] * ec.trials
+
+
 def test_psd_frames_are_synthesised_in_blocks_of_the_byte_budget(monkeypatch):
     """16 frames a block at N O = 16,384, and the same PSD whatever the
     block: one frame a block, or every frame in one block."""
@@ -531,7 +551,7 @@ def test_run_iorel_check_reports_small_errors():
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
     assert len(channel.gains) == 9
     filt = ec.srrc()
-    want = effective_taps([channel], [filt], 64, [tap_window(channel, filt)])[0]
+    want = effective_taps([channel], [filt], 64, [tap_window(channel, filt)]).dense()[0]
     assert np.array_equal(taps, want)
     assert report["nmse_model_db"] < -40.0
     assert report["nmse_exact_db"] < -200.0

@@ -1,5 +1,8 @@
 """Unit tests for the matched-filter receiver and effective channel."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +13,8 @@ from scipy.signal import fftconvolve
 from chirplab import (
     ChirpConfig,
     DDChannel,
+    ExperimentConfig,
+    PathTaps,
     ambiguity_values,
     baseline_taps,
     chirp_domain_from_taps,
@@ -24,6 +29,7 @@ from chirplab import (
     shape,
     tap_window,
 )
+from chirplab.channel import make_eva_channels
 from chirplab.experiments import nmse_trial, qam4_symbols
 from chirplab.receiver import cpp_wrap_phase
 from chirplab.transforms import idaft_matrix
@@ -49,6 +55,16 @@ def _ambiguity_table(filt, nu):
     a = filt.taps
     b = np.conj(a) * np.exp(2j * np.pi * nu * _time_grid(filt))
     return fftconvolve(a, b[::-1]) * filt.dt
+
+
+def _factors(taps):
+    """(N, L) taps, or an (S, N, max L) stack, as ``PathTaps`` with one path
+    per lag: tones = h^T and an identity profile reproduce
+    sum_l h[k, l] x[k - l]."""
+    stack = np.asarray(taps).reshape((-1,) + np.shape(taps)[-2:])
+    n_pts, _, width = stack.shape
+    profiles = np.broadcast_to(np.eye(width, dtype=complex), (n_pts, width, width))
+    return PathTaps(stack.transpose(0, 2, 1), tuple(range(n_pts)), profiles, (width,) * n_pts)
 
 
 def _draw_paths(rng, count):
@@ -262,7 +278,7 @@ def test_effective_taps_single_clean_path_is_near_impulse():
     filt = _filt(cfg)
     ch = DDChannel([1.0 + 0j], [0.0], [0.0])
     lead, n_taps = tap_window(ch, filt)
-    taps = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
+    taps = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)]).dense()[0]
     assert abs(taps[0, lead] - 1.0) < 1e-2
     others = np.delete(taps[0], lead)
     assert np.max(np.abs(others)) < 1e-2
@@ -272,7 +288,7 @@ def test_effective_taps_lti_rows_identical():
     cfg = _cfg(64)
     filt = _filt(cfg)
     ch = DDChannel([0.9 + 0.1j, 0.2 - 0.4j], [0.0, 2.5 * cfg.dt], [0.0, 0.0])
-    taps = effective_taps([ch], [filt], cfg.N, [tap_window(ch, filt)])[0]
+    taps = effective_taps([ch], [filt], cfg.N, [tap_window(ch, filt)]).dense()[0]
     spread = np.max(np.abs(taps - taps[0][None, :]))
     assert spread < 1e-12
 
@@ -287,7 +303,7 @@ def test_effective_taps_matches_impulse_probe():
     gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(6)
     ch = DDChannel(gains, np.array([0.0, 1.3, 3.8]) * cfg.dt, [1800.0, -900.0, 2300.0])
     lead, n_taps = tap_window(ch, filt)
-    taps = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
+    taps = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)]).dense()[0]
     oracle = _impulse_probe_taps(cfg, filt, ch, lead, n_taps)
     mask = np.abs(oracle) > 1e-4
     rel = np.abs(taps[mask] - oracle[mask]) / np.abs(oracle[mask])
@@ -312,7 +328,7 @@ def test_banded_prediction_equals_dense_fold(half_n, tap_frac, c1, c2, seed):
     taps = rng.standard_normal((n, n_taps)) + 1j * rng.standard_normal((n, n_taps))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     dense = demodulate(cfg, fold_cpp_taps(cfg, taps) @ modulate(cfg, x))
-    banded = predict_output(cfg, taps, x)
+    (banded,) = predict_output(cfg, _factors(taps), x)
     assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -323,8 +339,9 @@ def test_banded_prediction_equals_dense_fold(half_n, tap_frac, c1, c2, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_trailing_zero_taps_change_nothing(half_n, tap_fracs, seed):
-    """One call on a (S, N, max L) stack, zero past each point's own L, equals
-    a call per point at that point's width: a span sweep needs one call."""
+    """One call on points of several tap counts, their profiles zero-padded to
+    the widest, equals a call per point at that point's own width, bit for
+    bit: a span sweep needs one call."""
     n = 2 * half_n
     cfg = _cfg(n)
     widths = [1 + int(f * (n - 1)) for f in tap_fracs]
@@ -333,19 +350,21 @@ def test_trailing_zero_taps_change_nothing(half_n, tap_fracs, seed):
     for taps, width in zip(stack, widths):
         taps[:, :width] = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    got = predict_output(cfg, stack, x)
+    factors = _factors(stack)
+    factors = PathTaps(factors.tones, factors.channel, factors.profiles, tuple(widths))
+    got = predict_output(cfg, factors, x)
     for row, taps, width in zip(got, stack, widths):
-        want = predict_output(cfg, taps[:, :width], x)
-        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+        (want,) = predict_output(cfg, _factors(taps[:, :width]), x)
+        assert np.array_equal(row, want)
 
 
 def test_predict_output_validates_tap_shape():
     cfg = _cfg(8)
     x = np.ones(8, dtype=complex)
     with pytest.raises(ValueError, match="expected N = 8"):
-        predict_output(cfg, np.zeros((7, 2), complex), x)
+        predict_output(cfg, _factors(np.zeros((7, 2), complex)), x)
     with pytest.raises(ValueError, match="exceeds the frame length"):
-        predict_output(cfg, np.zeros((8, 9), complex), x)
+        predict_output(cfg, _factors(np.zeros((8, 9), complex)), x)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -371,7 +390,7 @@ def test_lag_trimmed_taps_equal_full_table_gather(
     ch = DDChannel(gains, np.sort(delays) * cfg.dt, nus)
     lead, n_taps = tap_window(ch, filt, exact=True)
     lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
-    got = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
+    got = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)]).dense()[0]
     want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
     # |A| <= A(0, 0) = 1 for the unit-energy pulse, so every tap is at most
     # sum |g_p|; that is the scale of the oracle's rounding error too
@@ -404,7 +423,7 @@ def test_stacked_taps_equal_per_channel_oracle(
         channels.append(DDChannel(gains, delays, nus))
     lead, n_taps = tap_window(channels[0], filt)
     lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
-    got = effective_taps(channels, [filt] * count, cfg.N, [(lead, n_taps)] * count)
+    got = effective_taps(channels, [filt] * count, cfg.N, [(lead, n_taps)] * count).dense()
     assert got.shape == (count, cfg.N, n_taps)
     for taps, ch in zip(got, channels):
         want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
@@ -443,7 +462,7 @@ def test_mixed_filter_stack_equals_per_point_oracle(o, designs, points, delays, 
         filts.append(designed[which % len(designed)])
         lead, n_taps = tap_window(channels[-1], filts[-1], exact=exact)
         windows.append((lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)))
-    got = effective_taps(channels, filts, cfg.N, windows)
+    got = effective_taps(channels, filts, cfg.N, windows).dense()
     width = max(n_taps for _, n_taps in windows)
     assert got.shape == (len(points), cfg.N, width)
     for taps, ch, filt, (lead, n_taps) in zip(got, channels, filts, windows):
@@ -490,12 +509,90 @@ def test_taps_from_channel_tones_equal_per_point_oracle(
     amb = ambiguity_values([c for channels in block for c in channels],
                            filts * trials, windows * trials)
     for channels, a in zip(block, np.split(amb, trials)):
-        got = effective_taps(channels, filts, cfg.N, windows, ambiguity=a)
-        assert np.array_equal(got, effective_taps(channels, filts, cfg.N, windows))
+        got = effective_taps(channels, filts, cfg.N, windows, ambiguity=a).dense()
+        assert np.array_equal(got, effective_taps(channels, filts, cfg.N, windows).dense())
         for taps, ch, filt, (lead, n_taps) in zip(got, channels, filts, windows):
-            want = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)])[0]
+            want = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)]).dense()[0]
             assert not np.any(taps[:, n_taps:])
-            assert np.max(np.abs(taps[:, :n_taps] - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
+            assert np.array_equal(taps[:, :n_taps], want)
+
+
+def test_dense_taps_beside_a_wider_window_equal_the_point_alone():
+    """One channel and filter with the default window beside the exact one:
+    each point's dense taps equal the point's taps computed alone, bit for
+    bit.  A product over the stack's width rounded the default window's
+    taps otherwise (1.35e-18 of the largest tap here)."""
+    ec = ExperimentConfig(n=64, oversample=8, seed=11)
+    (ch,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
+    filt = ec.srrc()
+    windows = [tap_window(ch, filt), tap_window(ch, filt, exact=True)]
+    stack = effective_taps([ch, ch], [filt, filt], ec.n, windows).dense()
+    for taps, window in zip(stack, windows):
+        want = effective_taps([ch], [filt], ec.n, [window]).dense()[0]
+        assert not np.any(taps[:, window[1]:])
+        assert np.array_equal(taps[:, : window[1]], want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["speed", "rolloff", "span"]),
+    points=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=5),
+    half_n=st.sampled_from([16, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one filter with the default and the exact window side by side, then another filter
+@example(kind="rolloff", points=[(1, False), (1, True), (3, False)], half_n=16, seed=4)
+@example(kind="span", points=[(0, True), (4, False), (4, True)], half_n=16, seed=5)
+def test_path_wise_prediction_equals_the_dense_fold_and_each_point_alone(
+    kind, points, half_n, seed
+):
+    """The points of a trial of each sweep kind, with default and exact
+    windows: each point's prediction equals its dense taps folded and applied
+    as an N x N matrix, and equals the point predicted alone, bit for bit."""
+    ec = ExperimentConfig(n=2 * half_n, oversample=4, seed=seed)
+    cfg = ec.chirp_config()
+    rng = np.random.default_rng(seed)
+    values = [v for v, _ in points]
+    if kind == "speed":
+        channels = make_eva_channels(ec.fc_hz, [100.0 * v for v in values], rng)
+        designs = {v: ec for v in values}
+    else:
+        channels = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng) * len(points)
+        key = {"rolloff": lambda v: {"beta": 0.1 + 0.2 * v}, "span": lambda v: {"q": 2 * v + 2}}
+        designs = {v: replace(ec, **key[kind](v)) for v in values}
+    designed = {v: p.srrc() for v, p in designs.items()}
+    filts = [designed[v] for v in values]
+    windows = [tap_window(c, f, exact) for c, f, (_, exact) in zip(channels, filts, points)]
+    x = qam4_symbols(cfg.N, rng)
+    taps = effective_taps(channels, filts, cfg.N, windows)
+    got = predict_output(cfg, taps, x)
+    assert got.shape == (len(points), cfg.N)
+    for row, dense, ch, filt, window in zip(got, taps.dense(), channels, filts, windows):
+        want = demodulate(cfg, fold_cpp_taps(cfg, dense) @ modulate(cfg, x))
+        assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+        (alone,) = predict_output(cfg, effective_taps([ch], [filt], cfg.N, [window]), x)
+        assert np.array_equal(row, alone)
+
+
+def test_paper_scale_trial_never_holds_the_dense_tap_stack():
+    """One paper-scale speed trial (N = 1024, O = 16, 11 speeds, L = 23):
+    the traced peak of the tap model and its prediction stays below the
+    16 S N L bytes of the (S, N, L) tap stack alone."""
+    ec = ExperimentConfig()
+    cfg = ec.chirp_config()
+    filt = ec.srrc()
+    rng = np.random.default_rng(5)
+    channels = make_eva_channels(ec.fc_hz, [50.0 * v for v in range(11)], rng)
+    x = qam4_symbols(cfg.N, rng)
+    windows = [tap_window(channels[0], filt)] * len(channels)
+    assert windows[0][1] == 23
+    tracemalloc.start()
+    try:
+        predict_output(cfg, effective_taps(channels, [filt] * len(channels), cfg.N, windows), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(channels) * cfg.N * windows[0][1], peak
 
 
 def test_stacked_taps_reject_filters_on_different_fine_grids():
@@ -672,7 +769,7 @@ def test_banded_baseline_equals_dense_oracle(half_n, c1, lags, seed):
     assert np.max(np.abs(fold_cpp_taps(cfg, taps) - dense)) <= 1e-12 * scale
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     want = demodulate(cfg, dense @ modulate(cfg, x))
-    got = predict_output(cfg, taps, x)
+    (got,) = predict_output(cfg, _factors(taps), x)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -685,7 +782,7 @@ def test_baseline_rejects_delay_of_a_frame():
     with pytest.raises(ValueError, match="exceeds the frame length"):
         fold_cpp_taps(cfg, taps)
     with pytest.raises(ValueError, match="exceeds the frame length"):
-        predict_output(cfg, taps, np.ones(8, dtype=complex))
+        predict_output(cfg, _factors(taps), np.ones(8, dtype=complex))
 
 
 def test_exact_window_io_relation_is_machine_precision():
