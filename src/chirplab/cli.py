@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands: psd, ortho, nmse, iorel, complexity, selftest.  The first four
-read a flat ``key = value`` text file (--config) with optional --seed and
---trials overrides and write CSV to --out; --small switches them and selftest
-to the desk-scale parameter set (N = 256, 20 trials, oversampling 8), where
-an explicit --trials still sets the trial count.
+read a flat ``key = value`` text file (--config) and write CSV to --out;
+--seed overrides the master seed of psd, nmse and iorel, and --trials the
+trial count of psd and nmse, the drivers that read them.  --small switches
+the four and selftest to the desk-scale parameter set (N = 256, 20 trials,
+oversampling 8), where an explicit --trials still sets the trial count.
 complexity takes only --n and --n-od.  psd writes the analytic curve next
 to --out, with ``_analytic`` added to the file name before its last suffix.
 
@@ -43,11 +44,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="chirplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     small = dict(action="store_true", help="desk-scale run: N=256, trials=20, oversampling=8")
-    for name in ("psd", "ortho", "nmse", "iorel"):
+    overrides = {"seed": "override the master seed", "trials": "override the trial count"}
+    # each experiment takes the overrides that its driver reads
+    reads = {"psd": ("seed", "trials"), "ortho": (), "nmse": ("seed", "trials"), "iorel": ("seed",)}
+    for name, keys in reads.items():
         p = sub.add_parser(name)
+        p.set_defaults(seed=None, trials=None)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
+        for key in keys:
+            p.add_argument(f"--{key}", type=int, help=overrides[key])
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--small", **small)
     p = sub.add_parser("complexity")

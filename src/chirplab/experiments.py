@@ -30,12 +30,13 @@ their common fine grid, in chunks under a byte budget, and the trial's
 bit for bit.  The tap model draws the trials in blocks under another byte
 budget and takes the ambiguity values of every point of a block in one
 ``ambiguity_values`` call, which gathers the shifted pulses once per filter
-and block.  It then takes each trial's path-wise taps in one
+and block and gives each point its own (P, L) profile.  It then takes each
+trial's path-wise taps, its points' share of those profiles, in one
 ``effective_taps`` call, with each distinct channel's Doppler tones built
-once, whatever the sweep kind, and predicts every point from them in one
-``predict_output`` call: one product of the point's ambiguity profile with
-the frame's delayed copies, over the point's own tap count, then its
-channel's tones.  The taps are never multiplied out.  Every step of the tap
+once and shared by its points, whatever the sweep kind, and predicts every
+point from them in one ``predict_output`` call: one product of the point's
+ambiguity profile with the frame's delayed copies, then its tones.  The
+taps are never multiplied out.  Every step of the tap
 model acts on each point's values elementwise or in a product of that
 point's own arrays, so neither the block size nor the points beside a
 point change its prediction.
@@ -52,6 +53,7 @@ import numpy as np
 
 from .channel import EVA_PROFILE, DDChannel, apply_channel, make_eva_channels, _on_tone_blocks
 from .receiver import (
+    _check_points,
     ambiguity_values,
     effective_taps,
     predict_output,
@@ -329,6 +331,7 @@ def simulate_frame(
     ``_ROW_BATCH_BYTES`` of fine-grid samples, and the (S, N) stack is
     demodulated once.  Each row equals its point run alone, bit for bit.
     """
+    _check_points(channels, filts, windows)
     x = modulate(cfg, symbols)
     rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
     rows, waves = [], []
@@ -354,40 +357,25 @@ def simulate_frame(
     return demodulate(cfg, rx)
 
 
-def nmse_trial(
-    cfg: ChirpConfig,
-    filt: SrrcFilter,
-    channel: DDChannel,
-    symbols: np.ndarray,
-    exact_window: bool = False,
-) -> float:
-    """One-frame NMSE between the waveform simulation and the tap model.
-
-    The tap model keeps the window of ``tap_window``: by default it drops
-    the far acausal/causal ambiguity tails and the NMSE measures that
-    truncation; ``exact_window=True`` selects the exact window, which drives
-    the NMSE to floating-point level.
-    """
-    window = tap_window(channel, filt, exact_window)
-    return float(_nmse_points(cfg, [filt], [channel], symbols, [window])[0][0])
-
-
 def _nmse_points(
     cfg: ChirpConfig,
     filts: list,
     channels: list,
     symbols: np.ndarray,
     windows: list,
-    ambiguity: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``nmse_trial`` of one frame of symbols at each point (filts[i],
-    channels[i]) with the tap window windows[i], and the trial's taps.
+    ambiguity: list | None = None,
+) -> tuple:
+    """One-frame NMSE between the waveform chain and the tap model at each
+    point (filts[i], channels[i]) with the tap window windows[i], and the
+    trial's taps.
 
     The waveform chain is ``simulate_frame``.  The tap model takes the
     trial's path-wise taps in one ``effective_taps`` call, from the points'
-    ``ambiguity`` values when a block of trials computed them, and predicts
-    every point from them in one ``predict_output`` call.  Neither reads
-    anything the other computed.
+    ``ambiguity`` profiles when a block of trials computed them, and
+    predicts every point from them in one ``predict_output`` call.  Neither
+    reads anything the other computed.  The default window drops the far
+    ambiguity tails and the NMSE measures that truncation; the exact window
+    of ``tap_window`` drives it to floating-point level.
     """
     y_sim = simulate_frame(cfg, filts, channels, symbols, windows)
     taps = effective_taps(channels, filts, cfg.N, windows, ambiguity=ambiguity)
@@ -431,7 +419,7 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     window that does not fit the frame is refused before any trial runs.  The
     trials are drawn in blocks under ``_AMBIGUITY_BLOCK_BYTES``; one
     ``ambiguity_values`` call covers every point of a block, and each trial
-    then passes its share of those values to ``_nmse_points``.
+    then passes its points' profiles to ``_nmse_points``.
     """
     cfg = ec.chirp_config()
     points = ec.sweep_configs()
@@ -456,13 +444,13 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     per_trial = 16 * len(points) * len(EVA_PROFILE) * max(len(f.taps) for f in filts)
     block = max(1, _AMBIGUITY_BLOCK_BYTES // per_trial)
     for first in range(0, ec.trials, block):
-        trials = range(first, min(first + block, ec.trials))
-        draws = [draw(t) for t in trials]
+        draws = [draw(t) for t in range(first, min(first + block, ec.trials))]
         amb = ambiguity_values(
             [c for channels, _ in draws for c in channels], filts * len(draws), windows * len(draws)
         )
-        for t, (channels, symbols), a in zip(trials, draws, np.split(amb, len(draws))):
-            samples[:, t] = _nmse_points(cfg, filts, channels, symbols, windows, a)[0]
+        for i, (channels, symbols) in enumerate(draws):
+            a = amb[i * len(points) : (i + 1) * len(points)]
+            samples[:, first + i] = _nmse_points(cfg, filts, channels, symbols, windows, a)[0]
     mean = samples.mean(axis=1)
     if ec.trials > 1:
         stderr = samples.std(axis=1, ddof=1) / np.sqrt(ec.trials)

@@ -21,21 +21,22 @@ the one rule for the retained window (sampling lead and tap count).  The model
 only reads the L lags of the ambiguity function that the window needs, for all
 paths at once.  Each path contributes a symbol-rate Doppler tone in k' times
 a pulse cross-ambiguity lag profile in l, and ``effective_taps`` returns
-these two factors as they are (``PathTaps``), for a channel, a filter and a
-window per point, for points that share their path delays (the points of a
-trial, or of a block of trials).  ``ambiguity_values`` gives the profiles:
-one gather of the pulse per filter and window, whatever the number of
-points, and each point's values with its sampling lead's phase.  Each
-distinct channel's tones are built once.  A frame is predicted from the
+these two factors as they are (``PathTaps``: each point's (P, N) tones and
+(P, L) profile), for a channel, a filter and a window per point, for points
+that share their path delays (the points of a trial, or of a block of
+trials).  ``ambiguity_values`` gives the profiles: one gather of the pulse
+per filter and window, whatever the number of points, and each point's
+values with its sampling lead's phase.  Each distinct channel object's tones
+are built once and shared by its points.  A frame is predicted from the
 factors: each point's profile times the frame's delayed copies, one matrix
 product per point, then the tones, which costs O(N L) per path and point and
 never forms the taps or an N x N matrix.  ``PathTaps.dense`` multiplies the
-factors out to banded (N, L) taps where a matrix is the result: folding them
-through the chirp-periodic prefix yields the dense N x N effective matrix H,
-and conjugating by the transform pair yields the chirp-domain matrix H_u that
-an equalizer would see.  The literature baseline (ideal pulses, delays on the
-symbol grid) is given as banded taps of the dense layout, so it goes through
-the same fold.
+factors out to each point's banded (N, L) taps where a matrix is the result:
+folding them through the chirp-periodic prefix yields the dense N x N
+effective matrix H, and conjugating by the transform pair yields the
+chirp-domain matrix H_u that an equalizer would see.  The literature
+baseline (ideal pulses, delays on the symbol grid) is given as banded taps
+of that layout, so it goes through the same fold.
 """
 
 from __future__ import annotations
@@ -160,18 +161,18 @@ def tap_window(channel: DDChannel, filt: SrrcFilter, exact: bool = False) -> tup
     return filt.q // 2, n_taps
 
 
-def _distinct(channels: Sequence[DDChannel]) -> tuple[list, list]:
-    """The distinct channel objects in order of first use, and the index into
-    them of each point's channel."""
-    first: dict = {}
-    rows = [first.setdefault(id(c), len(first)) for c in channels]
-    return list({id(c): c for c in channels}.values()), rows
+def _check_points(channels: Sequence, filts: Sequence, windows: Sequence) -> None:
+    """Refuse lists that do not give one channel, filter and window per point."""
+    if not len(channels) == len(filts) == len(windows):
+        counts = f"{len(channels)} channels, {len(filts)} filters and {len(windows)} windows"
+        raise ValueError(f"{counts}: give one of each per point")
 
 
-def _shared_shifts(channels: Sequence[DDChannel], filts: Sequence[SrrcFilter]) -> np.ndarray:
+def _shared_shifts(channels: Sequence, filts: Sequence, windows: Sequence) -> np.ndarray:
     """The fine-grid path shifts that the points' channels share; the filters
     must share one fine grid."""
-    delays = [c.delays for c in _distinct(channels)[0]]
+    _check_points(channels, filts, windows)
+    delays = [c.delays for c in {id(c): c for c in channels}.values()]
     if any(len(x) != len(delays[0]) for x in delays) or (np.array(delays) != delays[0]).any():
         raise ValueError("channels must share their path delays")
     ts, o = filts[0].Ts, filts[0].O
@@ -184,14 +185,14 @@ def ambiguity_values(
     channels: Sequence[DDChannel],
     filts: Sequence[SrrcFilter],
     windows: Sequence[tuple[int, int]],
-) -> np.ndarray:
-    """The lag profiles of ``effective_taps``: an (S, P, max L) array.
+) -> list:
+    """The lag profiles of ``effective_taps``: one (P, L) array per point.
 
     Point s is channel s seen through filter s with the (lead D, tap count L)
-    window s, under the conditions of ``effective_taps``.  Entry [s, p, l] is
-    g_p e^{-j 2 pi nu_p D Ts} A(tau1 - tau_p + (l - D) Ts, nu_p), zero for
-    l >= L, with path p's gain g_p, Doppler nu_p and fine-grid delay tau_p
-    from channel s and tau1 the earliest of those delays.
+    window s, under the conditions of ``effective_taps``.  Entry [p, l] of
+    its profile is g_p e^{-j 2 pi nu_p D Ts} A(tau1 - tau_p + (l - D) Ts, nu_p),
+    with path p's gain g_p, Doppler nu_p and fine-grid delay tau_p from
+    channel s and tau1 the earliest of those delays.
 
     A is the Riemann sum dt sum_u a[u + lag] conj(a[u]) e^{j2 pi nu_p t_u} on
     the filter tap grid, evaluated only at the (P, L) lags the window reads;
@@ -203,9 +204,11 @@ def ambiguity_values(
     its own matrix-vector product per path: a matrix product with the
     points as columns would round each column according to how many there
     are.  The other steps act on a point's values elementwise, so they come
-    out as for the point alone, whatever the points beside it.
+    out as for the point alone, whatever the points beside it.  The profiles
+    are views into one block of the widest window's width, which the points
+    share.
     """
-    shifts = _shared_shifts(channels, filts)
+    shifts = _shared_shifts(channels, filts, windows)
     dt, ts, o = filts[0].dt, filts[0].Ts, filts[0].O
     nus = np.array([c.dopplers for c in channels])  # (S, P)
     n_paths = nus.shape[1]
@@ -215,6 +218,7 @@ def ambiguity_values(
     leads = np.array([lead for lead, _ in windows])[:, None]
     weights = np.array([c.gains for c in channels]) * dt * np.exp(-2j * np.pi * nus * (leads * ts))
     amb = np.zeros((len(channels), n_paths, max(n for _, n in windows)), dtype=np.complex128)
+    profiles = [amb[s, :, :n_taps] for s, (_, n_taps) in enumerate(windows)]
     groups: dict = {}
     for i, (f, window) in enumerate(zip(filts, windows)):
         groups.setdefault((id(f), *window), []).append(i)
@@ -231,36 +235,32 @@ def ambiguity_values(
         # made every call fault in fresh pages
         shifted_b = _windows(a_pad, m)[m + np.clip(lags, -m, m)] @ b[..., None]
         amb[idx, :, :n_taps] = shifted_b[..., 0] * weights[idx, :, None]
-    return amb
+    return profiles
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class PathTaps:
     """A trial's effective channel as its two per-path factors.
 
-    Point s sees channel ``channel[s]`` with the tap count ``lengths[s]``
-    (L_s).  ``tones`` is the (C, P, N) array of each distinct channel's
-    symbol-rate Doppler tones and ``profiles`` the (S, P, max L) array of
-    each point's ambiguity lag profiles, zero past its own L_s.  The taps of
-    point s are h_s[k', l] = sum_p tones[channel[s], p, k'] profiles[s, p, l]
-    for l < L_s: each path is its tone times its lag profile.
+    Point s has the (P, N) symbol-rate Doppler tones ``tones[s]`` of its
+    channel and the (P, L_s) ambiguity lag profile ``profiles[s]``; points
+    that share a channel object share one tones array.  The taps of point s
+    are h_s[k', l] = sum_p tones[s][p, k'] profiles[s][p, l]: each path is
+    its tone times its lag profile.  Factors that do not pair up, point by
+    point and path by path, are refused.
     """
 
-    tones: np.ndarray
-    channel: tuple
-    profiles: np.ndarray
-    lengths: tuple
+    tones: tuple
+    profiles: tuple
 
-    def dense(self) -> np.ndarray:
-        """The (S, N, max L) stack of the points' taps, zero past each point's
-        own L.  Each point is its own (N, P) @ (P, L_s) product over its own
-        L_s columns, so its taps equal the point's taps computed alone, bit
-        for bit."""
-        n_pts, _, width = self.profiles.shape
-        taps = np.zeros((n_pts, self.tones.shape[-1], width), dtype=np.complex128)
-        for out, c, profile, n_taps in zip(taps, self.channel, self.profiles, self.lengths):
-            out[:, :n_taps] = self.tones[c].T @ profile[:, :n_taps]
-        return taps
+    def __post_init__(self) -> None:
+        if [len(tones) for tones in self.tones] != [len(profile) for profile in self.profiles]:
+            raise ValueError("each point needs its tones and its profile, with one path count")
+
+    def dense(self) -> list:
+        """Each point's (N, L_s) taps, its own (N, P) @ (P, L_s) product, so
+        they equal the point's taps computed alone, bit for bit."""
+        return [tones.T @ profile for tones, profile in zip(self.tones, self.profiles)]
 
 
 def effective_taps(
@@ -269,7 +269,7 @@ def effective_taps(
     n_out: int,
     windows: Sequence[tuple[int, int]],
     *,
-    ambiguity: np.ndarray | None = None,
+    ambiguity: Sequence[np.ndarray] | None = None,
 ) -> PathTaps:
     """Exact taps of shape -> channel -> matched filter -> base-rate sampling.
 
@@ -291,24 +291,27 @@ def effective_taps(
     Each path's term is a symbol-rate tone in k' times a lag profile in l,
     and the factors are returned as they are.  ``ambiguity_values`` gives
     the profiles, with the lead's phase e^{-j 2 pi nu_p D Ts} moved onto
-    them; ``ambiguity`` passes those (S, P, max L) values of these points
-    when a block of trials already computed them.  What is left of the tone,
+    them; ``ambiguity`` passes those (P, L) profiles of these points when a
+    block of trials already computed them.  What is left of the tone,
     exp(j 2 pi nu_p (tau1 - tau_p + k' Ts)), no longer depends on the
     window, so each distinct channel object builds its (P, N) symbol tones
-    once (the channel's coarse-by-fine tone split).  ``PathTaps.dense``
-    multiplies the factors out where a matrix is the result.
+    once (the channel's coarse-by-fine tone split), and its points share
+    them.  ``PathTaps.dense`` multiplies the factors out where a matrix is
+    the result.
     """
-    shifts = _shared_shifts(channels, filts)
+    shifts = _shared_shifts(channels, filts, windows)
     if ambiguity is None:
         ambiguity = ambiguity_values(channels, filts, windows)
     n_paths = len(shifts)
-    if ambiguity.shape != (len(channels), n_paths, max(n for _, n in windows)):
-        raise ValueError(f"ambiguity values of shape {ambiguity.shape} do not fit the points")
-    distinct, index = _distinct(channels)
+    shapes = [np.shape(profile) for profile in ambiguity]
+    if shapes != [(n_paths, n_taps) for _, n_taps in windows]:
+        raise ValueError(f"ambiguity profiles of shapes {shapes} do not fit the points")
+    distinct = {id(c): c for c in channels}
     t0 = np.tile((shifts.min() - shifts) * filts[0].dt, len(distinct))
-    nus = np.concatenate([c.dopplers for c in distinct])
+    nus = np.concatenate([c.dopplers for c in distinct.values()])
     tones = _doppler_tones(nus, t0, filts[0].Ts, n_out).reshape(len(distinct), n_paths, n_out)
-    return PathTaps(tones, tuple(index), ambiguity, tuple(n for _, n in windows))
+    shared = dict(zip(distinct, tones))
+    return PathTaps(tuple(shared[id(c)] for c in channels), tuple(ambiguity))
 
 
 def cpp_wrap_phase(cfg: ChirpConfig, k: np.ndarray) -> np.ndarray:
@@ -384,32 +387,33 @@ def predict_output(cfg: ChirpConfig, taps: PathTaps, symbols: np.ndarray) -> np.
     """Model-predicted (S, N) chirp-domain outputs of one frame of symbols
     through each point of the path-wise ``taps``.
 
-    Point s sees y[k'] = sum_l h_s[k', l] x[k' - l] over its own L_s taps,
-    read from the frame extended by its chirp-periodic prefix (built here
-    with ``cpp_wrap_phase``), and equals
+    Point s sees y[k'] = sum_l h_s[k', l] x[k' - l] over its L_s taps, read
+    from the frame extended by its chirp-periodic prefix (built here with
+    ``cpp_wrap_phase``), and equals
     demodulate(fold_cpp_taps(cfg, h_s) @ modulate(cfg, symbols)).  The frame
     is modulated and laid out once, as the (W, N) array X of its delayed
     copies, X[l, k'] = x[k' - l] for the widest window W; row l does not
-    depend on W.  Point s is then one product per point, P_s = profiles_s
+    depend on W.  Point s is then one product per point, P_s = profiles[s]
     (P, L_s) @ X[:L_s] (the multiply count of its (N, P) @ (P, L_s) taps,
-    O(N L) per path), followed by y = sum_p tones[c_s, p] P_s[p].  So the
+    O(N L) per path), followed by y = sum_p tones[s][p] P_s[p].  So the
     taps are never multiplied out, and a point's output does not depend on
     the points beside it.  The (S, N) outputs are demodulated as one batch
     of rows.
     """
-    width = max(taps.lengths)
-    _check_fold(cfg, taps.tones.shape[-1], width)
+    for tones, profile in zip(taps.tones, taps.profiles):
+        _check_fold(cfg, tones.shape[-1], profile.shape[-1])
+    width = max(profile.shape[-1] for profile in taps.profiles)
     x = modulate(cfg, symbols)
     k = np.arange(1 - width, 0)
     x_cpp = np.concatenate([x[cfg.N + k] * cpp_wrap_phase(cfg, k), x])
     # window row i holds x[i - W + 1 .. i - W + N], the frame delayed by W - 1 - i
     delayed = np.ascontiguousarray(_windows(x_cpp, cfg.N)[::-1])
-    y = np.empty((len(taps.lengths), cfg.N), dtype=np.complex128)
+    y = np.empty((len(taps.profiles), cfg.N), dtype=np.complex128)
     # one product per point: with the points' profiles as rows of one
     # product, a point's bits would rest on how BLAS splits the rows
-    for row, c, profile, n_taps in zip(y, taps.channel, taps.profiles, taps.lengths):
-        paths = profile[:, :n_taps] @ delayed[:n_taps]
-        paths *= taps.tones[c]
+    for row, tones, profile in zip(y, taps.tones, taps.profiles):
+        paths = profile @ delayed[: profile.shape[-1]]
+        paths *= tones
         paths.sum(axis=0, out=row)
     return demodulate(cfg, y)
 
@@ -421,9 +425,9 @@ def baseline_taps(cfg: ChirpConfig, channel: DDChannel) -> np.ndarray:
     arrays, adds at lag l_p = round(tau_p N / T) its gain times a Doppler tone
     on the symbol grid referenced to the path delay, one path after another:
     h[k, l_p] += g_p exp(j 2 pi nu_p (k - l_p) T / N).  The (N, max l_p + 1)
-    array has the layout of ``PathTaps.dense``: ``fold_cpp_taps`` turns it
-    into the sum of chirp-periodic cyclic shifts of the literature I/O
-    relation.
+    array has the layout of a point's taps from ``PathTaps.dense``:
+    ``fold_cpp_taps`` turns it into the sum of chirp-periodic cyclic shifts
+    of the literature I/O relation.
     """
     lags = channel.shifts(cfg.dt)
     taps = np.zeros((cfg.N, lags.max() + 1), dtype=np.complex128)

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from chirplab import ExperimentConfig, complexity_compare, load_config
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
-from chirplab.receiver import ambiguity_values, effective_taps, tap_window
+from chirplab.receiver import ambiguity_values, effective_taps, predict_output, tap_window
 from chirplab.transforms import modulate
 from chirplab.waveform import synth_ideal
 from chirplab.experiments import (
     CONFIG_KEYS,
     SweepResult,
     config_from_dict,
-    nmse_trial,
     qam4_symbols,
     run_iorel_check,
     run_nmse_sweep,
@@ -344,11 +343,22 @@ def test_run_nmse_sweep_deterministic():
     assert not np.array_equal(a.nmse_db, c.nmse_db)
 
 
+def _nmse_trial(cfg, filt, channel, symbols, exact=False):
+    """Oracle: one point's NMSE between ``simulate_frame`` and
+    ``predict_output(effective_taps(...))``, under the default or the exact
+    ``tap_window``."""
+    window = [tap_window(channel, filt, exact)]
+    (y_sim,) = simulate_frame(cfg, [filt], [channel], symbols, window)
+    (y_pred,) = predict_output(cfg, effective_taps([channel], [filt], cfg.N, window), symbols)
+    return np.sum(np.abs(y_pred - y_sim) ** 2) / np.sum(np.abs(y_sim) ** 2)
+
+
 def _nmse_sweep_per_point(ec):
     """Oracle: the sweep as a per-point loop that designs the point's filter,
     redraws every trial's channel at the point's speed and symbols from
-    default_rng([seed, trial]), and calls ``nmse_trial``.  It names each
-    kind's key itself rather than reading ``SWEEPS``."""
+    default_rng([seed, trial]), and scores the point alone with
+    ``_nmse_trial``.  It names each kind's key itself rather than reading
+    ``SWEEPS``."""
     cfg = ec.chirp_config()
     means, errs = [], []
     for value in ec.sweep_values:
@@ -362,7 +372,7 @@ def _nmse_sweep_per_point(ec):
         for t in range(ec.trials):
             rng = np.random.default_rng([ec.seed, t])
             (channel,) = make_eva_channels(ec.fc_hz, [speed], rng)
-            samples[t] = nmse_trial(cfg, filt, channel, qam4_symbols(cfg.N, rng))
+            samples[t] = _nmse_trial(cfg, filt, channel, qam4_symbols(cfg.N, rng))
         mean = samples.mean()
         stderr = samples.std(ddof=1) / np.sqrt(ec.trials) if ec.trials > 1 else 0.0
         means.append(10.0 * np.log10(mean))
@@ -431,7 +441,8 @@ def test_points_sharing_a_channel_are_received_as_rows_equal_to_each_alone(point
 def test_points_sharing_a_filter_with_two_windows_each_equal_their_point_alone():
     """One filter object with the default and the exact window: each point
     is transmitted with its own prefix, so its received frame equals the
-    point simulated alone, bit for bit, and its NMSE equals ``nmse_trial``.
+    point simulated alone, bit for bit, and its NMSE equals the point's
+    scored alone.
     A transmit shared on the filter object alone gave the exact window
     1.04e-4 here instead of 2.33e-31."""
     ec = ExperimentConfig(n=64, oversample=4, seed=3)
@@ -446,8 +457,24 @@ def test_points_sharing_a_filter_with_two_windows_each_equal_their_point_alone()
     nmse, _ = experiments._nmse_points(cfg, [filt, filt], [channel, channel], symbols, windows)
     for row, window, got, exact in zip(stack, windows, nmse, (False, True)):
         assert np.array_equal(row, simulate_frame(cfg, [filt], [channel], symbols, [window])[0])
-        assert got == nmse_trial(cfg, filt, channel, symbols, exact_window=exact)
+        assert got == _nmse_trial(cfg, filt, channel, symbols, exact)
     assert nmse[1] < 1e-25
+
+
+def test_simulate_frame_refuses_points_that_do_not_pair_up():
+    """Three filters and windows for two channels gave a third row of
+    uninitialised memory."""
+    ec = ExperimentConfig(n=64, oversample=4, q=6, seed=3)
+    cfg = ec.chirp_config()
+    rng = np.random.default_rng([3, 0])
+    channels = make_eva_channels(ec.fc_hz, [0.0, 500.0], rng)
+    symbols = qam4_symbols(cfg.N, rng)
+    filt = ec.srrc()
+    w = tap_window(channels[0], filt)
+    for filts, windows in (([filt] * 3, [w] * 3), ([filt] * 2, [w]), ([filt], [w] * 2)):
+        with pytest.raises(ValueError, match=f"2 channels, {len(filts)} filters and "
+                                             f"{len(windows)} windows: give one of each"):
+            simulate_frame(cfg, filts, channels, symbols, windows)
 
 
 @pytest.mark.parametrize("sweep", ["span", "rolloff", "speed"])
@@ -667,6 +694,22 @@ def test_cli_small_keeps_an_explicit_trial_count(tmp_path, monkeypatch, config, 
     (ec,) = seen
     assert ec.trials == trials
     assert (ec.n, ec.oversample) == ((256, 8) if "--small" in argv else (1024, 16))
+
+
+@pytest.mark.parametrize("command, driver, option", [
+    ("ortho", "run_ortho_experiment", "--seed"),
+    ("ortho", "run_ortho_experiment", "--trials"),
+    ("iorel", "run_iorel_check", "--trials"),
+])
+def test_cli_refuses_an_option_its_driver_does_not_read(monkeypatch, capsys, command, driver, option):
+    """ortho reads neither the seed nor the trial count, and iorel not the
+    trial count: either option exits with 1 and is named, before the run."""
+    def refuse(ec):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, driver, refuse)
+    assert cli.main([command, "--small", option, "3"]) == 1
+    assert option in capsys.readouterr().err
 
 
 def test_cli_nmse_rejects_a_tap_span_longer_than_the_frame(tmp_path, capsys):

@@ -30,7 +30,7 @@ from chirplab import (
     tap_window,
 )
 from chirplab.channel import make_eva_channels
-from chirplab.experiments import nmse_trial, qam4_symbols
+from chirplab.experiments import qam4_symbols, simulate_frame
 from chirplab.receiver import cpp_wrap_phase
 from chirplab.transforms import idaft_matrix
 from chirplab.waveform import Waveform
@@ -57,14 +57,22 @@ def _ambiguity_table(filt, nu):
     return fftconvolve(a, b[::-1]) * filt.dt
 
 
-def _factors(taps):
-    """(N, L) taps, or an (S, N, max L) stack, as ``PathTaps`` with one path
-    per lag: tones = h^T and an identity profile reproduce
-    sum_l h[k, l] x[k - l]."""
-    stack = np.asarray(taps).reshape((-1,) + np.shape(taps)[-2:])
-    n_pts, _, width = stack.shape
-    profiles = np.broadcast_to(np.eye(width, dtype=complex), (n_pts, width, width))
-    return PathTaps(stack.transpose(0, 2, 1), tuple(range(n_pts)), profiles, (width,) * n_pts)
+def _factors(*taps):
+    """Each point's (N, L) taps as ``PathTaps`` with one path per lag:
+    tones = h^T and an identity profile reproduce sum_l h[k, l] x[k - l]."""
+    return PathTaps(
+        tuple(np.transpose(h) for h in taps),
+        tuple(np.eye(np.shape(h)[1], dtype=complex) for h in taps),
+    )
+
+
+def _nmse_trial(cfg, filt, channel, symbols, exact_window=False):
+    """One point's NMSE between the waveform chain and the tap model, under
+    the default or the exact ``tap_window``."""
+    window = [tap_window(channel, filt, exact_window)]
+    (y_sim,) = simulate_frame(cfg, [filt], [channel], symbols, window)
+    (y_pred,) = predict_output(cfg, effective_taps([channel], [filt], cfg.N, window), symbols)
+    return np.sum(np.abs(y_pred - y_sim) ** 2) / np.sum(np.abs(y_sim) ** 2)
 
 
 def _draw_paths(rng, count):
@@ -335,25 +343,26 @@ def test_banded_prediction_equals_dense_fold(half_n, tap_frac, c1, c2, seed):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     half_n=st.integers(1, 32),
-    tap_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_trailing_zero_taps_change_nothing(half_n, tap_fracs, seed):
-    """One call on points of several tap counts, their profiles zero-padded to
-    the widest, equals a call per point at that point's own width, bit for
-    bit: a span sweep needs one call."""
+def test_trailing_zero_taps_change_nothing(half_n, points, seed):
+    """One call on points of several tap counts, each with some trailing
+    zero taps, equals a call per point without its zeros, bit for bit: a
+    span sweep needs one call."""
     n = 2 * half_n
     cfg = _cfg(n)
-    widths = [1 + int(f * (n - 1)) for f in tap_fracs]
     rng = np.random.default_rng(seed)
-    stack = np.zeros((len(widths), n, max(widths)), dtype=complex)
-    for taps, width in zip(stack, widths):
+    widths, padded = [], []
+    for tap_frac, pad_frac in points:
+        width = 1 + int(tap_frac * (n - 1))
+        taps = np.zeros((n, width + int(pad_frac * (n - width))), dtype=complex)
         taps[:, :width] = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+        widths.append(width)
+        padded.append(taps)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    factors = _factors(stack)
-    factors = PathTaps(factors.tones, factors.channel, factors.profiles, tuple(widths))
-    got = predict_output(cfg, factors, x)
-    for row, taps, width in zip(got, stack, widths):
+    got = predict_output(cfg, _factors(*padded), x)
+    for row, taps, width in zip(got, padded, widths):
         (want,) = predict_output(cfg, _factors(taps[:, :width]), x)
         assert np.array_equal(row, want)
 
@@ -424,8 +433,9 @@ def test_stacked_taps_equal_per_channel_oracle(
     lead, n_taps = tap_window(channels[0], filt)
     lead, n_taps = lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)
     got = effective_taps(channels, [filt] * count, cfg.N, [(lead, n_taps)] * count).dense()
-    assert got.shape == (count, cfg.N, n_taps)
+    assert len(got) == count
     for taps, ch in zip(got, channels):
+        assert taps.shape == (cfg.N, n_taps)
         want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
         assert np.max(np.abs(taps - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
 
@@ -449,8 +459,8 @@ def test_stacked_taps_equal_per_channel_oracle(
          delays=[0.0, 1.3, 2.6], seed=3)
 def test_mixed_filter_stack_equals_per_point_oracle(o, designs, points, delays, seed):
     """Points with their own filter (one O, several roll-offs and spans) and
-    their own window: row s is point s's taps from full tables, zero past its
-    own tap count."""
+    their own window: the taps of point s are its own (N, L_s) taps from
+    full tables."""
     cfg = _cfg(16)
     designed = [design_srrc(beta, 2 * half_q, o, cfg.dt) for beta, half_q in designs]
     rng = np.random.default_rng(seed)
@@ -463,12 +473,11 @@ def test_mixed_filter_stack_equals_per_point_oracle(o, designs, points, delays, 
         lead, n_taps = tap_window(channels[-1], filts[-1], exact=exact)
         windows.append((lead + extra_lead, max(1, n_taps + extra_lead + extra_taps)))
     got = effective_taps(channels, filts, cfg.N, windows).dense()
-    width = max(n_taps for _, n_taps in windows)
-    assert got.shape == (len(points), cfg.N, width)
+    assert len(got) == len(points)
     for taps, ch, filt, (lead, n_taps) in zip(got, channels, filts, windows):
-        assert not np.any(taps[:, n_taps:])
+        assert taps.shape == (cfg.N, n_taps)
         want = _taps_from_tables(ch, filt, cfg.N, lead, n_taps)
-        assert np.max(np.abs(taps[:, :n_taps] - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
+        assert np.max(np.abs(taps - want)) <= 1e-12 * np.sum(np.abs(ch.gains))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -508,13 +517,102 @@ def test_taps_from_channel_tones_equal_per_point_oracle(
     windows = [tap_window(block[0][0], f, exact=exact) for f in filts]
     amb = ambiguity_values([c for channels in block for c in channels],
                            filts * trials, windows * trials)
-    for channels, a in zip(block, np.split(amb, trials)):
+    for i, channels in enumerate(block):
+        a = amb[i * len(points) : (i + 1) * len(points)]
         got = effective_taps(channels, filts, cfg.N, windows, ambiguity=a).dense()
-        assert np.array_equal(got, effective_taps(channels, filts, cfg.N, windows).dense())
-        for taps, ch, filt, (lead, n_taps) in zip(got, channels, filts, windows):
-            want = effective_taps([ch], [filt], cfg.N, [(lead, n_taps)]).dense()[0]
-            assert not np.any(taps[:, n_taps:])
-            assert np.array_equal(taps[:, :n_taps], want)
+        unblocked = effective_taps(channels, filts, cfg.N, windows).dense()
+        for taps, same, ch, filt, window in zip(got, unblocked, channels, filts, windows):
+            want = effective_taps([ch], [filt], cfg.N, [window]).dense()[0]
+            assert np.array_equal(taps, same)
+            assert np.array_equal(taps, want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    o=st.integers(2, 8),
+    designs=st.lists(st.tuples(st.floats(0.05, 1.0), st.integers(1, 4)), min_size=1, max_size=3),
+    points=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans()), min_size=1, max_size=6
+    ),
+    delays=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_points_sharing_a_channel_object_share_one_tones_array(o, designs, points, delays, seed):
+    """Each point holds (P, N) tones and a (P, L_s) profile for its own
+    window, and two points hold one tones array object exactly when they
+    share a channel object."""
+    cfg = _cfg(16)
+    designed = [design_srrc(beta, 2 * half_q, o, cfg.dt) for beta, half_q in designs]
+    rng = np.random.default_rng(seed)
+    delays = np.sort(delays) * cfg.dt
+    drawn = []
+    for _ in range(3):
+        gains, nus = _draw_paths(rng, len(delays))
+        drawn.append(DDChannel(gains, delays, nus))
+    channels = [drawn[c] for _, c, _ in points]
+    filts = [designed[d % len(designed)] for d, _, _ in points]
+    windows = [tap_window(ch, f, exact) for ch, f, (_, _, exact) in zip(channels, filts, points)]
+    taps = effective_taps(channels, filts, cfg.N, windows)
+    assert len(taps.tones) == len(taps.profiles) == len(points)
+    for tones, profile, ch, (_, n_taps) in zip(taps.tones, taps.profiles, channels, windows):
+        assert tones.shape == (len(delays), cfg.N)
+        assert profile.shape == (len(delays), n_taps)
+        for other_tones, other in zip(taps.tones, channels):
+            assert (tones is other_tones) == (ch is other)
+
+
+def _two_channels(cfg):
+    return [DDChannel([1.0, 0.5j], [0.0, 1.0 * cfg.dt], [100.0, -50.0]),
+            DDChannel([0.3, 1.0], [0.0, 1.0 * cfg.dt], [-20.0, 70.0])]
+
+
+def test_ambiguity_values_refuses_points_that_do_not_pair_up():
+    """Two channels with one filter gave point 1 an all-zero profile."""
+    cfg = _cfg(16)
+    filt = _filt(cfg, q=4, o=4)
+    channels = _two_channels(cfg)
+    w = tap_window(channels[0], filt)
+    for filts, windows in (([filt], [w, w]), ([filt, filt], [w]), ([filt] * 3, [w] * 3)):
+        with pytest.raises(ValueError, match=f"2 channels, {len(filts)} filters and "
+                                             f"{len(windows)} windows: give one of each"):
+            ambiguity_values(channels, filts, windows)
+
+
+def test_effective_taps_refuses_points_that_do_not_pair_up():
+    """One window for two channels returned one tap count for two points."""
+    cfg = _cfg(16)
+    filt = _filt(cfg, q=4, o=4)
+    channels = _two_channels(cfg)
+    w = tap_window(channels[0], filt)
+    for filts, windows in (([filt, filt], [w]), ([filt], [w, w])):
+        with pytest.raises(ValueError, match="give one of each per point"):
+            effective_taps(channels, filts, cfg.N, windows)
+    # profiles given for other points than these
+    profiles = ambiguity_values(channels[:1], [filt], [w])
+    with pytest.raises(ValueError, match="do not fit the points"):
+        effective_taps(channels, [filt, filt], cfg.N, [w, w], ambiguity=profiles)
+
+
+def test_predict_output_checks_every_point():
+    """Every point's tones must have N samples."""
+    cfg = _cfg(8)
+    good, short = np.zeros((8, 2), complex), np.zeros((7, 2), complex)
+    with pytest.raises(ValueError, match="expected N = 8"):
+        predict_output(cfg, _factors(good, short), np.ones(8, dtype=complex))
+
+
+def test_path_taps_refuses_factors_that_do_not_pair_up():
+    """Each point needs both its tones and its profile, over one set of
+    paths: one path's tones with a three-path profile were predicted, the
+    tones broadcast over the paths."""
+    taps = _factors(np.zeros((8, 2), complex), np.zeros((8, 3), complex))
+    for tones, profiles in (
+        (taps.tones, taps.profiles[:1]),
+        (taps.tones[:1], taps.profiles),
+        ((np.ones((1, 8)),), (np.ones((3, 2)),)),
+    ):
+        with pytest.raises(ValueError, match="one path count"):
+            PathTaps(tones, profiles)
 
 
 def test_dense_taps_beside_a_wider_window_equal_the_point_alone():
@@ -526,11 +624,10 @@ def test_dense_taps_beside_a_wider_window_equal_the_point_alone():
     (ch,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], np.random.default_rng([11, 0]))
     filt = ec.srrc()
     windows = [tap_window(ch, filt), tap_window(ch, filt, exact=True)]
-    stack = effective_taps([ch, ch], [filt, filt], ec.n, windows).dense()
-    for taps, window in zip(stack, windows):
+    both = effective_taps([ch, ch], [filt, filt], ec.n, windows).dense()
+    for taps, window in zip(both, windows):
         want = effective_taps([ch], [filt], ec.n, [window]).dense()[0]
-        assert not np.any(taps[:, window[1]:])
-        assert np.array_equal(taps[:, : window[1]], want)
+        assert np.array_equal(taps, want)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -791,7 +888,7 @@ def test_exact_window_io_relation_is_machine_precision():
     rng = np.random.default_rng(36)
     ch = DDChannel([0.8 + 0.1j, 0.3 - 0.5j], [0.0, 2.7 * cfg.dt], [1500.0, -2100.0])
     symbols = qam4_symbols(cfg.N, rng)
-    nmse = nmse_trial(cfg, filt, ch, symbols, exact_window=True)
+    nmse = _nmse_trial(cfg, filt, ch, symbols, exact_window=True)
     assert nmse < 1e-20
 
 
@@ -818,7 +915,7 @@ def test_exact_window_io_relation_for_random_channels(half_n, o, half_q, beta, p
     gains = [complex(rng.standard_normal(), rng.standard_normal()) for _ in paths]
     ch = DDChannel(gains, np.array(shifts) * filt.dt, nus)
     symbols = qam4_symbols(cfg.N, rng)
-    assert nmse_trial(cfg, filt, ch, symbols, exact_window=True) < 1e-20
+    assert _nmse_trial(cfg, filt, ch, symbols, exact_window=True) < 1e-20
 
 
 def test_default_window_io_relation_is_accurate():
@@ -827,7 +924,7 @@ def test_default_window_io_relation_is_accurate():
     rng = np.random.default_rng(37)
     ch = DDChannel([0.8 + 0.1j, 0.3 - 0.5j], [0.0, 2.2 * cfg.dt], [2000.0, -1400.0])
     symbols = qam4_symbols(cfg.N, rng)
-    nmse = nmse_trial(cfg, filt, ch, symbols)
+    nmse = _nmse_trial(cfg, filt, ch, symbols)
     assert nmse < 10 ** (-40 / 10.0)
 
 
