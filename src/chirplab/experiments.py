@@ -60,7 +60,7 @@ from .receiver import (
     sample_matched_filter,
     tap_window,
 )
-from .spectral import PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
+from .spectral import _MIN_FRAMES, PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
 from .transforms import ChirpConfig, demodulate, modulate
 from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_ideal
 from . import aliasing
@@ -477,22 +477,24 @@ def run_psd_experiment(ec: ExperimentConfig) -> tuple[PsdCurve, PsdCurve, float]
     """Analytic and empirical frame PSDs plus the -20 dB occupied bandwidth.
 
     Empirical frames are ideal (alias-free) chirp syntheses of independent
-    4-QAM vectors; ``trials`` sets the frame count (at least 10), and the
-    Welch estimate uses 4096-point segments.  Frame t draws its symbols from
-    ``default_rng([seed, t])``.  The frames are drawn, synthesised and
-    passed to Welch in blocks of at most ``_PSD_BLOCK_BYTES``, so the memory
-    does not grow with the frame count.
+    4-QAM vectors; ``trials`` sets the frame count, and a count below 10 is
+    refused before any frame is drawn.  The Welch estimate uses 4096-point
+    segments.  Frame t draws its symbols from ``default_rng([seed, t])``.
+    The frames are drawn, synthesised and passed to Welch in blocks of at
+    most ``_PSD_BLOCK_BYTES``, so the memory does not grow with the frame
+    count.
     """
+    if ec.trials < _MIN_FRAMES:
+        raise ValueError(f"psd needs trials >= {_MIN_FRAMES} (its frame count), got {ec.trials}")
     cfg = ec.chirp_config()
-    n_frames = max(ec.trials, 10)
     per_block = max(1, _PSD_BLOCK_BYTES // (16 * cfg.N * ec.oversample))
 
     def blocks():
-        for lo in range(0, n_frames, per_block):
+        for lo in range(0, ec.trials, per_block):
             symbols = np.array(
                 [
                     qam4_symbols(cfg.N, np.random.default_rng([ec.seed, t]))
-                    for t in range(lo, min(lo + per_block, n_frames))
+                    for t in range(lo, min(lo + per_block, ec.trials))
                 ]
             )
             yield synth_ideal(cfg, symbols, ec.oversample)

@@ -8,9 +8,8 @@ oracle.  ``sample_matched_filter`` evaluates the matched-filter output
 only at those N instants, as a polyphase decimator (one product of the
 waveform, folded into rows of O samples, with the conjugated taps, then a
 sum of shifted diagonals), so the fine-grid correlation is never formed.
-A batch of waveform rows, each with its own filter and start, shares one
-such product: the taps are zero-padded to the widest span, which leaves each
-row's outputs exactly as the row alone gives them.
+A batch of waveform rows is sampled row by row, each row through its own
+filter from its own start, with its own product.
 For a delay-Doppler channel with fine-grid delays the sampled matched-filter
 output obeys an exact linear tap relation
 
@@ -45,6 +44,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channel import DDChannel, _doppler_tones
 from .transforms import ChirpConfig, demodulate, modulate
@@ -61,83 +61,56 @@ def sample_matched_filter(wf: Waveform, filt, t_start, count: int) -> np.ndarray
     len(r) + M - 1); windows running past either end of the waveform read
     zeros there.  A (rows, n) ``wf.samples`` gives the (rows, count) outputs
     of row r through ``filt[r]`` from ``t_start[r]`` (or one filter and one
-    start for every row); the filters must share one fine grid and the rows'
-    instants one symbol grid.
+    start for every row).  Each filter's fine grid must be the waveform's.
 
     The sum is a polyphase decimator (Crochiere and Rabiner, Multirate
     Digital Signal Processing, 1983).  With u = j O + p, window k reads
     r[n_0 - c + (k + j) O + p], entry (k + j, p) of the span the windows
     cover folded into a contiguous (count + q, O) array R.  So the product
     P = R A^H with the (q + 1, O) tap matrix A (taps zero-padded to
-    (q + 1) O) gives output k as the diagonal sum sum_j P[k + j, j].  Rows
-    share one product: each row's taps are zero-padded on both sides to the
-    widest span q, which keeps its centre and its polyphase rows, and the
-    product, formed in groups of at most O tap rows, runs over the union of
-    the rows' instants, from which each row reads its own count.  The terms
-    are summed in order of j, and a zero tap row adds exact zeros, so a
-    row's outputs equal those of the row alone, bit for bit.
+    (q + 1) O) gives output k as the diagonal sum sum_j P[k + j, j], one
+    reduction over a (q + 1, count) strided view of P.  Each row has its own
+    span, taps and product.  For count >= 2 numpy adds the view's rows in
+    order of j, the order of a loop over the diagonals, which the tests keep
+    as the oracle.
     """
     rows = wf.samples.reshape(-1, wf.samples.shape[-1])
     n_rows, n_in = rows.shape
     filts = [filt] * n_rows if isinstance(filt, SrrcFilter) else list(filt)
     if len(filts) != n_rows:
         raise ValueError(f"got {len(filts)} filters for {n_rows} rows")
-    if any((f.Ts, f.O) != (filts[0].Ts, filts[0].O) for f in filts):
-        raise ValueError("filters must share one fine grid (Ts and O)")
-    if abs(wf.sample_rate * filts[0].dt - 1.0) > 1e-9:
-        raise ValueError("waveform rate does not match the filter fine grid")
     dt = 1.0 / wf.sample_rate
-    wide = max(filts, key=lambda f: f.q)
-    o, q = wide.O, wide.q
-    m = len(wide.taps)
-    # each row's taps are zero-padded by the span they are short of the widest
-    pads = [(q - f.q) * o // 2 for f in filts]
-    # each row's first instant on the grid of the widest full correlation,
-    # which starts half its span before the waveform; the instants between
-    # sit on the grid if the first and the last do and lie (count - 1) O
-    # samples apart
-    origin = wf.t0 - wide.half_span * wide.Ts
     starts = (np.zeros(n_rows) + t_start).tolist()  # one start per row, or one for all
-    firsts = []
-    for t, f, pad in zip(starts, filts, pads):
-        pos = (t - origin) / dt
-        end = pos + (count - 1) * (wide.Ts / dt)
+    out = np.empty((n_rows, count), dtype=np.complex128)
+    for r, f, t, y in zip(rows, filts, starts, out):
+        if abs(wf.sample_rate * f.dt - 1.0) > 1e-9:
+            raise ValueError("waveform rate does not match the filter fine grid")
+        o, q, m = f.O, f.q, len(f.taps)
+        # the first instant on the grid of the full correlation, which starts
+        # half the span before the waveform; the instants between sit on the
+        # grid if the first and the last do and lie (count - 1) O samples apart
+        pos = (t - (wf.t0 - f.half_span * f.Ts)) / dt
+        end = pos + (count - 1) * (f.Ts / dt)
         first, last = round(pos), round(end)
         if max(abs(pos - first), abs(end - last)) > 1e-6 or last - first != (count - 1) * o:
             raise ValueError("sampling instants do not align with the waveform grid")
-        if first < pad or last >= n_in + len(f.taps) - 1 + pad:
+        if first < 0 or last >= n_in + m - 1:
             raise ValueError("sampling instants fall outside the waveform support")
-        firsts.append(first)
-    if any((f - min(firsts)) % o for f in firsts):
-        raise ValueError("the rows' sampling instants must share one symbol grid")
-    offs = [(f - min(firsts)) // o for f in firsts]
-    n_union = count + max(offs)
-    # the windows span r[start .. stop); pad only where that leaves r (the
-    # last O - 1 samples of the span meet zero taps)
-    start = min(firsts) - (m - 1)
-    stop = start + (n_union + q) * o
-    span = rows[:, max(start, 0) : min(stop, n_in)]
-    if start < 0 or stop > n_in:
-        span = np.pad(span, ((0, 0), (max(-start, 0), max(stop - n_in, 0))))
-    span = span.reshape(n_rows, n_union + q, o)
-    taps = np.zeros((n_rows, q + 1, o), dtype=np.complex128)
-    for row, f, pad in zip(taps.reshape(n_rows, -1), filts, pads):
-        row[pad : pad + len(f.taps)] = np.conj(f.taps)
-    # the product in groups of at most O tap rows, so that none is larger than
-    # the span it reads.  Stacking the rows of a group's product makes each
-    # diagonal one strided view: entry r (n_union + q) + k of the sums is
-    # output k of row r (the last q entries of a row mix in the next row's
-    # and are never read)
-    sums = np.zeros(n_rows * (n_union + q), dtype=np.complex128)
-    for j0 in range(0, q + 1, o):
-        prod = (span @ taps[:, j0 : j0 + o].transpose(0, 2, 1)).reshape(len(sums), -1)
-        for j in range(j0, j0 + prod.shape[1]):
-            sums[: len(sums) - j] += prod[j:, j - j0]
-        del prod
-    sums = sums.reshape(n_rows, n_union + q)
-    out = np.empty((n_rows, count), dtype=np.complex128)
-    for row, s, off in zip(out, sums, offs):
-        np.multiply(s[off : off + count], wide.dt, out=row)
+        # the windows span r[start .. stop); pad only where that leaves r (the
+        # last O - 1 samples of the span meet zero taps)
+        start = first - (m - 1)
+        stop = start + (count + q) * o
+        span = r[max(start, 0) : min(stop, n_in)]
+        if start < 0 or stop > n_in:
+            span = np.pad(span, (max(-start, 0), max(stop - n_in, 0)))
+        taps = np.zeros((q + 1) * o, dtype=np.complex128)
+        taps[:m] = np.conj(f.taps)
+        prod = span.reshape(count + q, o) @ taps.reshape(q + 1, o).T
+        # entry (j, k) of this view is prod[k + j, j]
+        s0, s1 = prod.strides
+        diagonals = as_strided(prod, (q + 1, count), (s0 + s1, s0), writeable=False)
+        np.add.reduce(diagonals, axis=0, out=y)
+        y *= f.dt
     return out.reshape(wf.samples.shape[:-1] + (count,))
 
 

@@ -145,6 +145,9 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
     return PsdCurve(freqs, psd)
 
 
+# the fewest frames ``empirical_psd`` averages into a stable estimate
+_MIN_FRAMES = 10
+
 # Welch segments transformed per FFT call: one group's windowed segments and
 # spectra stay in the cache, instead of one array per segment of the stream
 _WELCH_BLOCK = 16
@@ -260,9 +263,9 @@ def empirical_psd(frames: Waveform | Iterable[Waveform], nfft: int) -> PsdCurve:
         held = x[cut:].copy() if cut >= 0 else np.concatenate([held[cut:], x])
         del block, x  # free this block before the next one is made
         index += 1
-    if n_frames < 10:
+    if n_frames < _MIN_FRAMES:
         raise ValueError(
-            f"need at least 10 frames, one per row, for a stable estimate; "
+            f"need at least {_MIN_FRAMES} frames, one per row, for a stable estimate; "
             f"got {n_frames} frames"
         )
     if sums.count == sums.filled == 0:

@@ -108,14 +108,19 @@ def modulate(cfg: ChirpConfig, symbols: np.ndarray) -> np.ndarray:
     """Map N symbols to the chirp-domain sequence via the fast factorization.
 
     Equivalent to ``idaft_matrix(cfg) @ symbols`` but O(N log N): pre-chirp in
-    the symbol index, unitary inverse FFT, post-chirp in the sample index.
-    Takes an (..., N) array: frames in the leading axes, the transform along
-    the last, contiguous axis.
+    the symbol index, unitary inverse FFT, post-chirp in the sample index,
+    each step in place in the one output array.  Takes an (..., N) array:
+    frames in the leading axes, the transform along the last, contiguous
+    axis.
     """
     symbols = np.asarray(symbols)
     if symbols.shape[-1] != cfg.N:
         raise ValueError(f"expected {cfg.N} symbols per frame, got {symbols.shape[-1]}")
-    return cfg._k_chirp * (np.fft.ifft(cfg._n_chirp * symbols) * np.sqrt(cfg.N))
+    out = cfg._n_chirp * symbols
+    np.fft.ifft(out, out=out)
+    np.multiply(out, np.sqrt(cfg.N), out=out)
+    np.multiply(cfg._k_chirp, out, out=out)
+    return out
 
 
 def demodulate(cfg: ChirpConfig, sequence: np.ndarray) -> np.ndarray:
@@ -123,7 +128,11 @@ def demodulate(cfg: ChirpConfig, sequence: np.ndarray) -> np.ndarray:
     sequence = np.asarray(sequence)
     if sequence.shape[-1] != cfg.N:
         raise ValueError(f"expected length {cfg.N} per frame, got {sequence.shape[-1]}")
-    return cfg._n_chirp.conj() * (np.fft.fft(cfg._k_chirp.conj() * sequence) / np.sqrt(cfg.N))
+    out = cfg._k_chirp.conj() * sequence
+    np.fft.fft(out, out=out)
+    np.divide(out, np.sqrt(cfg.N), out=out)
+    np.multiply(cfg._n_chirp.conj(), out, out=out)
+    return out
 
 
 def idfnt_matrix(n_points: int) -> np.ndarray:

@@ -737,6 +737,23 @@ def test_a_tap_window_longer_than_the_frame_is_refused_before_any_trial(
     assert not trials
 
 
+def test_cli_psd_refuses_fewer_than_ten_frames_before_drawing_one(monkeypatch, capsys):
+    """``--trials 3`` is refused, naming the count and the minimum, and no
+    frame is drawn: the count is not silently raised to 10."""
+    drawn = []
+
+    def counted(n, rng):
+        drawn.append(n)
+        return qam4_symbols(n, rng)
+
+    monkeypatch.setattr(experiments, "qam4_symbols", counted)
+    assert cli.main(["psd", "--small", "--trials", "3"]) == 1
+    assert capsys.readouterr().err == "error: psd needs trials >= 10 (its frame count), got 3\n"
+    assert not drawn
+    assert cli.main(["psd", "--small", "--trials", "10"]) == 0
+    assert len(drawn) == 10
+
+
 def test_cli_psd_writes_both_curves(tmp_path, capsys):
     cfg_text = "n = 64\ntrials = 10\noversample = 8\nseed = 4\n"
     path = tmp_path / "exp.cfg"

@@ -235,10 +235,56 @@ def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, cou
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def _diagonal_loop(wf, filt, t_start, count):
+    """Oracle: one row's polyphase product, its diagonals summed by a loop in
+    order of j, sums[k] = P[k, 0] + P[k + 1, 1] + ... + P[k + q, q]."""
+    o, q, m = filt.O, filt.q, len(filt.taps)
+    # the first instant's index into the full correlation, which starts half
+    # the span before the waveform
+    first = round((t_start - wf.t0) * wf.sample_rate) + q * o // 2
+    padded = np.concatenate([np.zeros(m), wf.samples, np.zeros((count + q) * o)])
+    span = padded[first + 1 : first + 1 + (count + q) * o].reshape(count + q, o)
+    taps = np.zeros((q + 1) * o, dtype=complex)
+    taps[:m] = np.conj(filt.taps)
+    prod = span @ taps.reshape(q + 1, o).T
+    sums = prod[:count, 0].copy()
+    for j in range(1, q + 1):
+        sums += prod[j : j + count, j]
+    return sums * filt.dt
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    spans=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+    o=st.sampled_from([2, 4, 8, 16]),
+    count=st.integers(2, 300),
+    shift=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# q + 1 below O, equal to it and above it, and a paper-scale row
+@example(spans=[1, 3], o=16, count=2, shift=-3, seed=1)
+@example(spans=[4, 10, 2], o=8, count=40, shift=0, seed=2)
+@example(spans=[6], o=16, count=1024, shift=-6, seed=3)
+def test_matched_filter_rows_equal_the_diagonal_loop(spans, o, count, shift, seed):
+    """Rows of mixed span, each from its own start: every row's outputs equal
+    its polyphase product summed diagonal by diagonal in order of j, bit for
+    bit, with the windows that run past either end of the waveform."""
+    ts, t0 = 1e-6, 3e-6
+    filts = [design_srrc(0.25, 2 * half_q, o, ts) for half_q in spans]
+    starts = [t0 + max(shift, -half_q) * ts for half_q in spans]
+    rng = np.random.default_rng(seed)
+    n = (count + 4) * o
+    rows = rng.standard_normal((len(spans), n)) + 1j * rng.standard_normal((len(spans), n))
+    got = sample_matched_filter(Waveform(rows, o / ts, t0=t0), filts, starts, count)
+    for row, filt, start, out in zip(rows, filts, starts, got):
+        want = _diagonal_loop(Waveform(row, o / ts, t0=t0), filt, start, count)
+        assert np.array_equal(out, want)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     points=st.lists(
-        st.tuples(st.integers(1, 6), st.floats(0.0, 1.0), st.integers(-3, 3)),
+        st.tuples(st.integers(1, 6), st.floats(0.0, 1.0), st.integers(-3, 3), st.integers(0, 7)),
         min_size=1,
         max_size=6,
     ),
@@ -248,13 +294,14 @@ def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, cou
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matched_filter_rows_equal_per_row_calls(points, o, count, t0, seed):
-    """Rows with their own span, roll-off and start (whole symbols apart)
-    share one padded polyphase product, and each row's outputs equal those
-    of the row alone, bit for bit."""
+    """Rows with their own span, roll-off and start, whole symbols or a
+    fraction of one apart: each row's outputs equal those of the row alone,
+    bit for bit."""
     ts = 1e-6
-    filts = [design_srrc(beta, 2 * half_q, o, ts) for half_q, beta, _ in points]
-    # each row's first instant lies inside its own correlation support
-    starts = [t0 + max(k, -half_q) * ts for half_q, _, k in points]
+    filts = [design_srrc(beta, 2 * half_q, o, ts) for half_q, beta, _, _ in points]
+    # each row's first instant lies on the fine grid, inside its own
+    # correlation support
+    starts = [t0 + max(k, -half_q) * ts + (p % o) * ts / o for half_q, _, k, p in points]
     rng = np.random.default_rng(seed)
     n = (count + 8) * o
     rows = rng.standard_normal((len(points), n)) + 1j * rng.standard_normal((len(points), n))
@@ -267,15 +314,22 @@ def test_matched_filter_rows_equal_per_row_calls(points, o, count, t0, seed):
 
 
 def test_matched_filter_rows_refuse_mixed_grids_and_instants():
+    """Every row's filter is checked against the waveform's fine grid, and
+    every row's instants against the grid and the support."""
     ts, o = 1e-6, 4
     wf = Waveform(np.ones((2, 200), dtype=complex), o / ts)
     filts = [design_srrc(0.2, 4, o, ts), design_srrc(0.3, 8, o, ts)]
-    with pytest.raises(ValueError, match="one fine grid"):
+    with pytest.raises(ValueError, match="waveform rate does not match the filter fine grid"):
         sample_matched_filter(wf, [filts[0], design_srrc(0.2, 4, 2 * o, ts / 2)], 0.0, 4)
     with pytest.raises(ValueError, match="got 1 filters for 2 rows"):
         sample_matched_filter(wf, filts[:1], 0.0, 4)
-    with pytest.raises(ValueError, match="share one symbol grid"):
-        sample_matched_filter(wf, filts, [0.0, ts / o], 4)
+    with pytest.raises(ValueError, match="do not align"):
+        sample_matched_filter(wf, filts, [0.0, 0.5 * ts / o], 4)
+    with pytest.raises(ValueError, match="outside the waveform support"):
+        sample_matched_filter(wf, filts, [0.0, -5 * ts], 4)
+    # rows whose instants are a fraction of a symbol apart are sampled
+    mixed = sample_matched_filter(wf, filts, [0.0, ts / o], 4)
+    assert np.array_equal(mixed[1], sample_matched_filter(wf, filts[1], ts / o, 4)[1])
     # one filter and one start serve every row
     both = sample_matched_filter(wf, filts[0], 0.0, 4)
     assert np.array_equal(both, sample_matched_filter(wf, filts[:1] * 2, [0.0, 0.0], 4))
