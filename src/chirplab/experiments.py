@@ -24,11 +24,12 @@ path delays, so each filter has one tap window for the whole sweep.
 once per run of points with the same filter object and window (all of a
 speed sweep, one point of a roll-off or span sweep).  The points that share
 a channel object (all of a roll-off or span sweep, one point of a speed
-sweep) then pass the channel and the matched filter as rows of one array on
-their common fine grid, in chunks under a byte budget, and the trial's
-(S, N) stack is demodulated at once; each row equals its point run alone,
-bit for bit.  The tap model draws the trials in blocks under another byte
-budget and takes the ambiguity values of every point of a block in one
+sweep) then pass the channel as rows of one array on their common fine
+grid, in chunks under a byte budget, so that they share its Doppler tones;
+the matched filter samples each row alone, through its point's filter.  The
+trial's (S, N) stack is demodulated at once; each row equals its point run
+alone, bit for bit.  The tap model draws the trials in blocks under another
+byte budget and takes the ambiguity values of every point of a block in one
 ``ambiguity_values`` call, which gathers the shifted pulses once per filter
 and block and gives each point its own (P, L) profile.  It then takes each
 trial's path-wise taps, its points' share of those profiles, in one
@@ -45,7 +46,6 @@ point change its prediction.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -61,7 +61,7 @@ from .receiver import (
     tap_window,
 )
 from .spectral import _MIN_FRAMES, PsdCurve, analytic_psd, empirical_psd, occupied_bandwidth
-from .transforms import ChirpConfig, demodulate, modulate
+from .transforms import ChirpConfig, _is_integer, demodulate, modulate
 from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_ideal
 from . import aliasing
 
@@ -99,7 +99,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for key in INTEGER_KEYS:
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not _is_integer(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
@@ -279,31 +279,16 @@ def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) ->
     return shape(cfg, add_cpp(cfg, x, l_cpp), filt, t_first=-l_cpp * cfg.dt)
 
 
-def _receive(
-    cfg: ChirpConfig, filts: list, channel: DDChannel, waves: list, leads: list
-) -> np.ndarray:
-    """Channel, then the matched filter of filts[r] sampled at the base rate
-    from leads[r] symbols before the first path: the (rows, N) received frames
-    of the shaped waveforms ``waves`` before ``demodulate``.
-
-    The waveforms become the rows of one array on their common fine grid,
-    which starts at a whole number of samples from t = 0 (``_on_tone_blocks``),
-    so the channel and the matched filter each make one call for all rows,
-    and a row's result does not depend on the rows beside it.
-    """
-    rx = apply_channel(channel, _on_tone_blocks(waves))
-    tau1 = channel.shifts(filts[0].dt)[0] * filts[0].dt
-    return sample_matched_filter(rx, filts, [tau1 - lead * cfg.dt for lead in leads], cfg.N)
-
-
-# Bytes of fine-grid samples the waveform chain passes through the channel and
-# the matched filter in one call.  A trial's points that share a channel object
-# (a roll-off or span sweep) are received as rows of one array, in chunks of
-# rows under this size: all 8 desk-scale rows (about 38 kB at N = 256, O = 8)
-# share one chunk, paper-scale rows (about 270 kB at N = 1024, O = 16) go three
-# to a chunk.  Measured on those sweeps, three rows a chunk beat one by 9-10%,
-# while five or more were slower than one: the buffers leave the cache
-_ROW_BATCH_BYTES = 1 << 20
+# Bytes of fine-grid samples the waveform chain passes through the channel in
+# one call.  A trial's points that share a channel object (a roll-off or span
+# sweep) pass it as rows of one array, in chunks of rows under this size, and
+# share its Doppler tones; the matched filter then samples each row alone.
+# All 8 desk-scale rows (34-37 kB each at N = 256, O = 8) share one chunk, and
+# each paper-scale row (261-268 kB at N = 1024, O = 16) goes alone.  Measured
+# in process on the paper-scale roll-off and span sweeps, 1 MB chunks of
+# three rows ran 1.4-1.5x slower than this size and faulted in 7,000-9,500
+# fresh pages per sweep against 1-1,241 (BENCH_28.json)
+_ROW_BATCH_BYTES = 1 << 19
 
 
 def simulate_frame(
@@ -327,9 +312,11 @@ def simulate_frame(
     object and window share one transmitted waveform (all of a speed sweep;
     one point of a roll-off or span sweep).  Consecutive points with the
     same channel object (all of a roll-off or span sweep; one point of a
-    speed sweep) are received as rows of one array, in chunks of at most
-    ``_ROW_BATCH_BYTES`` of fine-grid samples, and the (S, N) stack is
-    demodulated once.  Each row equals its point run alone, bit for bit.
+    speed sweep) pass the channel as rows of one array, in chunks of at most
+    ``_ROW_BATCH_BYTES`` of fine-grid samples, the one stage where they share
+    work.  Each row is then sampled by ``sample_matched_filter`` through its
+    own filter, and the (S, N) stack is demodulated once.  Each row equals
+    its point run alone, bit for bit.
     """
     _check_points(channels, filts, windows)
     x = modulate(cfg, symbols)
@@ -337,9 +324,12 @@ def simulate_frame(
     rows, waves = [], []
 
     def receive() -> None:
-        rx[rows[0] : rows[-1] + 1] = _receive(
-            cfg, [filts[i] for i in rows], channels[rows[0]], waves, [windows[i][0] for i in rows]
-        )
+        channel, dt = channels[rows[0]], filts[rows[0]].dt
+        out = apply_channel(channel, _on_tone_blocks(waves))
+        tau1 = channel.shifts(dt)[0] * dt
+        for i, samples in zip(rows, out.samples):
+            frame = Waveform(samples, out.sample_rate, out.t0)
+            rx[i] = sample_matched_filter(frame, filts[i], tau1 - windows[i][0] * cfg.dt, cfg.N)
         rows.clear()
         waves.clear()
 
@@ -535,8 +525,7 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     symbols = qam4_symbols(cfg.N, rng)
     filt = ec.srrc()
     windows = [_checked_window(channel, filt, ec.n, exact) for exact in (False, True)]
-    (nmse_window,), taps = _nmse_points(cfg, [filt], [channel], symbols, windows[:1])
-    (nmse_exact,), _ = _nmse_points(cfg, [filt], [channel], symbols, windows[1:])
+    (nmse_window, nmse_exact), taps = _nmse_points(cfg, [filt] * 2, [channel] * 2, symbols, windows)
     return {
         "nmse_model_db": 10.0 * np.log10(max(nmse_window, 1e-300)),
         "nmse_exact_db": 10.0 * np.log10(max(nmse_exact, 1e-300)),

@@ -8,8 +8,7 @@ oracle.  ``sample_matched_filter`` evaluates the matched-filter output
 only at those N instants, as a polyphase decimator (one product of the
 waveform, folded into rows of O samples, with the conjugated taps, then a
 sum of shifted diagonals), so the fine-grid correlation is never formed.
-A batch of waveform rows is sampled row by row, each row through its own
-filter from its own start, with its own product.
+It samples one frame per call, through one filter from one start.
 For a delay-Doppler channel with fine-grid delays the sampled matched-filter
 output obeys an exact linear tap relation
 
@@ -47,21 +46,21 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .channel import DDChannel, _doppler_tones
-from .transforms import ChirpConfig, demodulate, modulate
+from .transforms import ChirpConfig, _is_integer, demodulate, modulate
 from .waveform import SrrcFilter, Waveform, _windows
 
 
-def sample_matched_filter(wf: Waveform, filt, t_start, count: int) -> np.ndarray:
+def sample_matched_filter(wf: Waveform, filt: SrrcFilter, t_start: float, count: int) -> np.ndarray:
     """Matched-filter output y(t) = int r(u) a*(u - t) du at t_start + k Ts, k < count.
 
+    Samples one frame: ``wf.samples`` is 1-D, and a 2-D waveform is refused.
     Each output is the Riemann sum dt sum_u r[n_k - c + u] a*[u] of the
     window of the M = q O + 1 fine samples around the instant (c = q O), so
-    only the ``count`` sampled outputs are computed.  The instants must sit
-    on the fine grid and inside the support of the full correlation (length
-    len(r) + M - 1); windows running past either end of the waveform read
-    zeros there.  A (rows, n) ``wf.samples`` gives the (rows, count) outputs
-    of row r through ``filt[r]`` from ``t_start[r]`` (or one filter and one
-    start for every row).  Each filter's fine grid must be the waveform's.
+    only the ``count`` sampled outputs are computed; ``count`` must be a
+    positive integer.  The filter's fine grid must be the waveform's.  The
+    instants must sit on the fine grid and inside the support of the full
+    correlation (length len(r) + M - 1); windows running past either end of
+    the waveform read zeros there.
 
     The sum is a polyphase decimator (Crochiere and Rabiner, Multirate
     Digital Signal Processing, 1983).  With u = j O + p, window k reads
@@ -69,49 +68,46 @@ def sample_matched_filter(wf: Waveform, filt, t_start, count: int) -> np.ndarray
     cover folded into a contiguous (count + q, O) array R.  So the product
     P = R A^H with the (q + 1, O) tap matrix A (taps zero-padded to
     (q + 1) O) gives output k as the diagonal sum sum_j P[k + j, j], one
-    reduction over a (q + 1, count) strided view of P.  Each row has its own
-    span, taps and product.  For count >= 2 numpy adds the view's rows in
-    order of j, the order of a loop over the diagonals, which the tests keep
-    as the oracle.
+    reduction over a (q + 1, count) strided view of P.  For count >= 2 numpy
+    adds the view's rows in order of j, the order of a loop over the
+    diagonals, which the tests keep as the oracle.
     """
-    rows = wf.samples.reshape(-1, wf.samples.shape[-1])
-    n_rows, n_in = rows.shape
-    filts = [filt] * n_rows if isinstance(filt, SrrcFilter) else list(filt)
-    if len(filts) != n_rows:
-        raise ValueError(f"got {len(filts)} filters for {n_rows} rows")
+    r = wf.samples
+    if r.ndim != 1:
+        raise ValueError(f"expected the samples of one frame, got shape {r.shape}")
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    if abs(wf.sample_rate * filt.dt - 1.0) > 1e-9:
+        raise ValueError("waveform rate does not match the filter fine grid")
     dt = 1.0 / wf.sample_rate
-    starts = (np.zeros(n_rows) + t_start).tolist()  # one start per row, or one for all
-    out = np.empty((n_rows, count), dtype=np.complex128)
-    for r, f, t, y in zip(rows, filts, starts, out):
-        if abs(wf.sample_rate * f.dt - 1.0) > 1e-9:
-            raise ValueError("waveform rate does not match the filter fine grid")
-        o, q, m = f.O, f.q, len(f.taps)
-        # the first instant on the grid of the full correlation, which starts
-        # half the span before the waveform; the instants between sit on the
-        # grid if the first and the last do and lie (count - 1) O samples apart
-        pos = (t - (wf.t0 - f.half_span * f.Ts)) / dt
-        end = pos + (count - 1) * (f.Ts / dt)
-        first, last = round(pos), round(end)
-        if max(abs(pos - first), abs(end - last)) > 1e-6 or last - first != (count - 1) * o:
-            raise ValueError("sampling instants do not align with the waveform grid")
-        if first < 0 or last >= n_in + m - 1:
-            raise ValueError("sampling instants fall outside the waveform support")
-        # the windows span r[start .. stop); pad only where that leaves r (the
-        # last O - 1 samples of the span meet zero taps)
-        start = first - (m - 1)
-        stop = start + (count + q) * o
-        span = r[max(start, 0) : min(stop, n_in)]
-        if start < 0 or stop > n_in:
-            span = np.pad(span, (max(-start, 0), max(stop - n_in, 0)))
-        taps = np.zeros((q + 1) * o, dtype=np.complex128)
-        taps[:m] = np.conj(f.taps)
-        prod = span.reshape(count + q, o) @ taps.reshape(q + 1, o).T
-        # entry (j, k) of this view is prod[k + j, j]
-        s0, s1 = prod.strides
-        diagonals = as_strided(prod, (q + 1, count), (s0 + s1, s0), writeable=False)
-        np.add.reduce(diagonals, axis=0, out=y)
-        y *= f.dt
-    return out.reshape(wf.samples.shape[:-1] + (count,))
+    n_in = len(r)
+    o, q, m = filt.O, filt.q, len(filt.taps)
+    # the first instant on the grid of the full correlation, which starts
+    # half the span before the waveform; the instants between sit on the
+    # grid if the first and the last do and lie (count - 1) O samples apart
+    pos = (t_start - (wf.t0 - filt.half_span * filt.Ts)) / dt
+    end = pos + (count - 1) * (filt.Ts / dt)
+    first, last = round(pos), round(end)
+    if max(abs(pos - first), abs(end - last)) > 1e-6 or last - first != (count - 1) * o:
+        raise ValueError("sampling instants do not align with the waveform grid")
+    if first < 0 or last >= n_in + m - 1:
+        raise ValueError("sampling instants fall outside the waveform support")
+    # the windows span r[start .. stop); pad only where that leaves r (the
+    # last O - 1 samples of the span meet zero taps)
+    start = first - (m - 1)
+    stop = start + (count + q) * o
+    span = r[max(start, 0) : min(stop, n_in)]
+    if start < 0 or stop > n_in:
+        span = np.pad(span, (max(-start, 0), max(stop - n_in, 0)))
+    taps = np.zeros((q + 1) * o, dtype=np.complex128)
+    taps[:m] = np.conj(filt.taps)
+    prod = span.reshape(count + q, o) @ taps.reshape(q + 1, o).T
+    # entry (j, k) of this view is prod[k + j, j]
+    s0, s1 = prod.strides
+    diagonals = as_strided(prod, (q + 1, count), (s0 + s1, s0), writeable=False)
+    y = np.add.reduce(diagonals, axis=0)
+    y *= filt.dt
+    return y
 
 
 def tap_window(channel: DDChannel, filt: SrrcFilter, exact: bool = False) -> tuple[int, int]:

@@ -19,13 +19,12 @@ test oracles.
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import ChirpConfig
+from .transforms import ChirpConfig, _is_integer
 from .waveform import Waveform, _windows
 
 
@@ -222,7 +221,7 @@ def empirical_psd(frames: Waveform | Iterable[Waveform], nfft: int) -> PsdCurve:
     concatenated stream, and the PSD does not depend on how the frames are
     split into blocks.
     """
-    if isinstance(nfft, bool) or not isinstance(nfft, numbers.Integral) or nfft < 2:
+    if not _is_integer(nfft) or nfft < 2:
         # a one-sample Hann window is zero
         raise ValueError(f"nfft must be an integer >= 2, got {nfft!r}")
     blocks = [frames] if isinstance(frames, Waveform) else frames

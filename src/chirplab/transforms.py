@@ -23,6 +23,7 @@ of the package: frames in the leading axes, the transform along the last.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,8 +46,8 @@ class ChirpConfig:
     c2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.N < 2 or self.N % 2 != 0:
-            raise ValueError(f"N must be a positive even integer, got {self.N}")
+        if not _is_integer(self.N) or self.N < 2 or self.N % 2 != 0:
+            raise ValueError(f"N must be a positive even integer, got {self.N!r}")
         for name in ("T", "c1", "c2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -88,6 +89,12 @@ class ChirpConfig:
             table = _read_only(np.exp(2j * np.pi * self.c1 * self.N**2 * (t / self.T) ** 2))
             self._root_chirps[oversampling] = table
         return table
+
+
+def _is_integer(value) -> bool:
+    """The package's rule for an integer parameter: an ``Integral`` that is
+    not a bool, so that a float is refused rather than truncated."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

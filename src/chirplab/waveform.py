@@ -15,12 +15,11 @@ the base-rate sequence with a truncated root-raised-cosine filter.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import ChirpConfig
+from .transforms import ChirpConfig, _is_integer
 
 
 @dataclass
@@ -116,7 +115,7 @@ def design_srrc(beta: float, q: int, oversampling: int, Ts: float) -> SrrcFilter
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"roll-off must lie in [0, 1], got {beta}")
     for name, value in (("span", q), ("oversampling", oversampling)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if q < 2 or q % 2 != 0:
         raise ValueError(f"span must be an even integer >= 2, got {q}")
@@ -138,6 +137,8 @@ def root_chirp(cfg: ChirpConfig, oversampling: int) -> Waveform:
     The samples are a writable copy of the configuration's read-only table,
     which ``synth_ideal`` shares.
     """
+    if not _is_integer(oversampling) or oversampling < 1:
+        raise ValueError(f"oversampling must be an integer >= 1, got {oversampling!r}")
     samples = cfg._root_chirp(oversampling).copy()
     return Waveform(samples, sample_rate=len(samples) / cfg.T, t0=0.0)
 
@@ -148,10 +149,8 @@ def ideal_basis(cfg: ChirpConfig, n: int, oversampling: int) -> Waveform:
     At oversampling 1 the samples reduce to the base-rate chirp sequence
     exp(j 2 pi c1 k^2) exp(j 2 pi n k / N).
     """
-    if not 0 <= n < cfg.N:
-        raise ValueError(f"subcarrier index {n} outside [0, {cfg.N})")
-    if oversampling < 1:
-        raise ValueError(f"oversampling must be >= 1, got {oversampling}")
+    if not _is_integer(n) or not 0 <= n < cfg.N:
+        raise ValueError(f"subcarrier index n must be an integer in [0, {cfg.N}), got {n!r}")
     wf = root_chirp(cfg, oversampling)
     wf.samples *= np.exp(2j * np.pi * n * wf.times() / cfg.T)
     return wf

@@ -15,7 +15,6 @@ from chirplab import ExperimentConfig, complexity_compare, load_config
 from chirplab import acceptance, cli, experiments
 from chirplab.channel import make_eva_channels
 from chirplab.receiver import ambiguity_values, effective_taps, predict_output, tap_window
-from chirplab.transforms import modulate
 from chirplab.waveform import synth_ideal
 from chirplab.experiments import (
     CONFIG_KEYS,
@@ -421,21 +420,19 @@ def test_nmse_sweep_equals_per_point_oracle(case, half_n, trials, seed):
 )
 def test_points_sharing_a_channel_are_received_as_rows_equal_to_each_alone(points, half_n, seed):
     """Points with mixed spans and roll-offs that share one channel object
-    pass the channel and the matched filter as rows of one array; each row
-    equals its point received alone, bit for bit."""
+    pass the channel as rows of one array; each row of the trial's stack
+    equals its point simulated alone, bit for bit."""
     ec = ExperimentConfig(n=2 * half_n, oversample=4, seed=seed)
     cfg = ec.chirp_config()
     rng = np.random.default_rng([seed, 0])
     (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
-    x = modulate(cfg, qam4_symbols(cfg.N, rng))
+    symbols = qam4_symbols(cfg.N, rng)
     filts = [replace(ec, q=2 * half_q, beta=beta).srrc() for half_q, beta in points]
     windows = [tap_window(channel, f) for f in filts]
-    waves = [experiments._transmit(cfg, f, x, n_taps) for f, (_, n_taps) in zip(filts, windows)]
-    leads = [lead for lead, _ in windows]
-    rows = experiments._receive(cfg, filts, channel, waves, leads)
-    assert rows.shape == (len(points), cfg.N)
-    for row, filt, wf, lead in zip(rows, filts, waves, leads):
-        assert np.array_equal(row, experiments._receive(cfg, [filt], channel, [wf], [lead])[0])
+    stack = simulate_frame(cfg, filts, [channel] * len(filts), symbols, windows)
+    assert stack.shape == (len(points), cfg.N)
+    for row, filt, window in zip(stack, filts, windows):
+        assert np.array_equal(row, simulate_frame(cfg, [filt], [channel], symbols, [window])[0])
 
 
 def test_points_sharing_a_filter_with_two_windows_each_equal_their_point_alone():

@@ -236,7 +236,7 @@ def test_sampled_matched_filter_equals_full_correlation(half_q, o, n, first, cou
 
 
 def _diagonal_loop(wf, filt, t_start, count):
-    """Oracle: one row's polyphase product, its diagonals summed by a loop in
+    """Oracle: one frame's polyphase product, its diagonals summed by a loop in
     order of j, sums[k] = P[k, 0] + P[k + 1, 1] + ... + P[k + q, q]."""
     o, q, m = filt.O, filt.q, len(filt.taps)
     # the first instant's index into the full correlation, which starts half
@@ -259,80 +259,46 @@ def _diagonal_loop(wf, filt, t_start, count):
     o=st.sampled_from([2, 4, 8, 16]),
     count=st.integers(2, 300),
     shift=st.integers(-3, 3),
+    phase=st.integers(0, 15),
     seed=st.integers(0, 2**32 - 1),
 )
-# q + 1 below O, equal to it and above it, and a paper-scale row
-@example(spans=[1, 3], o=16, count=2, shift=-3, seed=1)
-@example(spans=[4, 10, 2], o=8, count=40, shift=0, seed=2)
-@example(spans=[6], o=16, count=1024, shift=-6, seed=3)
-def test_matched_filter_rows_equal_the_diagonal_loop(spans, o, count, shift, seed):
-    """Rows of mixed span, each from its own start: every row's outputs equal
-    its polyphase product summed diagonal by diagonal in order of j, bit for
-    bit, with the windows that run past either end of the waveform."""
+# q + 1 below O, equal to it and above it, and a paper-scale frame
+@example(spans=[1, 3], o=16, count=2, shift=-3, phase=0, seed=1)
+@example(spans=[4, 10, 2], o=8, count=40, shift=0, phase=0, seed=2)
+@example(spans=[6], o=16, count=1024, shift=-6, phase=0, seed=3)
+def test_matched_filter_rows_equal_the_diagonal_loop(spans, o, count, shift, phase, seed):
+    """Frames of mixed span, each from its own start, a whole number of
+    symbols or a fraction of one from the waveform's: every frame's outputs
+    equal its polyphase product summed diagonal by diagonal in order of j,
+    bit for bit, with the windows that run past either end of the waveform."""
     ts, t0 = 1e-6, 3e-6
-    filts = [design_srrc(0.25, 2 * half_q, o, ts) for half_q in spans]
-    starts = [t0 + max(shift, -half_q) * ts for half_q in spans]
     rng = np.random.default_rng(seed)
     n = (count + 4) * o
-    rows = rng.standard_normal((len(spans), n)) + 1j * rng.standard_normal((len(spans), n))
-    got = sample_matched_filter(Waveform(rows, o / ts, t0=t0), filts, starts, count)
-    for row, filt, start, out in zip(rows, filts, starts, got):
-        want = _diagonal_loop(Waveform(row, o / ts, t0=t0), filt, start, count)
-        assert np.array_equal(out, want)
+    for half_q in spans:
+        filt = design_srrc(0.25, 2 * half_q, o, ts)
+        start = t0 + max(shift, -half_q) * ts + (phase % o) * ts / o
+        row = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        wf = Waveform(row, o / ts, t0=t0)
+        got = sample_matched_filter(wf, filt, start, count)
+        assert np.array_equal(got, _diagonal_loop(wf, filt, start, count))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    points=st.lists(
-        st.tuples(st.integers(1, 6), st.floats(0.0, 1.0), st.integers(-3, 3), st.integers(0, 7)),
-        min_size=1,
-        max_size=6,
-    ),
-    o=st.sampled_from([2, 4, 8]),
-    count=st.integers(1, 60),
-    t0=st.floats(-1e-4, 1e-4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_matched_filter_rows_equal_per_row_calls(points, o, count, t0, seed):
-    """Rows with their own span, roll-off and start, whole symbols or a
-    fraction of one apart: each row's outputs equal those of the row alone,
-    bit for bit."""
-    ts = 1e-6
-    filts = [design_srrc(beta, 2 * half_q, o, ts) for half_q, beta, _, _ in points]
-    # each row's first instant lies on the fine grid, inside its own
-    # correlation support
-    starts = [t0 + max(k, -half_q) * ts + (p % o) * ts / o for half_q, _, k, p in points]
-    rng = np.random.default_rng(seed)
-    n = (count + 8) * o
-    rows = rng.standard_normal((len(points), n)) + 1j * rng.standard_normal((len(points), n))
-    wf = Waveform(rows, o / ts, t0=t0)
-    got = sample_matched_filter(wf, filts, starts, count)
-    assert got.shape == (len(points), count)
-    for row, filt, start, out in zip(rows, filts, starts, got):
-        alone = sample_matched_filter(Waveform(row, o / ts, t0=t0), filt, start, count)
-        assert np.array_equal(alone, out)
+def test_matched_filter_refuses_a_frame_stack():
+    """One frame per call: a (rows, n) waveform is refused, its shape named."""
+    filt = design_srrc(0.2, 4, 4, 1e-6)
+    wf = Waveform(np.ones((2, 200), dtype=complex), filt.O / filt.Ts)
+    with pytest.raises(ValueError, match=r"one frame, got shape \(2, 200\)"):
+        sample_matched_filter(wf, filt, 0.0, 4)
 
 
-def test_matched_filter_rows_refuse_mixed_grids_and_instants():
-    """Every row's filter is checked against the waveform's fine grid, and
-    every row's instants against the grid and the support."""
-    ts, o = 1e-6, 4
-    wf = Waveform(np.ones((2, 200), dtype=complex), o / ts)
-    filts = [design_srrc(0.2, 4, o, ts), design_srrc(0.3, 8, o, ts)]
-    with pytest.raises(ValueError, match="waveform rate does not match the filter fine grid"):
-        sample_matched_filter(wf, [filts[0], design_srrc(0.2, 4, 2 * o, ts / 2)], 0.0, 4)
-    with pytest.raises(ValueError, match="got 1 filters for 2 rows"):
-        sample_matched_filter(wf, filts[:1], 0.0, 4)
-    with pytest.raises(ValueError, match="do not align"):
-        sample_matched_filter(wf, filts, [0.0, 0.5 * ts / o], 4)
-    with pytest.raises(ValueError, match="outside the waveform support"):
-        sample_matched_filter(wf, filts, [0.0, -5 * ts], 4)
-    # rows whose instants are a fraction of a symbol apart are sampled
-    mixed = sample_matched_filter(wf, filts, [0.0, ts / o], 4)
-    assert np.array_equal(mixed[1], sample_matched_filter(wf, filts[1], ts / o, 4)[1])
-    # one filter and one start serve every row
-    both = sample_matched_filter(wf, filts[0], 0.0, 4)
-    assert np.array_equal(both, sample_matched_filter(wf, filts[:1] * 2, [0.0, 0.0], 4))
+@pytest.mark.parametrize("count", [0, -1, 1.5, 4.0, True])
+def test_matched_filter_refuses_a_count_that_is_not_a_positive_integer(count):
+    """-1 failed in numpy's array allocation, 1.5 and 4.0 with a TypeError,
+    and True was read as 1."""
+    filt = design_srrc(0.2, 4, 4, 1e-6)
+    wf = Waveform(np.ones(200, dtype=complex), filt.O / filt.Ts)
+    with pytest.raises(ValueError, match=f"count must be an integer >= 1, got {count!r}"):
+        sample_matched_filter(wf, filt, 0.0, count)
 
 
 def test_effective_taps_single_clean_path_is_near_impulse():

@@ -1,5 +1,7 @@
 """Unit tests for the chirp transforms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,13 @@ def test_invalid_config_rejected():
         ChirpConfig(N=7, T=1e-3, c1=0.0, c2=0.0)
     with pytest.raises(ValueError):
         ChirpConfig(N=8, T=0.0, c1=0.0, c2=0.0)
+
+
+@pytest.mark.parametrize("n", [4.0, np.float64(8.0), True])
+def test_config_refuses_a_frame_size_that_is_not_an_integer(n):
+    """N = 4.0 was accepted, and the waveform layer then failed with a TypeError."""
+    with pytest.raises(ValueError, match=re.escape(f"N must be a positive even integer, got {n!r}")):
+        ChirpConfig(N=n, T=1e-3, c1=0.0)
 
 
 @pytest.mark.parametrize("key", ["T", "c1", "c2"])

@@ -1,5 +1,6 @@
 """Unit tests for waveform synthesis, prefixing and SRRC shaping."""
 
+import re
 import warnings
 
 import numpy as np
@@ -50,6 +51,23 @@ def test_ideal_basis_quadrature_orthogonality():
 def test_ideal_basis_rejects_bad_index():
     with pytest.raises(ValueError):
         ideal_basis(_cfg(8, 0.0), 8, 2)
+
+
+@pytest.mark.parametrize(
+    "n, oversampling, message",
+    [
+        (1.5, 4, "subcarrier index n must be an integer in [0, 8), got 1.5"),
+        (True, 4, "subcarrier index n must be an integer in [0, 8), got True"),
+        (3, 1.5, "oversampling must be an integer >= 1, got 1.5"),
+    ],
+    ids=["index 1.5", "index True", "oversampling 1.5"],
+)
+def test_ideal_basis_refuses_a_parameter_that_is_not_an_integer(n, oversampling, message):
+    """A subcarrier index of 1.5 gave a waveform that is not orthogonal to
+    its neighbours, and an oversampling of 1.5 (refused by ``root_chirp``)
+    gave 12 samples for N = 8."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ideal_basis(_cfg(8, 0.0), n, oversampling)
 
 
 def test_root_chirp_constant_envelope():
