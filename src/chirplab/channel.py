@@ -158,7 +158,8 @@ _TONE_BLOCK = 128
 
 def _on_tone_blocks(waves: list) -> Waveform:
     """Waveforms of one sample rate as the zero-filled rows of one (rows, n)
-    waveform on whole blocks of ``apply_channel``'s tones.
+    waveform on whole blocks of ``apply_channel``'s tones; only each row's
+    margins around its samples are zeroed.
 
     Each start time is rounded to the sampling grid, and the result starts
     at a multiple of ``_TONE_BLOCK`` samples from t = 0 and holds a multiple
@@ -170,9 +171,12 @@ def _on_tone_blocks(waves: list) -> Waveform:
     firsts = [round(w.t0 / dt) for w in waves]
     lo = min(firsts) // _TONE_BLOCK * _TONE_BLOCK
     hi = max(f + w.samples.shape[-1] for f, w in zip(firsts, waves))
-    grid = np.zeros((len(waves), -(-(hi - lo) // _TONE_BLOCK) * _TONE_BLOCK), dtype=np.complex128)
+    grid = np.empty((len(waves), -(-(hi - lo) // _TONE_BLOCK) * _TONE_BLOCK), dtype=np.complex128)
     for row, f, w in zip(grid, firsts, waves):
-        row[f - lo : f - lo + w.samples.shape[-1]] = w.samples
+        end = f - lo + w.samples.shape[-1]
+        row[: f - lo] = 0.0
+        row[f - lo : end] = w.samples
+        row[end:] = 0.0
     return Waveform(grid, rate, t0=lo * dt)
 
 
@@ -197,7 +201,10 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     need no copy).  Path p builds its tone once for all rows, as the outer
     product of the coarse factor, with the gain folded in, and the fine
     factor; multiplies every row by it into one buffer that every path
-    reuses; and adds that buffer into the output at the shift.
+    reuses; and adds that buffer into the output at the shift.  The first
+    path is written into the output, not added to zeros, so only the
+    samples before its shift are zeroed.  That equals zero-filling and
+    adding every path, except that a zero may keep its sign.
     """
     dt = 1.0 / wf.sample_rate
     shifts = channel.shifts(dt)
@@ -226,14 +233,18 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     buf[:, width:] = 0.0
     prods = buf[:, :width]
     flat = buf.reshape(-1)
-    out = np.zeros(flat.size, dtype=np.complex128)
+    out = np.empty(flat.size, dtype=np.complex128)
+    out[: shifts[0]] = 0.0
     # one row builds each tone where its product goes; several share one tone
     tone = prods if len(rows) == 1 else np.empty((1, width), dtype=np.complex128)
     with _row_buffer():
-        for s, c, f in zip(shifts, coarse, fine):
+        for p, (s, c, f) in enumerate(zip(shifts, coarse, fine)):
             np.multiply(c[:, None], f, out=tone.reshape(n_blocks, _TONE_BLOCK))
             np.multiply(tone, grid, out=prods)
-            out[s:] += flat[: flat.size - s]
+            if p:
+                out[s:] += flat[: flat.size - s]
+            else:
+                out[s:] = flat[: flat.size - s]
     out = out.reshape(buf.shape)[:, lead : lead + n_in + spread]
     return Waveform(out.reshape(wf.samples.shape[:-1] + (-1,)), wf.sample_rate, t0=wf.t0)
 

@@ -20,9 +20,10 @@ So the NMSE sweep runs trials in the outer loop: it draws each trial once
 filter once per sweep, and each construction does the work that points
 share once per trial or once per block of trials.  Every draw has the EVA
 path delays, so each filter has one tap window for the whole sweep.
-``simulate_frame`` modulates once per trial and prefix-extends and shapes
-once per run of points with the same filter object and window (all of a
-speed sweep, one point of a roll-off or span sweep).  The points that share
+``simulate_frame`` modulates once per trial and prefix-extends, shapes and
+lays on the channel's tone blocks once per run of points with the same
+filter object and window (all of a speed sweep, one point of a roll-off or
+span sweep).  The points that share
 a channel object (all of a roll-off or span sweep, one point of a speed
 sweep) then pass the channel as rows of one array on their common fine
 grid, in chunks under a byte budget, so that they share its Doppler tones;
@@ -314,7 +315,9 @@ def simulate_frame(
     same channel object (all of a roll-off or span sweep; one point of a
     speed sweep) pass the channel as rows of one array, in chunks of at most
     ``_ROW_BATCH_BYTES`` of fine-grid samples, the one stage where they share
-    work.  Each row is then sampled by ``sample_matched_filter`` through its
+    work.  A waveform that goes through several channels alone (a speed
+    sweep's shared transmit) is laid on ``apply_channel``'s tone blocks once.
+    Each row is then sampled by ``sample_matched_filter`` through its
     own filter, and the (S, N) stack is demodulated once.  Each row equals
     its point run alone, bit for bit.
     """
@@ -322,10 +325,17 @@ def simulate_frame(
     x = modulate(cfg, symbols)
     rx = np.empty((len(filts), cfg.N), dtype=np.complex128)
     rows, waves = [], []
+    alone: list = []  # the last waveform received alone, and it on tone blocks
 
     def receive() -> None:
         channel, dt = channels[rows[0]], filts[rows[0]].dt
-        out = apply_channel(channel, _on_tone_blocks(waves))
+        if len(waves) > 1:
+            grid = _on_tone_blocks(waves)
+        else:
+            if not alone or alone[0] is not waves[0]:
+                alone[:] = waves[0], _on_tone_blocks(waves)
+            grid = alone[1]
+        out = apply_channel(channel, grid)
         tau1 = channel.shifts(dt)[0] * dt
         for i, samples in zip(rows, out.samples):
             frame = Waveform(samples, out.sample_rate, out.t0)

@@ -39,11 +39,11 @@ of that layout, so it goes through the same fold.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .channel import DDChannel, _doppler_tones
 from .transforms import ChirpConfig, _is_integer, demodulate, modulate
@@ -60,14 +60,15 @@ def sample_matched_filter(wf: Waveform, filt: SrrcFilter, t_start: float, count:
     positive integer.  The filter's fine grid must be the waveform's.  The
     instants must sit on the fine grid and inside the support of the full
     correlation (length len(r) + M - 1); windows running past either end of
-    the waveform read zeros there.
+    the waveform read zeros there.  ``t_start`` must be finite.
 
     The sum is a polyphase decimator (Crochiere and Rabiner, Multirate
     Digital Signal Processing, 1983).  With u = j O + p, window k reads
     r[n_0 - c + (k + j) O + p], entry (k + j, p) of the span the windows
     cover folded into a contiguous (count + q, O) array R.  So the product
     P = R A^H with the (q + 1, O) tap matrix A (taps zero-padded to
-    (q + 1) O) gives output k as the diagonal sum sum_j P[k + j, j], one
+    (q + 1) O; A^H is the filter's read-only ``_matched_phases`` table)
+    gives output k as the diagonal sum sum_j P[k + j, j], one
     reduction over a (q + 1, count) strided view of P.  For count >= 2 numpy
     adds the view's rows in order of j, the order of a loop over the
     diagonals, which the tests keep as the oracle.
@@ -77,6 +78,8 @@ def sample_matched_filter(wf: Waveform, filt: SrrcFilter, t_start: float, count:
         raise ValueError(f"expected the samples of one frame, got shape {r.shape}")
     if not _is_integer(count) or count < 1:
         raise ValueError(f"count must be an integer >= 1, got {count!r}")
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start}")
     if abs(wf.sample_rate * filt.dt - 1.0) > 1e-9:
         raise ValueError("waveform rate does not match the filter fine grid")
     dt = 1.0 / wf.sample_rate
@@ -99,12 +102,11 @@ def sample_matched_filter(wf: Waveform, filt: SrrcFilter, t_start: float, count:
     span = r[max(start, 0) : min(stop, n_in)]
     if start < 0 or stop > n_in:
         span = np.pad(span, (max(-start, 0), max(stop - n_in, 0)))
-    taps = np.zeros((q + 1) * o, dtype=np.complex128)
-    taps[:m] = np.conj(filt.taps)
-    prod = span.reshape(count + q, o) @ taps.reshape(q + 1, o).T
-    # entry (j, k) of this view is prod[k + j, j]
+    prod = span.reshape(count + q, o) @ filt._matched_phases
+    # entry (j, k) of this view is prod[k + j, j]; built with the np.ndarray
+    # constructor, as ``_windows`` is, because ``as_strided`` costs about 8 us
     s0, s1 = prod.strides
-    diagonals = as_strided(prod, (q + 1, count), (s0 + s1, s0), writeable=False)
+    diagonals = np.ndarray((q + 1, count), prod.dtype, prod, strides=(s0 + s1, s0))
     y = np.add.reduce(diagonals, axis=0)
     y *= filt.dt
     return y
@@ -168,9 +170,10 @@ def ambiguity_values(
     lags with |lag| >= M (the tap count) have no overlap and give exactly 0.
     The lags depend on the delays and the window alone, so all points with
     one filter object and one window, from however many trials, share one
-    (P, L, M) gather of shifted pulses.  Each point multiplies it with its
-    Doppler-weighted conjugate pulses, built on that filter's tap grid, as
-    its own matrix-vector product per path: a matrix product with the
+    (P, L, M) gather of shifted pulses from the filter's read-only table of
+    zero-guarded pulse windows, built by its first use.  Each point
+    multiplies it with its Doppler-weighted conjugate pulses, built on that
+    filter's tap grid, as its own matrix-vector product per path: a matrix product with the
     points as columns would round each column according to how many there
     are.  The other steps act on a point's values elementwise, so they come
     out as for the point alone, whatever the points beside it.  The profiles
@@ -193,16 +196,14 @@ def ambiguity_values(
         groups.setdefault((id(f), *window), []).append(i)
     for (_, lead, n_taps), idx in groups.items():
         filt = filts[idx[0]]
-        a = filt.taps
-        m = len(a)
+        m = len(filt.taps)
         tones = _doppler_tones(nus[idx].ravel(), -filt.center * dt, dt, m)
-        b = np.conj(a) * tones.reshape(len(idx), n_paths, m)  # (S_g, P, M)
+        b = np.conj(filt.taps) * tones.reshape(len(idx), n_paths, m)  # (S_g, P, M)
         lags = (shifts.min() - shifts)[:, None] + (np.arange(n_taps) - lead)[None, :] * o
-        # zero guard of m samples on both sides: a clipped lag of +-m reads zeros only
-        a_pad = np.concatenate([np.zeros(m), a, np.zeros(m)])
-        # the (P, L, M) gather is a temporary, freed at once: held longer, it
-        # made every call fault in fresh pages
-        shifted_b = _windows(a_pad, m)[m + np.clip(lags, -m, m)] @ b[..., None]
+        # the filter's zero-guarded pulse windows: a clipped lag of +-m reads
+        # zeros only.  The (P, L, M) gather is a temporary, freed at once:
+        # held longer, it made every call fault in fresh pages
+        shifted_b = filt._pulse_windows[m + np.clip(lags, -m, m)] @ b[..., None]
         amb[idx, :, :n_taps] = shifted_b[..., 0] * weights[idx, :, None]
     return profiles
 

@@ -14,7 +14,8 @@ with the dense matrices to machine precision (see tests).  The two chirp
 tables of that factorization are computed once per ``ChirpConfig`` and kept
 on it, read-only, so repeated transforms of one configuration cost one
 pointwise product per table.  The oversampled root chirp of the waveform
-layer is kept there the same way, one table per oversampling.
+layer is kept there the same way, one table per oversampling, and so are
+the chirp-periodic prefix phases of ``add_cpp``.
 
 ``modulate`` and ``demodulate`` take (..., N) arrays, like every frame array
 of the package: frames in the leading axes, the transform along the last.
@@ -73,6 +74,13 @@ class ChirpConfig:
     def _n_chirp(self) -> np.ndarray:
         """Pre-chirp exp(j 2 pi c2 n^2) for n < N, read-only."""
         return _read_only(np.exp(2j * np.pi * self.c2 * np.arange(self.N) ** 2))
+
+    @cached_property
+    def _prefix_phases(self) -> np.ndarray:
+        """Chirp-periodic prefix phases exp(-j 2 pi c1 (N^2 + 2 N k)) for
+        k = -(N - 1) .. -1, read-only; ``add_cpp`` takes its last entries."""
+        k = np.arange(1 - self.N, 0)
+        return _read_only(np.exp(-2j * np.pi * self.c1 * (self.N**2 + 2 * self.N * k)))
 
     @cached_property
     def _root_chirps(self) -> dict:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .transforms import ChirpConfig, _is_integer
+from .transforms import ChirpConfig, _is_integer, _read_only
 
 
 @dataclass
@@ -46,13 +47,21 @@ class Waveform:
         return self.t0 + np.arange(self.samples.shape[-1]) / self.sample_rate
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value: compare by identity
 class SrrcFilter:
     """Truncated root-raised-cosine interpolation filter.
 
     The total span is ``q`` symbol intervals: taps sit on the grid
     t = m * Ts / O for m = -q*O/2 .. q*O/2 (q*O + 1 taps), and are scaled to
     unit continuous energy: sum |tap|^2 * (Ts/O) = 1.
+
+    The taps are copied and made read-only, and the fields cannot be
+    reassigned, so the tables built from the taps stay true: each is
+    computed by its first use and kept read-only, like the chirp tables of a
+    ``ChirpConfig``.  The waveform chain reads ``_shaping_phases`` and
+    ``_matched_phases``, the tap model ``_pulse_windows``; neither reads a
+    table of the other.  ``dataclasses.replace(filt, taps=...)`` makes a new
+    filter with tables of its own.
     """
 
     beta: float
@@ -60,6 +69,13 @@ class SrrcFilter:
     O: int
     Ts: float
     taps: np.ndarray
+
+    def __post_init__(self) -> None:
+        taps = np.array(self.taps, dtype=np.complex128)
+        count = self.q * self.O + 1
+        if taps.shape != (count,):
+            raise ValueError(f"expected q O + 1 = {count} taps, got shape {taps.shape}")
+        object.__setattr__(self, "taps", _read_only(taps))
 
     @property
     def dt(self) -> float:
@@ -75,6 +91,33 @@ class SrrcFilter:
     def center(self) -> int:
         """Index of the t = 0 tap."""
         return self.q * self.O // 2
+
+    def _polyphase(self, taps: np.ndarray) -> np.ndarray:
+        """``taps`` zero-padded to (q + 1) O and folded into q + 1 rows of O:
+        entry (j, r) is tap j O + r, and the last row holds only r = 0."""
+        phases = np.zeros((self.q + 1) * self.O, dtype=np.complex128)
+        phases[: len(taps)] = taps
+        return phases.reshape(self.q + 1, self.O)
+
+    @cached_property
+    def _shaping_phases(self) -> np.ndarray:
+        """The (q + 1, O) polyphase taps with their rows flipped, read-only:
+        ``shape`` multiplies the windows of the base-rate sequence by it."""
+        return _read_only(self._polyphase(self.taps))[::-1]
+
+    @cached_property
+    def _matched_phases(self) -> np.ndarray:
+        """The (O, q + 1) transpose of the conjugated polyphase taps, read-only:
+        ``sample_matched_filter`` multiplies the folded waveform by it."""
+        return _read_only(self._polyphase(np.conj(self.taps))).T
+
+    @cached_property
+    def _pulse_windows(self) -> np.ndarray:
+        """The (2 M + 1, M) windows of the M taps zero-guarded by M zeros on
+        each side, read-only: row M + lag is the pulse shifted by lag, all
+        zeros at |lag| = M.  ``ambiguity_values`` gathers its lags from it."""
+        m = len(self.taps)
+        return _windows(np.concatenate([np.zeros(m), self.taps, np.zeros(m)]), m)
 
 
 def _srrc_impulse(beta: float, t_over_ts: np.ndarray) -> np.ndarray:
@@ -171,6 +214,8 @@ def synth_ideal(cfg: ChirpConfig, symbols: np.ndarray, oversampling: int) -> Wav
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim not in (1, 2) or symbols.shape[-1] != cfg.N:
         raise ValueError(f"expected {cfg.N} symbols per frame, got shape {symbols.shape}")
+    if not _is_integer(oversampling):
+        raise ValueError(f"oversampling must be an integer, got {oversampling!r}")
     if oversampling < 1:
         raise ValueError(f"oversampling must be >= 1, got {oversampling}")
     # sum_n w[n] exp(j 2 pi n j / (N O)) is a zero-padded inverse DFT
@@ -198,15 +243,18 @@ def add_cpp(cfg: ChirpConfig, seq: np.ndarray, l_cpp: int) -> np.ndarray:
 
     The prefix obeys x[k] = x[N + k] exp(-j 2 pi c1 (N^2 + 2 N k)) for
     k = -l_cpp .. -1, which reduces to a plain cyclic prefix when c1 = 0.
+    The phases are the last l_cpp entries of the configuration's read-only
+    table for k = -(N - 1) .. -1, computed by the first call.
     """
     seq = np.asarray(seq, dtype=np.complex128)
     if seq.shape != (cfg.N,):
         raise ValueError(f"expected a length-{cfg.N} frame, got {seq.shape}")
     if not 1 <= l_cpp < cfg.N:
         raise ValueError(f"prefix length {l_cpp} outside [1, {cfg.N}); reduce the tap span")
-    k = np.arange(-l_cpp, 0)
-    phase = np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
-    return np.concatenate([seq[cfg.N + k] * phase, seq])
+    out = np.empty(l_cpp + cfg.N, dtype=np.complex128)
+    np.multiply(seq[cfg.N - l_cpp :], cfg._prefix_phases[cfg.N - 1 - l_cpp :], out=out[:l_cpp])
+    out[l_cpp:] = seq
+    return out
 
 
 def shape(
@@ -227,14 +275,11 @@ def shape(
     if abs(filt.Ts - cfg.dt) > 1e-9 * cfg.dt:
         raise ValueError("filter symbol interval does not match cfg.T/N")
     o, q = filt.O, filt.q
-    # phase r of sub-filter j holds tap j O + r; the last row has only r = 0
-    phases = np.zeros((q + 1) * o, dtype=np.complex128)
-    phases[: len(filt.taps)] = filt.taps
-    phases = phases.reshape(q + 1, o)
-    # output m O + r = sum_j seq[m - j] phases[j, r]; the window of the
-    # zero-padded sequence at m holds seq[m - q .. m], hence the flipped rows
+    # with phase r of sub-filter j holding tap j O + r, output m O + r =
+    # sum_j seq[m - j] phases[j, r]; the window of the zero-padded sequence
+    # at m holds seq[m - q .. m], hence the filter's table of flipped rows
     padded = np.concatenate([np.zeros(q), seq, np.zeros(q)])
-    samples = (_windows(padded, q + 1) @ phases[::-1]).ravel()
+    samples = (_windows(padded, q + 1) @ filt._shaping_phases).ravel()
     rate = o / filt.Ts
     return Waveform(
         samples[: (len(seq) + q - 1) * o + 1],

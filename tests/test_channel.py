@@ -218,6 +218,59 @@ def test_apply_channel_equals_per_sample_loop(n, t0, rate, paths, seed):
     assert np.max(np.abs(out.samples - ref)) <= 1e-12 * scale
 
 
+def _zero_fill_and_add(ch, wf):
+    """Reference for ``apply_channel``: each path's tone built as there, from
+    coarse tones at whole blocks of the absolute grid index (gain folded in)
+    times fine tones within a block, and every path's product with the rows
+    added at its shift into a zero-filled output."""
+    dt = 1.0 / wf.sample_rate
+    rows = wf.samples.reshape(-1, wf.samples.shape[-1])
+    n = rows.shape[1]
+    first = round(wf.t0 / dt)
+    lead = first % _TONE_BLOCK
+    n_blocks = -(-(lead + n) // _TONE_BLOCK)
+    starts = (wf.t0 - first * dt) + (first - lead + _TONE_BLOCK * np.arange(n_blocks)) * dt
+    fine_times = np.arange(_TONE_BLOCK) * dt
+    grid = np.zeros((len(rows), n_blocks * _TONE_BLOCK), dtype=complex)
+    grid[:, lead : lead + n] = rows
+    shifts = ch.shifts(dt)
+    out = np.zeros((len(rows), grid.shape[1] + shifts[-1]), dtype=complex)
+    for g, s, nu in zip(ch.gains, shifts, ch.dopplers):
+        coarse = np.exp(2j * np.pi * nu * starts) * g
+        tone = (coarse[:, None] * np.exp(2j * np.pi * nu * fine_times)).reshape(1, -1)
+        out[:, s : s + grid.shape[1]] += tone * grid
+    return out[:, lead : lead + n + shifts[-1]].reshape(wf.samples.shape[:-1] + (-1,))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 4),
+    n=st.integers(1, 600),
+    first=st.integers(-1000, 1000),
+    off_grid=st.sampled_from([0.0, 0.3]),
+    late=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_channel_equals_zero_filling_and_adding_every_path(
+    rows, n, first, off_grid, late, seed
+):
+    """Writing the first path into the output, instead of adding it to
+    zeros, gives the reference's values (np.array_equal, under which a zero
+    of either sign is zero): one row or several, t0 on or off the sampling
+    grid, and a channel whose earliest delay is ``late`` samples, whose first
+    ``late`` output samples come out zero."""
+    rng = np.random.default_rng(seed)
+    rate = 1e7
+    eva = _eva(rng)
+    ch = DDChannel(eva.gains, eva.delays + late / rate, eva.dopplers)
+    samples = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    wf = Waveform(samples[0] if rows == 1 else samples, rate, t0=(first + off_grid) / rate)
+    got = apply_channel(ch, wf).samples
+    assert got.shape == wf.samples.shape[:-1] + (n + ch.shifts(1 / rate).max(),)
+    assert np.array_equal(got, _zero_fill_and_add(ch, wf))
+    assert not got[..., :late].any()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     nus=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=9),

@@ -301,6 +301,15 @@ def test_matched_filter_refuses_a_count_that_is_not_a_positive_integer(count):
         sample_matched_filter(wf, filt, 0.0, count)
 
 
+@pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf])
+def test_matched_filter_refuses_a_start_that_is_not_finite(t_start):
+    """NaN failed in round() with "cannot convert float NaN to integer"."""
+    filt = design_srrc(0.2, 4, 4, 1e-6)
+    wf = Waveform(np.ones(200, dtype=complex), filt.O / filt.Ts)
+    with pytest.raises(ValueError, match=f"^t_start must be finite, got {t_start}$"):
+        sample_matched_filter(wf, filt, t_start, 4)
+
+
 def test_effective_taps_single_clean_path_is_near_impulse():
     cfg = _cfg(64)
     filt = _filt(cfg)

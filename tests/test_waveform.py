@@ -1,5 +1,6 @@
 """Unit tests for waveform synthesis, prefixing and SRRC shaping."""
 
+import dataclasses
 import re
 import warnings
 
@@ -158,6 +159,31 @@ def test_synth_ideal_rejects_oversampling_below_one(oversampling):
         synth_ideal(_cfg(8, 0.0), np.ones(8), oversampling)
 
 
+@pytest.mark.parametrize("oversampling", [1.5, 2.0, True])
+def test_synth_ideal_refuses_an_oversampling_that_is_not_an_integer(oversampling):
+    """1.5 failed inside np.zeros with a TypeError, and True was read as 1."""
+    message = f"^oversampling must be an integer, got {oversampling!r}$"
+    with pytest.raises(ValueError, match=message):
+        synth_ideal(_cfg(8, 0.0), np.ones(8), oversampling)
+
+
+@pytest.mark.parametrize(
+    "n, c1", [(8, 0.0), (16, 1.0 / 64.0), (256, 1.0 / 1024.0), (1024, -1.0 / 3072.0)]
+)
+def test_add_cpp_prefix_equals_its_phases_computed_per_call(n, c1):
+    """Each prefix length slices the configuration's one table of phases and
+    gets, bit for bit, the phases computed for that length alone; the table
+    is read-only."""
+    cfg = _cfg(n, c1)
+    rng = np.random.default_rng(n)
+    seq = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for l_cpp in range(1, n):
+        k = np.arange(-l_cpp, 0)
+        phase = np.exp(-2j * np.pi * cfg.c1 * (cfg.N**2 + 2 * cfg.N * k))
+        assert np.array_equal(add_cpp(cfg, seq, l_cpp), np.concatenate([seq[n + k] * phase, seq]))
+    assert not cfg._prefix_phases.flags.writeable
+
+
 def test_add_cpp_plain_cyclic_prefix_when_unchirped():
     n = 16
     cfg = _cfg(n, 0.0)
@@ -310,6 +336,70 @@ def test_design_srrc_tiny_rolloff_is_finite_without_warnings():
         warnings.simplefilter("error")
         filt = design_srrc(5e-324, 12, 16, 1e-6)
     assert np.all(np.isfinite(filt.taps))
+
+
+def _tables_from_taps(filt):
+    """The filter's three tables rebuilt from its taps: the flipped polyphase
+    rows of ``shape``, the conjugated polyphase transpose of the matched
+    filter and the zero-guarded pulse windows of the tap model."""
+    q, o, m = filt.q, filt.O, len(filt.taps)
+    phases = np.zeros((q + 1) * o, dtype=complex)
+    phases[:m] = filt.taps
+    phases = phases.reshape(q + 1, o)
+    padded = np.concatenate([np.zeros(m), filt.taps, np.zeros(m)])
+    windows = np.array([padded[i : i + m] for i in range(2 * m + 1)])
+    return {
+        "_shaping_phases": phases[::-1],
+        "_matched_phases": np.conj(phases).T,
+        "_pulse_windows": windows,
+    }
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    beta=st.floats(0.0, 1.0),
+    half_q=st.integers(1, 8),
+    o=st.integers(2, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_tables_equal_their_rebuild_from_the_taps_and_are_read_only(
+    beta, half_q, o, seed
+):
+    """Each cached table equals, bit for bit, the table rebuilt from the taps
+    and is read-only; a filter made with other taps builds its own tables;
+    the taps and the fields cannot be changed."""
+    filt = design_srrc(beta, 2 * half_q, o, 1e-6)
+    rng = np.random.default_rng(seed)
+    taps = rng.standard_normal(len(filt.taps)) + 1j * rng.standard_normal(len(filt.taps))
+    other = dataclasses.replace(filt, taps=taps)
+    for f in (filt, other):
+        for name, want in _tables_from_taps(f).items():
+            table = getattr(f, name)
+            assert table.shape == want.shape
+            assert np.array_equal(table, want)
+            assert getattr(f, name) is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+    assert np.array_equal(other.taps, taps)
+    for name in _tables_from_taps(filt):
+        assert not np.shares_memory(getattr(filt, name), getattr(other, name))
+    with pytest.raises(ValueError, match="read-only"):
+        filt.taps[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        filt.taps = taps
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        filt.q = 2
+
+
+def test_filter_copies_its_taps_and_refuses_a_tap_count_other_than_q_o_plus_one():
+    filt = design_srrc(0.2, 4, 4, 1e-6)
+    taps = np.array(filt.taps)
+    copied = dataclasses.replace(filt, taps=taps)
+    taps[0] = 5.0
+    assert copied.taps[0] == filt.taps[0]
+    with pytest.raises(ValueError, match=r"^expected q O \+ 1 = 17 taps, got shape \(16,\)$"):
+        dataclasses.replace(filt, taps=filt.taps[:-1])
 
 
 def test_shape_impulse_reproduces_taps():
