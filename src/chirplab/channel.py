@@ -7,8 +7,9 @@ Doppler draws.  A waveform passes through the channel path by path on its
 own sampling grid, one frame or a (rows, n) batch of frames on one grid at a
 time.  Each path's Doppler tone on that grid is the outer product of a
 coarse and a fine tone over fixed blocks of the absolute grid index, so a
-row's output does not depend on the rows batched with it.  The receiver's
-tap model builds its per-symbol Doppler phases with ``_doppler_tones``.
+row's output does not depend on the rows batched with it; every array of the
+pass is plain 2-D, one frame per row.  The receiver's tap model builds its
+per-symbol Doppler phases with ``_doppler_tones``.
 
 ``apply_channel``'s tone products run under a ufunc buffer of
 ``_UFUNC_BUFFER`` elements (``_row_buffer``), scoped so that the caller's
@@ -97,6 +98,11 @@ def make_eva_channels(
     exp(-j 2 pi fc tau_p) of its delay.  The gains and angles are drawn once,
     so the channels differ only in nu_max.
     """
+    if not (math.isfinite(carrier_hz) and carrier_hz > 0):
+        raise ValueError(f"carrier_hz must be finite and positive, got {carrier_hz}")
+    for v in speeds_kmh:
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"speeds_kmh must be finite and non-negative, got {v}")
     delays = np.array([d * 1e-9 for d, _ in EVA_PROFILE])
     powers = 10.0 ** (np.array([p for _, p in EVA_PROFILE]) / 10.0)
     powers = powers / powers.sum()
@@ -158,8 +164,7 @@ _TONE_BLOCK = 128
 
 def _on_tone_blocks(waves: list) -> Waveform:
     """Waveforms of one sample rate as the zero-filled rows of one (rows, n)
-    waveform on whole blocks of ``apply_channel``'s tones; only each row's
-    margins around its samples are zeroed.
+    waveform on whole blocks of ``apply_channel``'s tones.
 
     Each start time is rounded to the sampling grid, and the result starts
     at a multiple of ``_TONE_BLOCK`` samples from t = 0 and holds a multiple
@@ -171,12 +176,9 @@ def _on_tone_blocks(waves: list) -> Waveform:
     firsts = [round(w.t0 / dt) for w in waves]
     lo = min(firsts) // _TONE_BLOCK * _TONE_BLOCK
     hi = max(f + w.samples.shape[-1] for f, w in zip(firsts, waves))
-    grid = np.empty((len(waves), -(-(hi - lo) // _TONE_BLOCK) * _TONE_BLOCK), dtype=np.complex128)
+    grid = np.zeros((len(waves), -(-(hi - lo) // _TONE_BLOCK) * _TONE_BLOCK), dtype=np.complex128)
     for row, f, w in zip(grid, firsts, waves):
-        end = f - lo + w.samples.shape[-1]
-        row[: f - lo] = 0.0
-        row[f - lo : end] = w.samples
-        row[end:] = 0.0
+        row[f - lo : f - lo + w.samples.shape[-1]] = w.samples
     return Waveform(grid, rate, t0=lo * dt)
 
 
@@ -196,15 +198,16 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
     and a fine tone at b dt (times one phase for the offset of t0 from the
     grid, exactly 1 when t0 is a whole number of samples).  So a sample's
     tone depends on its grid index alone, never on the rows beside it or on
-    where they start.  The input sits in a zeroed array of whole blocks at
-    its grid index (``_on_tone_blocks`` lays rows out that way, so they
-    need no copy).  Path p builds its tone once for all rows, as the outer
-    product of the coarse factor, with the gain folded in, and the fine
-    factor; multiplies every row by it into one buffer that every path
-    reuses; and adds that buffer into the output at the shift.  The first
-    path is written into the output, not added to zeros, so only the
-    samples before its shift are zeroed.  That equals zero-filling and
-    adding every path, except that a zero may keep its sign.
+    where they start.  The input sits in a zeroed (rows, width) array of
+    whole blocks at its grid index (``_on_tone_blocks`` lays rows out that
+    way, so they need no copy).  Path p builds its tone once for all rows,
+    as the outer product of the coarse factor, with the gain folded in, and
+    the fine factor; multiplies every row by it into one (rows, width)
+    buffer; and adds that into the output, width plus the largest shift
+    wide, at its shift.  The first path's product is written straight into
+    the output, not added to zeros, so only the columns outside it are
+    zeroed.  That equals zero-filling and adding every path, except that a
+    zero may keep its sign.
     """
     dt = 1.0 / wf.sample_rate
     shifts = channel.shifts(dt)
@@ -224,28 +227,23 @@ def apply_channel(channel: DDChannel, wf: Waveform) -> Waveform:
         grid[:, lead : lead + n_in] = rows
     else:  # already on whole blocks, as ``_on_tone_blocks`` lays rows out
         grid = rows
-    # buf and out rows hold the grid plus room for the largest shift (the
-    # paths are in delay order), so a path's shifted rows are one contiguous
-    # add: the s samples of a row that run into the next one are zeros of
-    # that room
-    spread = int(shifts[-1])
-    buf = np.empty((len(rows), width + spread), dtype=np.complex128)
-    buf[:, width:] = 0.0
-    prods = buf[:, :width]
-    flat = buf.reshape(-1)
-    out = np.empty(flat.size, dtype=np.complex128)
-    out[: shifts[0]] = 0.0
-    # one row builds each tone where its product goes; several share one tone
+    prods = np.empty((len(rows), width), dtype=np.complex128)
+    # one row builds each tone where its product goes: a tone buffer of its
+    # own made the paper-scale speed sweep 4-6% slower; several rows share one
     tone = prods if len(rows) == 1 else np.empty((1, width), dtype=np.complex128)
+    # the paths are in delay order, so the last shift is the largest
+    out = np.empty((len(rows), width + shifts[-1]), dtype=np.complex128)
+    out[:, : shifts[0]] = 0.0
+    out[:, shifts[0] + width :] = 0.0
     with _row_buffer():
         for p, (s, c, f) in enumerate(zip(shifts, coarse, fine)):
             np.multiply(c[:, None], f, out=tone.reshape(n_blocks, _TONE_BLOCK))
-            np.multiply(tone, grid, out=prods)
             if p:
-                out[s:] += flat[: flat.size - s]
+                np.multiply(tone, grid, out=prods)
+                out[:, s : s + width] += prods
             else:
-                out[s:] = flat[: flat.size - s]
-    out = out.reshape(buf.shape)[:, lead : lead + n_in + spread]
+                np.multiply(tone, grid, out=out[:, s : s + width])
+    out = out[:, lead : lead + n_in + shifts[-1]]
     return Waveform(out.reshape(wf.samples.shape[:-1] + (-1,)), wf.sample_rate, t0=wf.t0)
 
 

@@ -28,6 +28,9 @@ from .transforms import ChirpConfig, _is_integer
 from .waveform import Waveform, _windows
 
 
+_DB_FLOOR = 1e-300  # ``PsdCurve.db`` reads a zero PSD as -3000 dB, not -inf
+
+
 @dataclass
 class PsdCurve:
     """One-dimensional PSD sampled on a strictly increasing frequency grid."""
@@ -38,13 +41,13 @@ class PsdCurve:
     def __post_init__(self) -> None:
         self.freq = np.asarray(self.freq, dtype=float)
         self.psd = np.asarray(self.psd, dtype=float)
-        if np.any(np.diff(self.freq) <= 0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if np.any(self.psd < 0):
-            raise ValueError("PSD values must be non-negative")
+        if not np.all(np.isfinite(self.freq)) or np.any(np.diff(self.freq) <= 0):
+            raise ValueError("frequency grid must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.psd) & (self.psd >= 0)):
+            raise ValueError("PSD values must be finite and non-negative")
 
-    def db(self, floor: float = 1e-300) -> np.ndarray:
-        return 10.0 * np.log10(np.maximum(self.psd, floor))
+    def db(self) -> np.ndarray:
+        return 10.0 * np.log10(np.maximum(self.psd, _DB_FLOOR))
 
 
 def _fresnel_segment(alpha: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -104,6 +107,8 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
     experiment, needs about F + N evaluations instead of N F; any other grid
     degenerates to at most N F, evaluated in blocks of about 2M points.
     """
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
     freqs = np.asarray(freqs, dtype=float)
     if not np.all(np.isfinite(freqs)):
         raise ValueError("frequencies must be finite")

@@ -56,12 +56,12 @@ class SrrcFilter:
     unit continuous energy: sum |tap|^2 * (Ts/O) = 1.
 
     The taps are copied and made read-only, and the fields cannot be
-    reassigned, so the tables built from the taps stay true: each is
+    reassigned, so the two tables built from the taps stay true: each is
     computed by its first use and kept read-only, like the chirp tables of a
-    ``ChirpConfig``.  The waveform chain reads ``_shaping_phases`` and
-    ``_matched_phases``, the tap model ``_pulse_windows``; neither reads a
-    table of the other.  ``dataclasses.replace(filt, taps=...)`` makes a new
-    filter with tables of its own.
+    ``ChirpConfig``.  The matched filter reads ``_matched_phases``, the tap
+    model ``_pulse_windows``; ``shape`` folds the taps on each call, about
+    1 us of a 21 us call.  ``dataclasses.replace(filt, taps=...)`` makes a
+    new filter with tables of its own.
     """
 
     beta: float
@@ -98,12 +98,6 @@ class SrrcFilter:
         phases = np.zeros((self.q + 1) * self.O, dtype=np.complex128)
         phases[: len(taps)] = taps
         return phases.reshape(self.q + 1, self.O)
-
-    @cached_property
-    def _shaping_phases(self) -> np.ndarray:
-        """The (q + 1, O) polyphase taps with their rows flipped, read-only:
-        ``shape`` multiplies the windows of the base-rate sequence by it."""
-        return _read_only(self._polyphase(self.taps))[::-1]
 
     @cached_property
     def _matched_phases(self) -> np.ndarray:
@@ -249,6 +243,8 @@ def add_cpp(cfg: ChirpConfig, seq: np.ndarray, l_cpp: int) -> np.ndarray:
     seq = np.asarray(seq, dtype=np.complex128)
     if seq.shape != (cfg.N,):
         raise ValueError(f"expected a length-{cfg.N} frame, got {seq.shape}")
+    if not _is_integer(l_cpp):
+        raise ValueError(f"prefix length must be an integer, got {l_cpp!r}")
     if not 1 <= l_cpp < cfg.N:
         raise ValueError(f"prefix length {l_cpp} outside [1, {cfg.N}); reduce the tap span")
     out = np.empty(l_cpp + cfg.N, dtype=np.complex128)
@@ -277,9 +273,9 @@ def shape(
     o, q = filt.O, filt.q
     # with phase r of sub-filter j holding tap j O + r, output m O + r =
     # sum_j seq[m - j] phases[j, r]; the window of the zero-padded sequence
-    # at m holds seq[m - q .. m], hence the filter's table of flipped rows
+    # at m holds seq[m - q .. m], hence the flipped rows
     padded = np.concatenate([np.zeros(q), seq, np.zeros(q)])
-    samples = (_windows(padded, q + 1) @ filt._shaping_phases).ravel()
+    samples = (_windows(padded, q + 1) @ filt._polyphase(filt.taps)[::-1]).ravel()
     rate = o / filt.Ts
     return Waveform(
         samples[: (len(seq) + q - 1) * o + 1],

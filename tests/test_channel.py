@@ -54,6 +54,27 @@ def test_eva_reproducible_and_normalized():
     assert abs(np.mean(powers) - 1.0) < 0.1
 
 
+@pytest.mark.parametrize(
+    "carrier_hz, speeds, message",
+    [
+        (np.nan, [0.0], "carrier_hz must be finite and positive, got nan"),
+        (np.inf, [0.0], "carrier_hz must be finite and positive, got inf"),
+        (0.0, [0.0], "carrier_hz must be finite and positive, got 0.0"),
+        (-5e9, [0.0], "carrier_hz must be finite and positive, got -5000000000.0"),
+        (5e9, [0.0, np.inf], "speeds_kmh must be finite and non-negative, got inf"),
+        (5e9, [np.nan], "speeds_kmh must be finite and non-negative, got nan"),
+        (5e9, [-1.0, 0.0], "speeds_kmh must be finite and non-negative, got -1.0"),
+    ],
+)
+def test_make_eva_channels_refuses_a_bad_carrier_or_speed_before_drawing(
+    carrier_hz, speeds, message
+):
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_eva_channels(carrier_hz, speeds, rng)
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+
 def test_channel_validation():
     with pytest.raises(ValueError, match="path delay must be non-negative, got -1e-09"):
         DDChannel([1.0 + 0j], [-1e-9], [0.0])

@@ -185,6 +185,31 @@ def test_analytic_psd_rejects_non_finite_frequencies():
         analytic_psd(PAPER_CFG, 1.0, np.array([0.0, np.inf]))
 
 
+@pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf, -1.0])
+def test_analytic_psd_refuses_a_power_that_is_not_finite_and_non_negative(sigma2):
+    with pytest.raises(ValueError, match=f"^sigma2 must be finite and non-negative, got {sigma2}$"):
+        analytic_psd(PAPER_CFG, sigma2, np.array([0.0, 1.0]))
+
+
+def test_analytic_psd_takes_zero_power():
+    assert not analytic_psd(PAPER_CFG, 0.0, np.array([0.0, 1.0])).psd.any()
+
+
+@pytest.mark.parametrize(
+    "freq, psd, message",
+    [
+        ([0.0, np.nan], [1.0, 1.0], "frequency grid must be finite and strictly increasing"),
+        ([np.nan, 0.0], [1.0, 1.0], "frequency grid must be finite and strictly increasing"),
+        ([0.0, np.inf], [1.0, 1.0], "frequency grid must be finite and strictly increasing"),
+        ([0.0, 1.0], [1.0, np.nan], "PSD values must be finite and non-negative"),
+        ([0.0, 1.0], [np.inf, 1.0], "PSD values must be finite and non-negative"),
+    ],
+)
+def test_psd_curve_refuses_values_that_are_not_finite(freq, psd, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PsdCurve(np.array(freq), np.array(psd))
+
+
 def test_psd_curve_validation_and_csv(tmp_path, monkeypatch):
     with pytest.raises(ValueError):
         PsdCurve(np.array([0.0, -1.0]), np.array([1.0, 1.0]))

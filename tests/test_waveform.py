@@ -184,6 +184,20 @@ def test_add_cpp_prefix_equals_its_phases_computed_per_call(n, c1):
     assert not cfg._prefix_phases.flags.writeable
 
 
+@pytest.mark.parametrize("l_cpp", [2.0, np.float64(3.0), True, "4", None])
+def test_add_cpp_refuses_a_prefix_length_that_is_not_an_integer(l_cpp):
+    cfg = _cfg(16, 1.0 / 64.0)
+    message = f"prefix length must be an integer, got {l_cpp!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        add_cpp(cfg, np.ones(16), l_cpp)
+
+
+def test_add_cpp_takes_numpy_integers():
+    cfg = _cfg(16, 1.0 / 64.0)
+    seq = np.arange(16) + 1j
+    assert np.array_equal(add_cpp(cfg, seq, np.int64(4)), add_cpp(cfg, seq, 4))
+
+
 def test_add_cpp_plain_cyclic_prefix_when_unchirped():
     n = 16
     cfg = _cfg(n, 0.0)
@@ -339,9 +353,9 @@ def test_design_srrc_tiny_rolloff_is_finite_without_warnings():
 
 
 def _tables_from_taps(filt):
-    """The filter's three tables rebuilt from its taps: the flipped polyphase
-    rows of ``shape``, the conjugated polyphase transpose of the matched
-    filter and the zero-guarded pulse windows of the tap model."""
+    """The filter's two tables rebuilt from its taps: the conjugated
+    polyphase transpose of the matched filter and the zero-guarded pulse
+    windows of the tap model."""
     q, o, m = filt.q, filt.O, len(filt.taps)
     phases = np.zeros((q + 1) * o, dtype=complex)
     phases[:m] = filt.taps
@@ -349,7 +363,6 @@ def _tables_from_taps(filt):
     padded = np.concatenate([np.zeros(m), filt.taps, np.zeros(m)])
     windows = np.array([padded[i : i + m] for i in range(2 * m + 1)])
     return {
-        "_shaping_phases": phases[::-1],
         "_matched_phases": np.conj(phases).T,
         "_pulse_windows": windows,
     }
