@@ -117,23 +117,12 @@ def criterion_03_continuous_orthogonality(small: bool = False) -> tuple[bool, st
     n, oversampling = 128, 32
     cfg = ChirpConfig(N=n, T=266.667e-6, c1=1.0 / (4 * n), c2=1.0 / (3 * n))
     rng = np.random.default_rng(303)
-    worst_off = 0.0
-    worst_diag = 0.0
     dt = cfg.T / (n * oversampling)
-    cache = {}
-
-    def basis(i):
-        if i not in cache:
-            cache[i] = ideal_basis(cfg, i, oversampling).samples
-        return cache[i]
-
-    for _ in range(50):
-        i, j = rng.choice(n, size=2, replace=False)
-        ip = np.vdot(basis(int(j)), basis(int(i))) * dt
-        worst_off = max(worst_off, abs(ip) / cfg.T)
-    for i in rng.choice(n, size=8, replace=False):
-        ip = np.vdot(basis(int(i)), basis(int(i))) * dt
-        worst_diag = max(worst_diag, abs(ip - cfg.T) / cfg.T)
+    pairs = [rng.choice(n, size=2, replace=False).tolist() for _ in range(50)]
+    diag = rng.choice(n, size=8, replace=False).tolist()
+    basis = {i: ideal_basis(cfg, i, oversampling).samples for i in set(diag).union(*pairs)}
+    worst_off = max(abs(np.vdot(basis[j], basis[i]) * dt) / cfg.T for i, j in pairs)
+    worst_diag = max(abs(np.vdot(basis[i], basis[i]) * dt - cfg.T) / cfg.T for i in diag)
     ok = worst_off < 1e-3 and worst_diag < 1e-3
     return ok, f"max off-diagonal {worst_off:.3e}, diagonal error {worst_diag:.3e}"
 
@@ -146,17 +135,12 @@ def criterion_04_psd(small: bool = False) -> tuple[bool, str]:
     target = 5.76e6
     bw_ok = abs(bw - target) <= 0.03 * target
     ana_db = ana.db()
-    emp_db = emp.db()
-    in_band = ana_db >= ana_db.max() - 10.0
+    idx = np.flatnonzero(ana_db >= ana_db.max() - 10.0)
     # compare band-averaged levels over blocks of 8 bins
-    idx = np.where(in_band)[0]
-    blocks = len(idx) // 8
-    dev = 0.0
-    for b in range(blocks):
-        sel = idx[8 * b : 8 * (b + 1)]
-        da = 10 * np.log10(np.mean(ana.psd[sel]))
-        de = 10 * np.log10(np.mean(emp.psd[sel]))
-        dev = max(dev, abs(da - de))
+    blocks = idx[: len(idx) // 8 * 8].reshape(-1, 8)
+    da = 10 * np.log10(ana.psd[blocks].mean(axis=1))
+    de = 10 * np.log10(emp.psd[blocks].mean(axis=1))
+    dev = np.max(np.abs(da - de), initial=0.0)
     return bw_ok and dev <= 1.0, (
         f"bandwidth {bw/1e6:.4f} MHz (target 5.76 +- 3%), in-band deviation {dev:.3f} dB"
     )
@@ -221,12 +205,9 @@ def _impulse_probe_taps(
         np.stack([simulate_frame(cfg, [filt], [channel], s, [(lead, n_taps)])[0] for s in probes]),
     )
     # unfold the folded matrix back into causal taps h[k', l] = H[k', k' - l]
-    taps = np.empty((cfg.N, n_taps), dtype=np.complex128)
-    k = np.arange(cfg.N)
-    for l in range(n_taps):
-        phase = np.where(k - l >= 0, 1.0, cpp_wrap_phase(cfg, k - l))
-        taps[:, l] = h_t[np.mod(k - l, cfg.N), k] / phase
-    return taps
+    k = np.arange(cfg.N)[:, None]
+    d = k - np.arange(n_taps)
+    return h_t[np.mod(d, cfg.N), k] / np.where(d >= 0, 1.0, cpp_wrap_phase(cfg, d))
 
 
 @_criterion("criterion-06-effective-tap-formula", budget=120.0)
@@ -323,15 +304,16 @@ def criterion_10_deviation_dichotomy(small: bool = False) -> tuple[bool, str]:
     dopplers_on = [2314.8, -1523.0, 842.0]
 
     def gap(dopplers):
+        # the chirp-domain gap ||A (H - H_base) A^H||_F / ||A H_base A^H||_F, read
+        # off the taps (the baseline's 26 lags lie in the 46-lag window, N = 64):
+        # A is unitary, and for L <= N the prefix fold puts each tap on its own
+        # entry of H times a unit phase, so the fold keeps both norms
         channel = DDChannel(gains, delays, dopplers)
         lead, n_taps = tap_window(channel, filt)
         taps = effective_taps([channel], [filt], n, [(lead, n_taps)]).dense()[0]
-        hu_mf = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, taps))
-        shifted = DDChannel(gains, delays + lead * cfg.dt, dopplers)
-        hu_base = chirp_domain_matrix(cfg, fold_cpp_taps(cfg, baseline_taps(cfg, shifted)))
-        return float(
-            np.linalg.norm(hu_mf - hu_base) / np.linalg.norm(hu_base)
-        )
+        base = baseline_taps(cfg, DDChannel(gains, delays + lead * cfg.dt, dopplers))
+        taps[:, : base.shape[1]] -= base
+        return float(np.linalg.norm(taps) / np.linalg.norm(base))
 
     gap_static = gap([0.0, 0.0, 0.0])
     gap_doppler = gap(dopplers_on)

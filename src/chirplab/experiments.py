@@ -67,6 +67,7 @@ from .waveform import SrrcFilter, Waveform, add_cpp, design_srrc, shape, synth_i
 from . import aliasing
 
 INTEGER_KEYS = ("n", "q", "oversample", "trials", "seed")
+NUMBER_KEYS = ("t_us", "c1_num", "c2_num", "beta", "fc_hz", "speed_kmh")
 
 # each sweep kind: the configuration key it varies, and that key's default points
 SWEEPS = {
@@ -102,6 +103,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _is_integer(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+        for key in NUMBER_KEYS:
+            if isinstance(getattr(self, key), (bool, np.bool_)):
+                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
         if not (math.isfinite(self.t_us) and self.t_us > 0):
@@ -173,10 +177,16 @@ CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _parse_denominator(key: str, text: str, n: int) -> float:
-    """Denominator tokens are finite non-zero numbers or multiples of N such as '4N'."""
+    """Denominator tokens are finite non-zero numbers or multiples of N such as
+    '4N', 'N' or '-N'."""
     s = str(text).strip()
+    scale = 1
+    if s.upper().endswith("N"):
+        s, scale = s[:-1].strip(), n
+        if s in ("", "+", "-"):
+            s += "1"
     try:
-        den = float(s[:-1].strip() or 1.0) * n if s.upper().endswith("N") else float(s)
+        den = float(s) * scale
     except ValueError:
         den = math.nan
     if not (math.isfinite(den) and den != 0):
@@ -199,7 +209,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             key = key.strip()
             val = val.strip()
             if key not in CONFIG_KEYS:
-                raise ValueError(f"unknown configuration key: {key}")
+                raise ValueError(f"{path}:{lineno}: unknown configuration key: {key}")
             if key in values:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate configuration key {key} "
@@ -222,12 +232,15 @@ def _integer(val):
     return int(val) if isinstance(val, str) else val
 
 
+def _number(val):
+    """A value as a float, but a bool passed on for ``ExperimentConfig`` to refuse."""
+    return val if isinstance(val, (bool, np.bool_)) else float(val)
+
+
 # how config_from_dict converts a raw value of each key, and what it expects
 _CONVERSIONS = {
     **dict.fromkeys(INTEGER_KEYS, (_integer, "an integer")),
-    **dict.fromkeys(
-        ("t_us", "c1_num", "c2_num", "beta", "fc_hz", "speed_kmh"), (float, "a number")
-    ),
+    **dict.fromkeys(NUMBER_KEYS, (_number, "a number")),
     **dict.fromkeys(("c1_den", "c2_den", "profile", "sweep"), (str, "text")),
     "sweep_values": (_numbers, "a comma-separated list of numbers"),
 }

@@ -306,12 +306,11 @@ def fold_cpp_taps(cfg: ChirpConfig, taps: np.ndarray) -> np.ndarray:
     """
     _check_fold(cfg, *taps.shape[-2:])
     n = cfg.N
+    k = np.arange(n)[:, None]
+    d = k - np.arange(taps.shape[1])
     h_mat = np.zeros((n, n), dtype=np.complex128)
-    for l in range(taps.shape[1]):
-        k = np.arange(n)
-        col = np.mod(k - l, n)
-        phase = np.where(k - l >= 0, 1.0, cpp_wrap_phase(cfg, k - l))
-        h_mat[k, col] += taps[:, l] * phase
+    # for L <= N each tap (k', l) lands on its own entry (k', (k' - l) mod N)
+    h_mat[k, np.mod(d, n)] += taps * np.where(d >= 0, 1.0, cpp_wrap_phase(cfg, d))
     return h_mat
 
 

@@ -280,7 +280,10 @@ def empirical_psd(frames: Waveform | Iterable[Waveform], nfft: int) -> PsdCurve:
 
 
 def occupied_bandwidth(curve: PsdCurve) -> float:
-    """Width of the region within 20 dB of the PSD peak."""
+    """Width of the region within 20 dB of the PSD peak; 0.0 for a curve
+    without power (empty or all zero), which has no peak."""
+    if not np.any(curve.psd > 0):
+        return 0.0
     level = curve.db()
     above = np.where(level > level.max() - 20.0)[0]
     if len(above) < 2:

@@ -4,6 +4,7 @@ import csv
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -44,6 +45,9 @@ def test_config_defaults_and_rationals():
     assert abs(cfg.c1 - 1.0 / 4096.0) < 1e-18
     assert abs(cfg.c2 - 1.0 / 3072.0) < 1e-18
     assert abs(cfg.T - 266.667e-6) < 1e-12
+    # a bare sign before N is a coefficient of one, as N alone is
+    assert ExperimentConfig(c1_den="-N").chirp_config().c1 == -1.0 / 1024
+    assert ExperimentConfig(c2_den="+ N").chirp_config().c2 == 1.0 / 1024
 
 
 def test_config_shrink():
@@ -75,7 +79,8 @@ def test_config_validation():
      ("n", "3.5"), ("seed", "1e3"), ("sweep_values", "0,,5"),
      ("n", 64.5), ("trials", 2.9), ("seed", 1.7), ("q", float("nan")),
      ("oversample", 8.25), ("n", True), ("trials", True), ("seed", False),
-     ("trials", 0)],
+     ("trials", 0), ("t_us", True), ("c1_num", True), ("c2_num", False),
+     ("beta", True), ("fc_hz", True), ("speed_kmh", False), ("beta", np.True_)],
 )
 def test_config_rejects_bad_value_naming_key(key, value):
     """Raw text is converted by key first, and a value that does not convert
@@ -174,8 +179,19 @@ def test_load_config_file(tmp_path):
 
 def test_load_config_unknown_key(tmp_path):
     path = _write_config(tmp_path, "n = 64\nshoe_size = 42\n")
-    with pytest.raises(ValueError, match="shoe_size"):
+    expected = f"{path}:2: unknown configuration key: shoe_size"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         load_config(path)
+
+
+def test_readme_key_table_names_every_config_key():
+    """The first column of README's configuration-key table names exactly
+    the configuration keys, so a key is not added or removed without its row."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    rows = table[: table.find("\n\n")].splitlines()
+    named = [key.strip(" `") for row in rows for key in row.split("|")[1].split(",")]
+    assert sorted(named) == sorted(CONFIG_KEYS)
 
 
 def test_sweep_result_csv_format(tmp_path, monkeypatch, capsys):
@@ -961,7 +977,7 @@ def _config_values():
 def _config_values_of_kind(kind):
     finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
     positive = st.floats(1e-3, 1e4, allow_nan=False)
-    den = st.one_of(st.sampled_from(["4N", "3N", "2N", "N", "0.5N"]),
+    den = st.one_of(st.sampled_from(["4N", "3N", "2N", "N", "0.5N", "-N", "+N"]),
                     positive.map(repr))
     return st.fixed_dictionaries(
         {

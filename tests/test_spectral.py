@@ -195,6 +195,13 @@ def test_analytic_psd_takes_zero_power():
     assert not analytic_psd(PAPER_CFG, 0.0, np.array([0.0, 1.0])).psd.any()
 
 
+def test_occupied_bandwidth_of_a_curve_without_power_is_zero():
+    """A curve with no peak occupies no band, not the whole grid."""
+    assert occupied_bandwidth(PsdCurve(np.linspace(-1.0, 1.0, 11), np.zeros(11))) == 0.0
+    assert occupied_bandwidth(analytic_psd(PAPER_CFG, 0.0, np.linspace(-1e6, 1e6, 5))) == 0.0
+    assert occupied_bandwidth(analytic_psd(PAPER_CFG, 1.0, [])) == 0.0
+
+
 @pytest.mark.parametrize(
     "freq, psd, message",
     [
