@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: psd, ortho, nmse, iorel, complexity, selftest.  The first four
-read a flat ``key = value`` text file (--config) and write CSV to --out;
---seed overrides the master seed of psd, nmse and iorel, and --trials the
-trial count of psd and nmse, the drivers that read them.  --small switches
-the four and selftest to the desk-scale parameter set (N = 256, 20 trials,
-oversampling 8), where an explicit --trials still sets the trial count.
+read a flat ``key = value`` text file (--config), or take the defaults,
+and write CSV to --out.  --small then shrinks them, and selftest, to the
+desk-scale set (N = 256, 20 trials, oversampling 8); --seed and --trials
+last set the master seed of psd, nmse and iorel and the trial count of psd
+and nmse, the drivers that read them.  A file's value is checked even where
+a flag replaces it.
 complexity takes only --n and --n-od.  psd writes the analytic curve next
 to --out, with ``_analytic`` added to the file name before its last suffix.
 
@@ -26,7 +27,6 @@ from .receiver import chirp_domain_matrix, fold_cpp_taps
 from .experiments import (
     ExperimentConfig,
     complexity_compare,
-    config_from_dict,
     load_config,
     run_iorel_check,
     run_nmse_sweep,
@@ -63,20 +63,14 @@ def _build_parser() -> _Parser:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.config is not None:
-        ec = load_config(args.config, overrides)
-    else:
-        ec = config_from_dict(overrides)
+    """The --config file or the defaults, then --small, then the flags given."""
+    ec = load_config(args.config) if args.config is not None else ExperimentConfig()
     if args.small:
         ec = ec.shrink()
-        if args.trials is not None:  # an explicit count outranks the desk-scale one
-            ec = replace(ec, trials=args.trials)
-    return ec
+    flags = {key: value for key, value in (("seed", args.seed), ("trials", args.trials))
+             if value is not None}
+    # replace re-checks the whole configuration, every sweep point included
+    return replace(ec, **flags) if flags else ec
 
 
 def _fmt(value: float) -> str:

@@ -69,6 +69,12 @@ from . import aliasing
 INTEGER_KEYS = ("n", "q", "oversample", "trials", "seed")
 NUMBER_KEYS = ("t_us", "c1_num", "c2_num", "beta", "fc_hz", "speed_kmh")
 
+
+def _is_number(value) -> bool:
+    # the concrete types: a numbers.Real check made parsing and sweep_configs 15-35% slower
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 # each sweep kind: the configuration key it varies, and that key's default points
 SWEEPS = {
     "speed": ("speed_kmh", tuple(float(v) for v in range(0, 501, 50))),
@@ -79,7 +85,8 @@ SWEEPS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment parameters shared by all drivers."""
+    """Flat experiment parameters shared by all drivers.  Each key's type and
+    range are checked here, and ``sweep_values`` is kept as a tuple."""
 
     n: int = 1024
     t_us: float = 266.667
@@ -104,8 +111,9 @@ class ExperimentConfig:
             if not _is_integer(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         for key in NUMBER_KEYS:
-            if isinstance(getattr(self, key), (bool, np.bool_)):
-                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if not _is_number(value):
+                raise ValueError(f"{key} must be a number, got {value!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 2, got {self.n}")
         if not (math.isfinite(self.t_us) and self.t_us > 0):
@@ -129,19 +137,23 @@ class ExperimentConfig:
             raise ValueError(f"fc_hz must be finite and positive, got {self.fc_hz}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.sweep not in SWEEPS:
+        # text first: an unhashable value cannot be looked up, nor an array compared
+        if not (isinstance(self.sweep, str) and self.sweep in SWEEPS):
             raise ValueError(f"unknown sweep kind: {self.sweep}")
-        if self.profile != "eva":
+        if not (isinstance(self.profile, str) and self.profile == "eva"):
             raise ValueError(f"unknown channel profile: {self.profile}")
         if self.sweep_values is not None:
-            vals = list(self.sweep_values)
+            vals = self.sweep_values
+            if not (isinstance(vals, (list, tuple)) and all(map(_is_number, vals))):
+                raise ValueError(f"sweep_values must be a list or tuple of numbers, got {vals!r}")
+            object.__setattr__(self, "sweep_values", tuple(vals))
             # each point is checked by its key's rule first: NaN passes the order check
             try:
                 self.sweep_configs()
             except ValueError as exc:
                 raise ValueError(f"sweep_values: {exc}") from None
             if not vals or any(b < a for a, b in zip(vals[:-1], vals[1:])):
-                raise ValueError(f"sweep_values must be non-empty and ordered, got {vals}")
+                raise ValueError(f"sweep_values must be non-empty and ordered, got {list(vals)}")
 
     @property
     def T(self) -> float:
@@ -194,7 +206,7 @@ def _parse_denominator(key: str, text: str, n: int) -> float:
     return den
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     """Parse a flat ``key = value`` configuration file."""
     values: dict = {}
     first_line: dict = {}
@@ -217,46 +229,33 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 )
             values[key] = val
             first_line[key] = lineno
-    if overrides:
-        values.update(overrides)
     return config_from_dict(values)
 
 
-def _numbers(val) -> tuple:
-    return tuple(map(float, val if isinstance(val, (list, tuple)) else str(val).split(",")))
-
-
-def _integer(val):
-    """Text as an int; a typed value is passed on unconverted, so that
-    ``ExperimentConfig`` refuses a bool or a float rather than truncating it."""
-    return int(val) if isinstance(val, str) else val
-
-
-def _number(val):
-    """A value as a float, but a bool passed on for ``ExperimentConfig`` to refuse."""
-    return val if isinstance(val, (bool, np.bool_)) else float(val)
-
-
-# how config_from_dict converts a raw value of each key, and what it expects
-_CONVERSIONS = {
-    **dict.fromkeys(INTEGER_KEYS, (_integer, "an integer")),
-    **dict.fromkeys(NUMBER_KEYS, (_number, "a number")),
-    **dict.fromkeys(("c1_den", "c2_den", "profile", "sweep"), (str, "text")),
-    "sweep_values": (_numbers, "a comma-separated list of numbers"),
+# how config_from_dict parses the text of each numeric key, and what it expects
+_TEXT_PARSERS = {
+    **dict.fromkeys(INTEGER_KEYS, (int, "an integer")),
+    **dict.fromkeys(NUMBER_KEYS, (float, "a number")),
+    "sweep_values": (lambda text: tuple(map(float, text.split(","))),
+                     "a comma-separated list of numbers"),
 }
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
-    """Convert raw values by key; one that does not convert is named with its key."""
+    """Parse each text value by its key; text that does not parse is named
+    with its key.  Other values, and the text of the other keys, pass on
+    unchanged to ``ExperimentConfig``, which checks every key's type."""
     kwargs: dict = {}
     for key, val in values.items():
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown configuration key: {key}")
-        convert, kind = _CONVERSIONS[key]
-        try:
-            kwargs[key] = convert(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{key} must be {kind}, got {val!r}") from None
+        if isinstance(val, str) and key in _TEXT_PARSERS:
+            parse, kind = _TEXT_PARSERS[key]
+            try:
+                val = parse(val)
+            except ValueError:
+                raise ValueError(f"{key} must be {kind}, got {val!r}") from None
+        kwargs[key] = val
     return ExperimentConfig(**kwargs)
 
 
@@ -285,6 +284,15 @@ def qam4_symbols(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-power 4-QAM symbol vector."""
     bits = rng.integers(0, 2, size=(2, n))
     return _QAM4[bits[0] + 2 * bits[1]]
+
+
+def _draw_trial(ec: ExperimentConfig, speeds: list, t: int) -> tuple:
+    """Trial t's draw from default_rng([seed, t]): one EVA channel per distinct
+    speed, given to each point at that speed, then a frame of 4-QAM symbols."""
+    rng = np.random.default_rng([ec.seed, t])
+    distinct = list(dict.fromkeys(speeds))
+    drawn = dict(zip(distinct, make_eva_channels(ec.fc_hz, distinct, rng)))
+    return [drawn[v] for v in speeds], qam4_symbols(ec.n, rng)
 
 
 def _transmit(cfg: ChirpConfig, filt: SrrcFilter, x: np.ndarray, n_taps: int) -> Waveform:
@@ -442,13 +450,6 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     designed = {d: p.srrc() for d, p in designs.items()}
     filts = [designed[p.beta, p.q] for p in points]
     speeds = [p.speed_kmh for p in points]
-    distinct = list(dict.fromkeys(speeds))
-
-    def draw(t: int) -> tuple:
-        rng = np.random.default_rng([ec.seed, t])
-        drawn = dict(zip(distinct, make_eva_channels(ec.fc_hz, distinct, rng)))
-        return [drawn[v] for v in speeds], qam4_symbols(cfg.N, rng)
-
     # every draw has the EVA delays, which alone set a filter's window
     (eva,) = make_eva_channels(ec.fc_hz, [0.0], np.random.default_rng(0))
     window = {d: _checked_window(eva, f, ec.n) for d, f in designed.items()}
@@ -457,7 +458,7 @@ def run_nmse_sweep(ec: ExperimentConfig) -> SweepResult:
     per_trial = 16 * len(points) * len(EVA_PROFILE) * max(len(f.taps) for f in filts)
     block = max(1, _AMBIGUITY_BLOCK_BYTES // per_trial)
     for first in range(0, ec.trials, block):
-        draws = [draw(t) for t in range(first, min(first + block, ec.trials))]
+        draws = [_draw_trial(ec, speeds, t) for t in range(first, min(first + block, ec.trials))]
         amb = ambiguity_values(
             [c for channels, _ in draws for c in channels], filts * len(draws), windows * len(draws)
         )
@@ -543,9 +544,7 @@ def run_iorel_check(ec: ExperimentConfig) -> tuple[dict, np.ndarray]:
     that same realization.
     """
     cfg = ec.chirp_config()
-    rng = np.random.default_rng([ec.seed, 0])
-    (channel,) = make_eva_channels(ec.fc_hz, [ec.speed_kmh], rng)
-    symbols = qam4_symbols(cfg.N, rng)
+    (channel,), symbols = _draw_trial(ec, [ec.speed_kmh], 0)
     filt = ec.srrc()
     windows = [_checked_window(channel, filt, ec.n, exact) for exact in (False, True)]
     (nmse_window, nmse_exact), taps = _nmse_points(cfg, [filt] * 2, [channel] * 2, symbols, windows)

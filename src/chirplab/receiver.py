@@ -176,9 +176,7 @@ def ambiguity_values(
     filter's tap grid, as its own matrix-vector product per path: a matrix product with the
     points as columns would round each column according to how many there
     are.  The other steps act on a point's values elementwise, so they come
-    out as for the point alone, whatever the points beside it.  The profiles
-    are views into one block of the widest window's width, which the points
-    share.
+    out as for the point alone, whatever the points beside it.
     """
     shifts = _shared_shifts(channels, filts, windows)
     dt, ts, o = filts[0].dt, filts[0].Ts, filts[0].O
@@ -189,8 +187,7 @@ def ambiguity_values(
     # element rounds otherwise than the same element in a longer array)
     leads = np.array([lead for lead, _ in windows])[:, None]
     weights = np.array([c.gains for c in channels]) * dt * np.exp(-2j * np.pi * nus * (leads * ts))
-    amb = np.zeros((len(channels), n_paths, max(n for _, n in windows)), dtype=np.complex128)
-    profiles = [amb[s, :, :n_taps] for s, (_, n_taps) in enumerate(windows)]
+    profiles: list = [None] * len(channels)
     groups: dict = {}
     for i, (f, window) in enumerate(zip(filts, windows)):
         groups.setdefault((id(f), *window), []).append(i)
@@ -204,7 +201,8 @@ def ambiguity_values(
         # zeros only.  The (P, L, M) gather is a temporary, freed at once:
         # held longer, it made every call fault in fresh pages
         shifted_b = filt._pulse_windows[m + np.clip(lags, -m, m)] @ b[..., None]
-        amb[idx, :, :n_taps] = shifted_b[..., 0] * weights[idx, :, None]
+        for s, profile in zip(idx, shifted_b[..., 0] * weights[idx, :, None]):
+            profiles[s] = profile
     return profiles
 
 

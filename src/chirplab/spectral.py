@@ -41,6 +41,11 @@ class PsdCurve:
     def __post_init__(self) -> None:
         self.freq = np.asarray(self.freq, dtype=float)
         self.psd = np.asarray(self.psd, dtype=float)
+        if self.freq.ndim != 1 or self.psd.shape != self.freq.shape:
+            raise ValueError(
+                f"need a 1-D frequency grid and one PSD value per frequency; "
+                f"got shapes {self.freq.shape} and {self.psd.shape}"
+            )
         if not np.all(np.isfinite(self.freq)) or np.any(np.diff(self.freq) <= 0):
             raise ValueError("frequency grid must be finite and strictly increasing")
         if not np.all(np.isfinite(self.psd) & (self.psd >= 0)):
@@ -110,6 +115,8 @@ def analytic_psd(cfg: ChirpConfig, sigma2: float, freqs: np.ndarray) -> PsdCurve
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError(f"sigma2 must be finite and non-negative, got {sigma2}")
     freqs = np.asarray(freqs, dtype=float)
+    if freqs.ndim != 1:
+        raise ValueError(f"frequencies must be a 1-D array, got shape {freqs.shape}")
     if not np.all(np.isfinite(freqs)):
         raise ValueError("frequencies must be finite")
     big_n = cfg.N
@@ -280,12 +287,9 @@ def empirical_psd(frames: Waveform | Iterable[Waveform], nfft: int) -> PsdCurve:
 
 
 def occupied_bandwidth(curve: PsdCurve) -> float:
-    """Width of the region within 20 dB of the PSD peak; 0.0 for a curve
-    without power (empty or all zero), which has no peak."""
-    if not np.any(curve.psd > 0):
-        return 0.0
-    level = curve.db()
-    above = np.where(level > level.max() - 20.0)[0]
+    """Width of the region above 1/100 of the PSD peak (within 20 dB of it);
+    0.0 for a curve without power (empty or all zero), which has no peak."""
+    above = np.flatnonzero(curve.psd > curve.psd.max(initial=0.0) / 100.0)
     if len(above) < 2:
         return 0.0
     return float(curve.freq[above[-1]] - curve.freq[above[0]])

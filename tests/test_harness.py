@@ -92,6 +92,29 @@ def test_config_rejects_bad_value_naming_key(key, value):
             ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize(
+    "foreign", [object(), {}, np.array([1.0, 2.0])], ids=["object", "dict", "array"]
+)
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_every_config_key_refuses_a_foreign_object_naming_it(key, foreign):
+    """Each key has a type rule, or a check of its own, that refuses a value
+    of no type it takes, unhashable or an array included, with a ValueError
+    that names the key."""
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig(**{key: foreign})
+
+
+def test_config_refuses_text_for_a_number_in_python():
+    """Only config_from_dict parses text; the configuration itself refuses it."""
+    with pytest.raises(ValueError, match="^t_us must be a number, got '5'$"):
+        ExperimentConfig(t_us="5")
+    with pytest.raises(ValueError, match="^sweep_values .*'0,500'"):
+        ExperimentConfig(sweep_values="0,500")
+    assert config_from_dict({"t_us": "5"}).t_us == 5.0
+    assert config_from_dict({"sweep_values": [0, 500]}).sweep_values == (0, 500)
+    assert ExperimentConfig(sweep_values=[0.0, 500.0]).sweep_values == (0.0, 500.0)
+
+
 def test_config_rejects_unordered_sweep_values_naming_them():
     for values in ((3.0, 1.0), ()):
         with pytest.raises(ValueError, match=re.escape(
@@ -173,8 +196,27 @@ def test_load_config_file(tmp_path):
     ec = load_config(path)
     assert ec.n == 256 and ec.q == 10 and ec.trials == 7 and ec.seed == 99
     assert ec.sweep == "rolloff" and abs(ec.beta - 0.25) < 1e-15
-    overridden = load_config(path, {"seed": 1, "trials": 2})
-    assert overridden.seed == 1 and overridden.trials == 2
+
+
+def test_cli_flags_replace_a_file_value_that_is_checked_first(tmp_path, monkeypatch, capsys):
+    """--seed and --trials replace the file's seed and trials, but an invalid
+    value in the file is refused even where a flag would replace it."""
+    seen = []
+
+    def sweep(ec):
+        seen.append(ec)
+        return SweepResult(values=[0.0], nmse_db=[-40.0], stderr_db=[0.0])
+
+    monkeypatch.setattr(cli, "run_nmse_sweep", sweep)
+    path = _write_config(tmp_path, "n = 64\ntrials = 7\nseed = 99\n")
+    assert cli.main(["nmse", "--config", path, "--seed", "1", "--trials", "2"]) == 0
+    (ec,) = seen
+    assert (ec.n, ec.seed, ec.trials) == (64, 1, 2)
+    capsys.readouterr()
+    path = _write_config(tmp_path, "seed = -1\n")
+    assert cli.main(["nmse", "--config", path, "--seed", "3"]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert len(seen) == 1
 
 
 def test_load_config_unknown_key(tmp_path):

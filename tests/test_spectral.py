@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import welch
 
+from chirplab import spectral
 from chirplab import (
     ChirpConfig,
     PsdCurve,
@@ -200,6 +201,36 @@ def test_occupied_bandwidth_of_a_curve_without_power_is_zero():
     assert occupied_bandwidth(PsdCurve(np.linspace(-1.0, 1.0, 11), np.zeros(11))) == 0.0
     assert occupied_bandwidth(analytic_psd(PAPER_CFG, 0.0, np.linspace(-1e6, 1e6, 5))) == 0.0
     assert occupied_bandwidth(analytic_psd(PAPER_CFG, 1.0, [])) == 0.0
+
+
+def test_occupied_bandwidth_of_a_peak_below_the_db_floor():
+    """The -20 dB region is found against the peak in linear power: a lone
+    1e-305 peak over zeros occupies no band, while a flat 1e-310 curve still
+    occupies the whole grid."""
+    freq = np.linspace(-1.0, 1.0, 11)
+    lone = np.zeros(11)
+    lone[5] = 1e-305
+    assert occupied_bandwidth(PsdCurve(freq, lone)) == 0.0
+    assert occupied_bandwidth(PsdCurve(freq, np.full(11, 1e-310))) == 2.0
+
+
+@pytest.mark.parametrize("freq, psd", [
+    (np.array([0.0, 1.0, 2.0]), np.ones(2)),
+    (np.array([[0.0, 1.0], [2.0, 3.0]]), np.ones((2, 2))),
+    (np.array([0.0, 1.0]), np.ones((2, 1))),
+])
+def test_psd_curve_refuses_a_grid_and_values_that_are_not_1d_of_one_length(freq, psd):
+    with pytest.raises(ValueError, match="^need a 1-D frequency grid and one PSD value"):
+        PsdCurve(freq, psd)
+
+
+def test_analytic_psd_refuses_a_2d_grid_before_evaluating_it(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the spectrum was evaluated")
+
+    monkeypatch.setattr(spectral, "prototype_spectrum", refuse)
+    with pytest.raises(ValueError, match=r"^frequencies must be a 1-D array, got shape \(2, 2\)$"):
+        analytic_psd(PAPER_CFG, 1.0, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize(
